@@ -5,6 +5,8 @@ Hyperparameters are dialed down from the defaults so the whole script
 finishes in well under a minute.
 """
 
+import time
+
 import numpy as np
 
 from edbench.clean_split import (apply_cleaning, apply_exclusions,
@@ -44,10 +46,11 @@ def main():
     labels = te.y.astype(np.float64)
     forest_model = None
     for kind, overrides in LIGHT.items():
+        started = time.perf_counter()
         model = train_model(tr, kind, seed=0, **overrides)
+        seconds = time.perf_counter() - started
         a = auroc(predict_proba(model, te), labels)
-        print(f"  {kind:14s} test AUROC = {a:.3f}   "
-              f"(fit in {model.train_seconds:.2f}s)")
+        print(f"  {kind:14s} test AUROC = {a:.3f}   (fit in {seconds:.2f}s)")
         if kind == "random_forest":
             forest_model = model
 

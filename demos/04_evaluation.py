@@ -2,10 +2,11 @@
 
 Makes noisy scores with a known signal, walks AUROC / AUPRC / the ROC
 curve / Youden threshold selection / seeded bootstrap intervals, then
-renders a two-row report to ./demo_report/.
+renders a two-row report into a temporary directory.
 """
 
 import csv
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +52,13 @@ def main():
         ModelResult(task="toy", model="weak", scores=weak, labels=labels,
                     runtime_seconds=1.0, n_variables=1),
     ]
-    out_dir = Path(__file__).parent / "demo_report"
-    paths = render_report(build_report(results, B=200, seed=0), out_dir)
-    print(f"\nwrote {[p.name for p in paths]} to {out_dir}/")
-    with open(out_dir / "report.csv", newline="") as fh:
-        for row in csv.reader(fh):
-            print("  " + " | ".join(row))
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        paths = render_report(build_report(results, B=200, seed=0), out_dir)
+        print(f"\nwrote {[p.name for p in paths]} to {out_dir}/")
+        with open(out_dir / "report.csv", newline="") as fh:
+            for row in csv.reader(fh):
+                print("  " + " | ".join(row))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Drive the command-line pipeline end to end from one INI file.
 
-Writes a small config, runs the `all` subcommand twice, and diffs the
-artifact hashes from the two run manifests to show the byte-for-byte
-reproducibility contract.
+Writes a small config, runs the `all` subcommand twice in a temporary
+directory, and diffs the artifact hashes from the two run manifests to
+show the byte-for-byte reproducibility contract.
 """
 
 import json
 import logging
+import tempfile
 from pathlib import Path
 
 from edbench import cli
@@ -49,9 +50,11 @@ def run(base: Path) -> dict:
 
 def main():
     logging.basicConfig(level=logging.WARNING)
-    here = Path(__file__).parent / "demo_run"
-    m1 = run(here / "a")
-    m2 = run(here / "b")
+    with tempfile.TemporaryDirectory() as tmp:
+        here = Path(tmp)
+        m1 = run(here / "a")
+        m2 = run(here / "b")
+        report = (here / "a" / "out" / "report.csv").read_text()
 
     print(f"run a: config_hash={m1['config_hash'][:12]} "
           f"seed={m1['seed']} stages={list(m1['stages'])}")
@@ -65,7 +68,7 @@ def main():
     print("expected wall-clock differences:", diff)
 
     print("\nfirst report rows:")
-    for line in (here / "a" / "out" / "report.csv").read_text().splitlines()[:4]:
+    for line in report.splitlines()[:4]:
         print("  " + line)
 
 

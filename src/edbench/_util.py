@@ -70,8 +70,6 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e16:
-            return repr(value)
         return repr(value)
     return str(value)
 

@@ -156,14 +156,12 @@ def split_records(
     records: list[dict],
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
-    stratify_by: str | None = None,
 ) -> tuple[list[dict], list[dict], dict[int, str]]:
     """Seeded uniform visit-level split into (train, test, assignment).
 
     Records are keyed and sorted by stay_id before shuffling, so the
     assignment depends only on the set of visits, the fraction, and the
-    seed. Test size is round(test_fraction * N), half rounded up. With
-    ``stratify_by`` the same procedure runs inside each label stratum.
+    seed. Test size is round(test_fraction * N), half rounded up.
     """
     if not 0.0 <= test_fraction <= 1.0:
         raise ConfigError(f"test_fraction must be in [0, 1], got {test_fraction}")
@@ -171,22 +169,10 @@ def split_records(
     if len(by_id) != len(records):
         raise DataError("split: duplicate stay_id among records")
 
-    def assign(ids: list[int]) -> set[int]:
-        ids = sorted(ids)
-        n_test = int(math.floor(test_fraction * len(ids) + 0.5))
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(ids))
-        return {ids[i] for i in order[:n_test]}
-
-    if stratify_by is None:
-        test_ids = assign(list(by_id))
-    else:
-        strata: dict[object, list[int]] = {}
-        for rec in records:
-            strata.setdefault(rec.get(stratify_by), []).append(rec["stay_id"])
-        test_ids = set()
-        for key in sorted(strata, key=repr):
-            test_ids |= assign(strata[key])
+    ids = sorted(by_id)
+    n_test = int(math.floor(test_fraction * len(ids) + 0.5))
+    order = np.random.default_rng(seed).permutation(len(ids))
+    test_ids = {ids[i] for i in order[:n_test]}
 
     assignment = {sid: ("test" if sid in test_ids else "train") for sid in sorted(by_id)}
     train = [rec for rec in records if rec["stay_id"] not in test_ids]

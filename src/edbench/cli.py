@@ -25,6 +25,7 @@ import os
 import platform
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,9 +38,9 @@ from .ingest import TABLE_KINDS, link_tables, read_raw_tables
 from .cohort import (OUTCOME_COLUMNS, build_master, load_complaint_matcher,
                      master_columns, read_master_csv, write_master_csv)
 from .comorbidity import load_map
-from .clean_split import (apply_cleaning, apply_exclusions, apply_imputer,
-                          fit_imputer, load_cleaning_config, split_records,
-                          write_split_csv)
+from .clean_split import (IMPUTE_STRATEGIES, apply_cleaning, apply_exclusions,
+                          apply_imputer, fit_imputer, load_cleaning_config,
+                          split_records, write_split_csv)
 from .scores import (SCORE_NAMES, compute_score, esi_risk,
                      load_score_definition)
 from .models import (DISPLAY_NAMES, MODEL_KINDS, TASKS, build_feature_matrix,
@@ -65,43 +66,17 @@ MODELS_DIR = "models"
 RUNTIMES_NAME = "runtimes.json"
 MANIFEST_NAME = "run_manifest.json"
 
-IMPUTE_STRATEGIES = ("median", "mean", "constant")
-
-# [pipeline] keys and their coercions
-_PIPELINE_KEYS = {
-    "input_dir": str,
-    "output_dir": str,
-    "seed": int,
-    "test_fraction": float,
-    "lookback_years": float,
-    "imputation": str,
-    "impute_constant": float,
-    "bootstrap_b": int,
-    "temperature_unit": str,
-}
-
 # [paths] keys: overrides for packaged declarative tables
 _PATH_KEYS = ("cleaning_bounds", "comorbidity_map", "chief_complaints",
               "manifest_triage", "manifest_disposition",
               *(f"score_{name}" for name in SCORE_NAMES))
 
-# [synth] keys map straight onto SynthConfig scalar fields
-_SYNTH_KEYS = {
-    "n_patients": int,
-    "mean_visits": float,
-    "seed": int,
-    "prevalence_hospitalization": float,
-    "prevalence_critical": float,
-    "prevalence_reattendance": float,
-    "missing_fraction": float,
-    "outlier_fraction": float,
-    "minor_fraction": float,
-    "missing_acuity_fraction": float,
-    "decoy_icu_fraction": float,
-    "decoy_dod_fraction": float,
-    "signal_scale": float,
-    "start_year": int,
-}
+
+def _scalar_fields(cls) -> dict:
+    """Field name -> type for the int/float/str fields of a dataclass, in
+    declaration order; these are the keys its INI section accepts."""
+    return {name: hint for name, hint in typing.get_type_hints(cls).items()
+            if hint in (int, float, str)}
 
 
 def _coerce(section: str, key: str, raw: str, caster):
@@ -125,7 +100,6 @@ class PipelineConfig:
     impute_constant: float = 0.0
     bootstrap_b: int = 100
     temperature_unit: str = "fahrenheit"
-    threads: int = 1
     paths: dict = field(default_factory=dict)
     model_overrides: dict = field(default_factory=dict)
     synth: SynthConfig | None = None
@@ -145,17 +119,15 @@ class PipelineConfig:
                               f"got {self.temperature_unit!r}")
         if self.bootstrap_b < 1:
             raise ConfigError(f"bootstrap_b must be >= 1, got {self.bootstrap_b}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         for key, path in self.paths.items():
             if not os.path.isfile(path):
                 raise ConfigError(f"[paths] {key}: no such file {path!r}")
 
     @classmethod
-    def from_ini(cls, path: str | None, threads: int = 1) -> "PipelineConfig":
+    def from_ini(cls, path: str | None) -> "PipelineConfig":
         """Load an INI file with sections [pipeline], [synth], [paths],
         and [models.<kind>]; omitted keys keep their defaults."""
-        cfg = cls(threads=threads)
+        cfg = cls()
         if path is not None:
             if not os.path.isfile(path):
                 raise ConfigError(f"config file not found: {path}")
@@ -202,12 +174,7 @@ class PipelineConfig:
 
     def resolved(self) -> dict:
         """Plain-dict view of every setting that shapes the outputs."""
-        out = {
-            key: getattr(self, key)
-            for key in ("input_dir", "output_dir", "seed", "test_fraction",
-                        "lookback_years", "imputation", "impute_constant",
-                        "bootstrap_b", "temperature_unit")
-        }
+        out = {key: getattr(self, key) for key in _PIPELINE_KEYS}
         out["paths"] = dict(sorted(self.paths.items()))
         out["model_overrides"] = {k: dict(sorted(v.items()))
                                   for k, v in sorted(self.model_overrides.items())}
@@ -218,6 +185,10 @@ class PipelineConfig:
         blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
+
+# [pipeline] and [synth] keys with their coercions
+_PIPELINE_KEYS = _scalar_fields(PipelineConfig)
+_SYNTH_KEYS = _scalar_fields(SynthConfig)
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -377,8 +348,7 @@ def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
             started = time.perf_counter()
             model = train_model(matrix, kind, seed=_model_seed(cfg, task, kind),
                                 **cfg.model_overrides.get(kind, {}))
-            seconds = (model.train_seconds if model.train_seconds is not None
-                       else time.perf_counter() - started)
+            seconds = time.perf_counter() - started
             path = _model_file(cfg, task, tp, kind)
             save_model(model, path)
             name = path.stem
@@ -487,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, metavar="INI",
                         help="pipeline config file (defaults apply when omitted)")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="parallelism cap; 1 (default) is fully deterministic")
 
     parser = argparse.ArgumentParser(
         prog="edbench",
@@ -566,13 +534,12 @@ def _dispatch(args, cfg: PipelineConfig) -> tuple[dict, list[Path]]:
 
 
 def _write_manifest(cfg: PipelineConfig, command: str, stages: dict,
-                    written: list[Path]) -> Path:
+                    written: list[Path], path: Path) -> None:
     manifest = {
         "command": command,
         "config_hash": cfg.config_hash(),
         "config": cfg.resolved(),
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "versions": {
             "package": __version__,
             "python": platform.python_version(),
@@ -581,9 +548,7 @@ def _write_manifest(cfg: PipelineConfig, command: str, stages: dict,
         "stages": stages,
         "artifacts": {str(p): _sha256_file(p) for p in sorted(set(written))},
     }
-    path = _out_path(cfg, MANIFEST_NAME)
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 def main(argv=None) -> int:
@@ -592,9 +557,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = PipelineConfig.from_ini(args.config, threads=args.threads)
+        cfg = PipelineConfig.from_ini(args.config)
         stages, written = _dispatch(args, cfg)
-        manifest_path = _write_manifest(cfg, args.command, stages, written)
+        # predict leaves its manifest beside the predictions it wrote
+        if args.command == "predict":
+            manifest_path = Path(args.output).parent / MANIFEST_NAME
+        else:
+            manifest_path = _out_path(cfg, MANIFEST_NAME)
+        _write_manifest(cfg, args.command, stages, written, manifest_path)
         logger.info("ok: wrote %s", manifest_path)
         return 0
     except EdBenchError as exc:

@@ -31,7 +31,7 @@ import re
 from bisect import bisect_left
 from importlib import resources
 
-from ._util import format_cell, parse_float, parse_int
+from ._util import format_cell, parse_float
 from .comorbidity import (
     DEFAULT_LOOKBACK_DAYS,
     ComorbidityMap,
@@ -106,10 +106,6 @@ def load_complaint_matcher(path: str | None = None) -> ComplaintMatcher:
     return ComplaintMatcher(categories)
 
 
-def match_chief_complaints(text: str, matcher: ComplaintMatcher) -> dict[str, bool]:
-    return matcher.match(text)
-
-
 # -- per-visit derivations ----------------------------------------------------
 
 def compute_age(patient: PatientRecord, intime: dt.datetime) -> int:
@@ -172,10 +168,6 @@ def label_icu_transfer_12h(stay: EdStayRecord, cohort: LinkedCohort) -> bool:
         if stay.intime <= icu.intime <= horizon:
             return True
     return False
-
-
-def label_critical(stay: EdStayRecord, cohort: LinkedCohort) -> bool:
-    return label_inpatient_mortality(stay, cohort) or label_icu_transfer_12h(stay, cohort)
 
 
 def label_ed_reattendance_72h(stay: EdStayRecord, cohort: LinkedCohort) -> bool:

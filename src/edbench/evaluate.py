@@ -345,40 +345,36 @@ REPORT_COLUMNS = ["Task", "Model", "Threshold", "AUROC", "AUPRC",
                   "Number of variables"]
 
 
-def render_report(rows: list[dict], out_dir, formats=("csv", "json", "svg")) -> list[Path]:
+def render_report(rows: list[dict], out_dir) -> list[Path]:
     """Write report.csv / report.json / figure_*.svg; returns paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out_dir / "report.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for row in rows:
-                writer.writerow([
-                    row["task"],
-                    row["model"],
-                    _fmt_threshold(row["threshold"]),
-                    _fmt_ci(row["auroc"], row["auroc_low"], row["auroc_high"]),
-                    _fmt_ci(row["auprc"], row["auprc_low"], row["auprc_high"]),
-                    _fmt_ci(row["sensitivity"], row["sensitivity_low"],
-                            row["sensitivity_high"]),
-                    _fmt_ci(row["specificity"], row["specificity_low"],
-                            row["specificity_high"]),
-                    str(int(round(row["runtime_seconds"]))),
-                    str(row["n_variables"]),
-                ])
+    path = out_dir / "report.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_COLUMNS)
+        for row in rows:
+            writer.writerow([
+                row["task"],
+                row["model"],
+                _fmt_threshold(row["threshold"]),
+                _fmt_ci(row["auroc"], row["auroc_low"], row["auroc_high"]),
+                _fmt_ci(row["auprc"], row["auprc_low"], row["auprc_high"]),
+                _fmt_ci(row["sensitivity"], row["sensitivity_low"],
+                        row["sensitivity_high"]),
+                _fmt_ci(row["specificity"], row["specificity_low"],
+                        row["specificity_high"]),
+                str(int(round(row["runtime_seconds"]))),
+                str(row["n_variables"]),
+            ])
+    written = [path]
+    path = out_dir / "report.json"
+    path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    written.append(path)
+    for metric in ("auroc", "auprc"):
+        path = out_dir / f"figure_{metric}.svg"
+        path.write_text(_render_bars(rows, metric))
         written.append(path)
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
-        written.append(path)
-    if "svg" in formats:
-        for metric in ("auroc", "auprc"):
-            path = out_dir / f"figure_{metric}.svg"
-            path.write_text(_render_bars(rows, metric))
-            written.append(path)
     return written
 
 

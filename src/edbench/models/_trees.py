@@ -28,15 +28,15 @@ class BinnedFeatures:
     thresholds: list[np.ndarray]  # per feature, edge values; code<=k iff x<=edges[k]
 
 
-def bin_features(X: np.ndarray, max_bins: int = MAX_BINS) -> BinnedFeatures:
+def bin_features(X: np.ndarray) -> BinnedFeatures:
     n, d = X.shape
     codes = np.empty((n, d), dtype=np.uint16)
     thresholds: list[np.ndarray] = []
     for j in range(d):
         col = X[:, j]
         uniq = np.unique(col)
-        if len(uniq) > max_bins:
-            qs = np.quantile(col, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+        if len(uniq) > MAX_BINS:
+            qs = np.quantile(col, np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1])
             edges = np.unique(qs)
         else:
             edges = (uniq[:-1] + uniq[1:]) / 2.0
@@ -139,16 +139,18 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
-    classification: bool = True,
 ) -> Tree:
     """Grow one tree on the rows in ``idx``.
 
     Split criterion maximizes sum((sum y_c)^2 / n_c); for 0/1 targets this
     is the Gini split. Leaf values are mean(y) unless Newton statistics
     (leaf_grad / leaf_hess) are supplied, in which case a leaf predicts
-    sum(grad) / sum(hess). ``features_per_node`` activates per-node random
-    feature subsampling via ``rng``.
+    sum(grad) / sum(hess); without them the tree is a 0/1 classifier, whose
+    pure nodes stay leaves and whose gains are Gini decreases.
+    ``features_per_node`` activates per-node random feature subsampling
+    via ``rng``.
     """
+    classification = leaf_grad is None
     codes = binned.codes
     d = codes.shape[1]
     n_bins = np.array([len(t) + 1 for t in binned.thresholds], dtype=np.int64)

@@ -5,9 +5,8 @@ fingerprint of that manifest; prediction refuses inputs whose manifest
 fingerprint (or column count) disagrees, which catches the classic
 mistake of scoring disposition-time features with a triage-time model.
 
-Model files are JSON with sorted keys. Wall-clock training time is kept
-on the in-memory object only and never serialized, so repeated runs with
-the same seed produce byte-identical files.
+Model files are JSON with sorted keys and hold no wall-clock data, so
+repeated runs with the same seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class TrainedModel:
     hyperparams: dict
     params: dict
     seed: int
-    train_seconds: float | None = None
     fingerprint: str = field(default="")
 
     def __post_init__(self):
@@ -81,7 +79,6 @@ def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
     if takes_seed:
         kwargs["seed"] = seed
     params = fitter(matrix.X, matrix.y, **kwargs)
-    train_seconds = params.pop("train_seconds")
     return TrainedModel(
         kind=kind,
         task=matrix.task,
@@ -90,7 +87,6 @@ def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
         hyperparams=hyper,
         params=params,
         seed=seed,
-        train_seconds=train_seconds,
     )
 
 

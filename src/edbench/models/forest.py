@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 import warnings
 
 import numpy as np
 
-from ..errors import DataError, DegenerateLabels, WrongKind
+from ..errors import DataError, DegenerateLabels
 from ._trees import Tree, bin_features, grow_tree
 
 logger = logging.getLogger(__name__)
@@ -36,7 +35,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
     y = y.astype(np.float64)
     n, d = X.shape
     pos = float(y.sum())
-    t0 = time.perf_counter()
     if pos == 0.0 or pos == n:
         warnings.warn("training labels are all one class; fitting a constant",
                       DegenerateLabels)
@@ -45,7 +43,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
             "n_trees": 0,
             "n_features": d,
             "trees": [],
-            "train_seconds": time.perf_counter() - t0,
         }
 
     binned = bin_features(X)
@@ -64,7 +61,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
         "n_trees": n_trees,
         "n_features": d,
         "trees": trees,
-        "train_seconds": time.perf_counter() - t0,
     }
 
 

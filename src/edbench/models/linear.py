@@ -16,7 +16,6 @@ parameter loss (a convexity witness checked by tests).
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 
@@ -81,7 +80,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0,
     loss, grad_w, grad_b = logistic_objective(w, b, Xs, y, lam)
     step = 1.0
     n_iter = 0
-    t0 = time.perf_counter()
     for n_iter in range(1, max_iter + 1):
         gnorm = max(np.abs(grad_w).max() if d else 0.0, abs(grad_b))
         if gnorm < tol:
@@ -114,7 +112,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0,
         "std": std.tolist(),
         "final_loss": loss,
         "n_iter": n_iter,
-        "train_seconds": time.perf_counter() - t0,
     }
 
 

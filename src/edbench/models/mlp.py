@@ -15,7 +15,6 @@ against central finite differences.
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 
@@ -77,7 +76,6 @@ def fit_mlp(X: np.ndarray, y: np.ndarray, *, hidden: int = 64,
     n, d = X.shape
     mean, std = standardize_fit(X)
     Xs = (X - mean) / std
-    t0 = time.perf_counter()
 
     rng = np.random.default_rng(seed)
     lim1 = 1.0 / np.sqrt(d)
@@ -120,7 +118,6 @@ def fit_mlp(X: np.ndarray, y: np.ndarray, *, hidden: int = 64,
         "mean": mean.tolist(),
         "std": std.tolist(),
         "epoch_loss": epoch_loss,
-        "train_seconds": time.perf_counter() - t0,
     }
 
 

@@ -560,10 +560,6 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
     return GeneratedCohort(tables=tables, truth=truth)
 
 
-def generate_cohort(config: SynthConfig) -> RawTables:
-    return generate_with_truth(config).tables
-
-
 def write_truth(truth: dict[int, dict[str, bool]], path) -> None:
     lines = ["stay_id," + ",".join(OUTCOME_KEYS)]
     for stay_id in sorted(truth):

@@ -2,9 +2,42 @@
 
 Every value below was chosen by hand so tests can assert exact ages,
 window counts, and outcome labels without re-deriving them in code.
+
+The session also guards the checkout: no test may add or modify a file
+under the repository root.
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# tool caches, plus the log a run's own output is conventionally piped into
+_UNGUARDED = {".git", ".pytest_cache", "__pycache__", ".hypothesis",
+              ".bench_work", "test_output.txt"}
+
+
+def _repo_mtimes() -> dict[str, int]:
+    mtimes = {}
+    for dirpath, dirnames, filenames in os.walk(REPO_ROOT):
+        dirnames[:] = [d for d in dirnames if d not in _UNGUARDED]
+        for name in filenames:
+            if name not in _UNGUARDED:
+                path = os.path.join(dirpath, name)
+                mtimes[os.path.relpath(path, REPO_ROOT)] = os.stat(path).st_mtime_ns
+    return mtimes
+
+
+@pytest.fixture(scope="session", autouse=True)
+def repository_is_left_untouched():
+    before = _repo_mtimes()
+    yield
+    after = _repo_mtimes()
+    touched = sorted(path for path, mtime in after.items()
+                     if before.get(path) != mtime)
+    if touched:
+        pytest.fail(f"the test session wrote into the repository: {touched}")
 
 
 # Raw CSV text per table. Notable rows:

@@ -122,14 +122,6 @@ def test_split_partition_and_duplicates():
         split_records(recs, 1.5, seed=1)
 
 
-def test_split_stratified_keeps_fraction_per_stratum():
-    recs = [{"stay_id": i, "y": i % 2} for i in range(100)]
-    train, test, _ = split_records(recs, 0.2, seed=3, stratify_by="y")
-    for label in (0, 1):
-        n_test = sum(1 for r in test if r["y"] == label)
-        assert n_test == 10
-
-
 def test_split_csv_round_trip(tmp_path):
     _, _, assignment = split_records(_records(12), 0.25, seed=9)
     path = tmp_path / "split.csv"

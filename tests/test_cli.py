@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import typing
 
 import pytest
 
 from edbench import cli
 from edbench.errors import ConfigError
+from edbench.synthdata import SynthConfig
 
 INI_TEMPLATE = """\
 [pipeline]
@@ -68,8 +71,36 @@ def test_synth_seed_can_be_pinned(tmp_path):
     assert cfg.seed == 9 and cfg.synth.seed == 3
 
 
+# settable str fields need a valid non-default value; numbers are doubled
+_NON_DEFAULT_STR = {"input_dir": "elsewhere", "output_dir": "elsewhere",
+                    "imputation": "mean", "temperature_unit": "celsius"}
+_SCALAR_FIELDS = [
+    pytest.param(section, f.name, typing.get_type_hints(cls)[f.name], f.default,
+                 id=f"{section}.{f.name}")
+    for section, cls in (("pipeline", cli.PipelineConfig),
+                         ("synth", SynthConfig))
+    for f in dataclasses.fields(cls)
+    if typing.get_type_hints(cls)[f.name] in (int, float, str)
+]
+
+
+@pytest.mark.parametrize("section, name, kind, default", _SCALAR_FIELDS)
+def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
+                                                         name, kind, default):
+    value = _NON_DEFAULT_STR[name] if kind is str else kind(default * 2 or 1)
+    assert value != default
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{name} = {value}\n")
+    cfg = cli.PipelineConfig.from_ini(str(ini))
+    parsed = getattr(cfg if section == "pipeline" else cfg.synth, name)
+    assert parsed == value and type(parsed) is kind
+
+
 @pytest.mark.parametrize("body", [
     "[pipeline]\nnope = 1\n",
+    "[pipeline]\nthreads = 2\n",
+    "[synth]\nnope = 1\n",
+    "[synth]\ntriage_moments = 1\n",
     "[mystery]\nx = 1\n",
     "[models.svm]\nc = 1\n",
     "[pipeline]\nseed = banana\n",
@@ -93,9 +124,6 @@ def test_config_hash_tracks_settings(tmp_path):
     assert len(a.config_hash()) == 64
     b.seed = 1
     assert a.config_hash() != b.config_hash()
-    # threads affect execution, not outputs, so the hash ignores them
-    c = cli.PipelineConfig.from_ini(None, threads=8)
-    assert c.config_hash() == a.config_hash()
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -153,6 +181,12 @@ def test_unknown_subcommand_exits_via_argparse():
     assert exc.value.code == 2
 
 
+def test_threads_flag_is_not_accepted():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["all", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 # -- end-to-end artifacts ----------------------------------------------------------
 
 
@@ -189,7 +223,7 @@ def test_run_manifest_is_auditable(run_all):
     out = run_all / "out"
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "all"
-    assert manifest["seed"] == 7 and manifest["threads"] == 1
+    assert manifest["seed"] == 7
     assert set(manifest["stages"]) == {"synth", "extract_master",
                                        "build_benchmark", "train", "evaluate"}
     assert manifest["stages"]["evaluate"]["report_rows"] == 25
@@ -224,6 +258,20 @@ def test_predict_scores_new_visits(run_all, tmp_path):
     assert len(rows) == len(test_rows)
     assert [r["stay_id"] for r in rows] == [r["stay_id"] for r in test_rows]
     assert all(0.0 <= float(r["probability"]) <= 1.0 for r in rows)
+
+
+def test_predict_writes_manifest_beside_output(run_all, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out_csv = tmp_path / "scored" / "preds.csv"
+    model = run_all / "out" / "models" / "critical_triage_logistic.json"
+    rc = cli.main(["predict", "--model-file", str(model),
+                   "--input", str(run_all / "out" / "test.csv"),
+                   "--output", str(out_csv)])
+    assert rc == 0
+    manifest = json.loads((out_csv.parent / "run_manifest.json").read_text())
+    assert manifest["command"] == "predict"
+    assert list(manifest["artifacts"]) == [str(out_csv)]
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_single_task_at_disposition(run_all):

@@ -2,8 +2,7 @@ import datetime as dt
 
 from edbench.cohort import (compute_age, count_prior_events,
                             load_complaint_matcher, master_columns,
-                            match_chief_complaints, read_master_csv,
-                            write_master_csv)
+                            read_master_csv, write_master_csv)
 from edbench.ingest import PatientRecord
 
 
@@ -34,15 +33,15 @@ def test_count_prior_events_window_half_open():
 
 def test_chief_complaint_matcher_boundaries():
     m = load_complaint_matcher()
-    hit = match_chief_complaints("Chest pain, SOB", m)
+    hit = m.match("Chest pain, SOB")
     assert hit["chest_pain"] and hit["shortness_of_breath"]
     assert not hit["abdominal_pain"]
     # short aliases must not fire inside words
-    none = match_chief_complaints("scpxyz", m)
+    none = m.match("scpxyz")
     assert not any(none.values())
-    assert match_chief_complaints("r/o MI, cp", m)["chest_pain"]
-    assert match_chief_complaints("n/v/d", m)["nausea_vomiting"]
-    assert match_chief_complaints("HEADACHE", m)["headache"]
+    assert m.match("r/o MI, cp")["chest_pain"]
+    assert m.match("n/v/d")["nausea_vomiting"]
+    assert m.match("HEADACHE")["headache"]
 
 
 def test_master_row_per_kept_stay(master):
