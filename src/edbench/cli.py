@@ -546,7 +546,9 @@ def _write_manifest(cfg: PipelineConfig, command: str, stages: dict,
             "numpy": np.__version__,
         },
         "stages": stages,
-        "artifacts": {str(p): _sha256_file(p) for p in sorted(set(written))},
+        # absolute keys, so the manifest reads the same from any directory
+        "artifacts": {str(Path(p).resolve()): _sha256_file(p)
+                      for p in sorted(set(written))},
     }
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 

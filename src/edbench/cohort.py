@@ -41,15 +41,13 @@ from .comorbidity import (
     map_to_eci,
 )
 from .errors import ConfigError, DataError
-from .ingest import EdStayRecord, LinkedCohort, PatientRecord, VitalSignRecord
+from .ingest import VITAL_FIELDS, EdStayRecord, LinkedCohort, PatientRecord, VitalSignRecord
 
 logger = logging.getLogger(__name__)
 
 HISTORY_WINDOWS_DAYS = (30, 90, 365)
 ICU_TRANSFER_HORIZON = dt.timedelta(hours=12)
 REATTENDANCE_HORIZON = dt.timedelta(hours=72)
-
-ED_VITAL_FIELDS = ("temperature", "heartrate", "resprate", "o2sat", "sbp", "dbp")
 
 OUTCOME_COLUMNS = (
     "outcome_hospitalization",
@@ -131,9 +129,9 @@ def count_prior_events(event_times: list[dt.datetime], t: dt.datetime,
 
 def extract_ed_vitals(vitals: list[VitalSignRecord]) -> dict[str, float | None]:
     """Per-field latest non-missing reading over the stay's charted vitals."""
-    out: dict[str, float | None] = {f: None for f in ED_VITAL_FIELDS}
+    out: dict[str, float | None] = {f: None for f in VITAL_FIELDS}
     for rec in vitals:  # already charttime-sorted
-        for f in ED_VITAL_FIELDS:
+        for f in VITAL_FIELDS:
             value = getattr(rec, f)
             if value is not None:
                 out[f] = value
@@ -195,13 +193,12 @@ def master_columns(cmap: ComorbidityMap | None = None,
     for kind in ("ed", "hosp", "icu"):
         for w in HISTORY_WINDOWS_DAYS:
             cols.append(f"n_{kind}_{w}d")
-    cols += ["triage_temperature", "triage_heartrate", "triage_resprate",
-             "triage_o2sat", "triage_sbp", "triage_dbp", "triage_pain",
-             "triage_acuity"]
+    cols += [f"triage_{f}" for f in VITAL_FIELDS]
+    cols += ["triage_pain", "triage_acuity"]
     cols += [f"chiefcom_{name}" for name in matcher.categories]
     cols += cmap.cci_fields
     cols += cmap.eci_fields
-    cols += [f"ed_{f}" for f in ED_VITAL_FIELDS]
+    cols += [f"ed_{f}" for f in VITAL_FIELDS]
     cols += ["ed_los_hours", "n_med", "n_medrecon"]
     cols += list(OUTCOME_COLUMNS)
     return cols
@@ -245,7 +242,7 @@ def build_master(
                 rec[f"n_{kind}_{w}d"] = count_prior_events(series, stay.intime, w)
 
         triage = cohort.triage_by_stay.get(stay.stay_id)
-        for f in ED_VITAL_FIELDS:
+        for f in VITAL_FIELDS:
             rec[f"triage_{f}"] = getattr(triage, f) if triage else None
         rec["triage_pain"] = triage.pain if triage else None
         rec["triage_acuity"] = triage.acuity if triage else None

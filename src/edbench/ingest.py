@@ -5,6 +5,10 @@ ED stays plus child tables keyed by stay, subject, or admission. This module
 parses them into typed records with explicit error semantics and links them
 into an in-memory cohort object the rest of the pipeline consumes.
 
+SCHEMAS is the one place column types live: for each table it lists the
+columns in header order, each with a cell kind. parse_table, write_table
+and REQUIRED_COLUMNS are all derived from it.
+
 Error semantics, applied uniformly:
 
 * a required header missing from a table aborts (MissingColumn);
@@ -13,7 +17,8 @@ Error semantics, applied uniformly:
 * a non-empty, unparseable timestamp aborts only in the root table's time
   fields (BadTimestamp); in child tables the cell becomes missing and is
   logged with its row number;
-* unparseable numeric cells become missing and are logged;
+* unparseable numeric, gender and date cells become missing and are
+  logged, and each file's count of them is reported as a warning;
 * two root rows sharing a stay id abort (DuplicateKey);
 * a stay whose subject has no demographics row is dropped and logged;
 * child rows whose stay id does not resolve are dropped and counted.
@@ -28,7 +33,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from ._util import (
     fahrenheit_to_celsius,
@@ -51,18 +58,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-TABLE_KINDS = (
-    "edstays",
-    "triage",
-    "vitalsign",
-    "patients",
-    "admissions",
-    "icustays",
-    "diagnoses_icd",
-    "medrecon",
-    "pyxis",
-)
-
 TEMPERATURE_UNITS = ("fahrenheit", "celsius")
 
 VITAL_FIELDS = ("temperature", "heartrate", "resprate", "o2sat", "sbp", "dbp")
@@ -73,8 +68,8 @@ VITAL_FIELDS = ("temperature", "heartrate", "resprate", "o2sat", "sbp", "dbp")
 @dataclass
 class EdStayRecord:
     subject_id: int
-    stay_id: int
     hadm_id: int | None
+    stay_id: int
     intime: dt.datetime
     outtime: dt.datetime | None
     disposition: str
@@ -196,85 +191,83 @@ class LinkedCohort:
     diagnoses_by_hadm: dict[int, list[DiagnosisRecord]]
     dropped_stays: list[tuple[int, str]]
     orphan_counts: dict[str, int]
-    unresolved_hadm_stays: int = 0
     # per subject, diagnosis rows whose hadm_id has no admissions row; these
     # cannot be placed on a timeline and are skipped by lookback collection
     unresolved_diag_by_subject: dict[int, int] = field(default_factory=dict)
 
 
 # -- schema -----------------------------------------------------------------
+#
+# Each table's columns in header order, each with its cell kind: the name of
+# the _TableReader method that parses it (docs/data_dictionary.md tabulates
+# what each kind does with empty and unparseable cells). Record fields follow
+# header order, so records are built and written positionally; icustays'
+# stay_id column is the icu_stay_id field.
 
-REQUIRED_COLUMNS: dict[str, tuple[str, ...]] = {
-    "edstays": ("subject_id", "hadm_id", "stay_id", "intime", "outtime", "disposition"),
-    "triage": ("subject_id", "stay_id", "temperature", "heartrate", "resprate",
-               "o2sat", "sbp", "dbp", "pain", "acuity", "chiefcomplaint"),
-    "vitalsign": ("subject_id", "stay_id", "charttime", "temperature", "heartrate",
-                  "resprate", "o2sat", "sbp", "dbp"),
-    "patients": ("subject_id", "gender", "anchor_age", "anchor_year", "dod"),
-    "admissions": ("subject_id", "hadm_id", "admittime", "dischtime", "deathtime"),
-    "icustays": ("subject_id", "hadm_id", "stay_id", "intime", "outtime"),
-    "diagnoses_icd": ("subject_id", "hadm_id", "seq_num", "icd_code", "icd_version"),
-    "medrecon": ("subject_id", "stay_id", "name"),
-    "pyxis": ("subject_id", "stay_id", "charttime", "name"),
+SCHEMAS: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
+    "edstays": (EdStayRecord, (
+        ("subject_id", "key"), ("hadm_id", "opt_key"), ("stay_id", "key"),
+        ("intime", "root_time"), ("outtime", "opt_root_time"),
+        ("disposition", "text"))),
+    "triage": (TriageRecord, (
+        ("subject_id", "key"), ("stay_id", "key"),
+        ("temperature", "temperature"), ("heartrate", "number"),
+        ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
+        ("dbp", "number"), ("pain", "pain"), ("acuity", "small_int"),
+        ("chiefcomplaint", "text"))),
+    "vitalsign": (VitalSignRecord, (
+        ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
+        ("temperature", "temperature"), ("heartrate", "number"),
+        ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
+        ("dbp", "number"))),
+    "patients": (PatientRecord, (
+        ("subject_id", "key"), ("gender", "gender"), ("anchor_age", "key"),
+        ("anchor_year", "key"), ("dod", "date"))),
+    "admissions": (AdmissionRecord, (
+        ("subject_id", "key"), ("hadm_id", "key"), ("admittime", "child_time"),
+        ("dischtime", "child_time"), ("deathtime", "child_time"))),
+    "icustays": (IcuStayRecord, (
+        ("subject_id", "key"), ("hadm_id", "opt_key"), ("stay_id", "key"),
+        ("intime", "child_time"), ("outtime", "child_time"))),
+    "diagnoses_icd": (DiagnosisRecord, (
+        ("subject_id", "key"), ("hadm_id", "key"), ("seq_num", "key"),
+        ("icd_code", "text"), ("icd_version", "icd_version"))),
+    "medrecon": (MedreconRecord, (
+        ("subject_id", "key"), ("stay_id", "key"), ("name", "text"))),
+    "pyxis": (PyxisRecord, (
+        ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
+        ("name", "text"))),
 }
 
+TABLE_KINDS = tuple(SCHEMAS)
 
-def convert_temperature(value: float, unit: str = "fahrenheit") -> float:
-    """Normalize a temperature reading to Celsius."""
-    if unit == "fahrenheit":
-        return fahrenheit_to_celsius(value)
-    if unit == "celsius":
-        return value
-    raise ConfigError(f"unknown temperature unit {unit!r}")
+REQUIRED_COLUMNS: dict[str, tuple[str, ...]] = {
+    kind: tuple(col for col, _ in spec) for kind, (_, spec) in SCHEMAS.items()}
+
+_TIME_KINDS = frozenset({"root_time", "opt_root_time", "child_time"})
 
 
-def _parse_pain(text: str) -> int | None:
-    # Pain chartings are free text; keep only clean integers on the 0-10 scale.
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    if 0 <= value <= 10:
-        return value
-    return None
+class _TableReader:
+    """The cell parsers of one CSV file, one method per cell kind.
 
+    Each method takes a raw cell and its column name; the column and the
+    current row number only feed error and debug messages.
+    """
 
-class _RowReader:
-    """Header-checked CSV row access with per-cell parse helpers."""
-
-    def __init__(self, path: str, kind: str):
+    def __init__(self, path: str, temperature_unit: str):
         self.path = path
-        self.kind = kind
+        self.temperature_unit = temperature_unit
         self.row_num = 0
-        self.row: list[str] = []
-        self.index: dict[str, int] = {}
         self.coerced_cells = 0
 
-    def check_header(self, header: list[str]) -> None:
-        self.index = {name.strip(): i for i, name in enumerate(header)}
-        for col in REQUIRED_COLUMNS[self.kind]:
-            if col not in self.index:
-                raise MissingColumn(f"{self.path}: table {self.kind!r} lacks column {col!r}")
-        self.width = len(header)
+    def _coerce(self, what: str, col: str, raw: str) -> None:
+        self.coerced_cells += 1
+        logger.debug("%s row %d: %s %s %r -> missing", self.path, self.row_num,
+                     what, col, raw)
 
-    def set_row(self, row: list[str], row_num: int) -> None:
-        if len(row) != self.width:
-            raise MalformedRow(
-                f"{self.path} row {row_num}: expected {self.width} fields, got {len(row)}")
-        self.row = row
-        self.row_num = row_num
-
-    def text(self, col: str) -> str:
-        return self.row[self.index[col]].strip()
-
-    def key_int(self, col: str, optional: bool = False) -> int | None:
-        raw = self.text(col)
+    def key(self, raw: str, col: str) -> int:
+        raw = raw.strip()
         if not raw:
-            if optional:
-                return None
             raise MalformedRow(f"{self.path} row {self.row_num}: empty key column {col!r}")
         value = parse_int(raw)
         if value is None:
@@ -282,59 +275,79 @@ class _RowReader:
                 f"{self.path} row {self.row_num}: key column {col!r} not an integer: {raw!r}")
         return value
 
-    def number(self, col: str) -> float | None:
-        raw = self.text(col)
+    def opt_key(self, raw: str, col: str) -> int | None:
+        return self.key(raw, col) if raw.strip() else None
+
+    def text(self, raw: str, col: str) -> str:
+        return raw.strip()
+
+    def number(self, raw: str, col: str) -> float | None:
+        raw = raw.strip()
         value = parse_float(raw)
         if raw and value is None:
-            self.coerced_cells += 1
-            logger.debug("%s row %d: unparseable %s %r -> missing",
-                         self.path, self.row_num, col, raw)
+            self._coerce("unparseable", col, raw)
         return value
 
-    def small_int(self, col: str) -> int | None:
-        raw = self.text(col)
+    def temperature(self, raw: str, col: str) -> float | None:
+        value = self.number(raw, col)
+        if value is None or self.temperature_unit == "celsius":
+            return value
+        return fahrenheit_to_celsius(value)
+
+    def small_int(self, raw: str, col: str) -> int | None:
+        raw = raw.strip()
         if not raw:
             return None
         value = parse_float(raw)
         if value is None or value != int(value):
-            self.coerced_cells += 1
-            logger.debug("%s row %d: unparseable %s %r -> missing",
-                         self.path, self.row_num, col, raw)
+            self._coerce("unparseable", col, raw)
             return None
         return int(value)
 
-    def time_strict(self, col: str, required: bool) -> dt.datetime | None:
-        # Root-table time fields: a non-empty cell must parse or we abort.
-        raw = self.text(col)
-        if not raw:
-            if required:
-                raise BadTimestamp(
-                    f"{self.path} row {self.row_num}: empty required timestamp {col!r}")
-            return None
-        try:
-            return parse_timestamp(raw)
-        except ValueError:
+    def icd_version(self, raw: str, col: str) -> int:
+        version = self.small_int(raw, col)
+        return 0 if version is None else version
+
+    def pain(self, raw: str, col: str) -> int | None:
+        # Pain chartings are free text; keep only clean integers on the 0-10 scale.
+        value = parse_int(raw)
+        return value if value is not None and 0 <= value <= 10 else None
+
+    def gender(self, raw: str, col: str) -> str | None:
+        value = raw.strip().upper()
+        if value in ("F", "M"):
+            return value
+        if value:
+            self._coerce("unexpected", col, value)
+        return None
+
+    def root_time(self, raw: str, col: str) -> dt.datetime:
+        value = self.opt_root_time(raw, col)
+        if value is None:
             raise BadTimestamp(
-                f"{self.path} row {self.row_num}: bad timestamp {col!r}={raw!r}") from None
+                f"{self.path} row {self.row_num}: empty required timestamp {col!r}")
+        return value
 
-    def time_lenient(self, col: str) -> dt.datetime | None:
-        raw = self.text(col)
+    def opt_root_time(self, raw: str, col: str) -> dt.datetime | None:
+        # Root-table time fields: a non-empty cell must parse or we abort.
         try:
             return parse_timestamp(raw)
         except ValueError:
-            self.coerced_cells += 1
-            logger.debug("%s row %d: bad timestamp %s %r -> missing",
-                         self.path, self.row_num, col, raw)
+            raise BadTimestamp(f"{self.path} row {self.row_num}: bad timestamp "
+                               f"{col!r}={raw.strip()!r}") from None
+
+    def child_time(self, raw: str, col: str) -> dt.datetime | None:
+        try:
+            return parse_timestamp(raw)
+        except ValueError:
+            self._coerce("bad timestamp", col, raw.strip())
             return None
 
-    def date_lenient(self, col: str) -> dt.date | None:
-        raw = self.text(col)
+    def date(self, raw: str, col: str) -> dt.date | None:
         try:
             return parse_date(raw)
         except ValueError:
-            self.coerced_cells += 1
-            logger.debug("%s row %d: bad date %s %r -> missing",
-                         self.path, self.row_num, col, raw)
+            self._coerce("bad date", col, raw.strip())
             return None
 
 
@@ -344,12 +357,13 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
     ``kind`` selects the schema (one of TABLE_KINDS). Temperatures in triage
     and vitalsign tables are converted from ``temperature_unit`` to Celsius.
     """
-    if kind not in TABLE_KINDS:
+    if kind not in SCHEMAS:
         raise ConfigError(f"unknown table kind {kind!r}")
     if temperature_unit not in TEMPERATURE_UNITS:
         raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
+    cls, spec = SCHEMAS[kind]
 
-    reader = _RowReader(path, kind)
+    reader = _TableReader(path, temperature_unit)
     records: list = []
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
@@ -357,153 +371,24 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
             header = next(rows)
         except StopIteration:
             raise MissingColumn(f"{path}: empty file, no header") from None
-        reader.check_header(header)
-        build = _BUILDERS[kind]
+        index = {name.strip(): i for i, name in enumerate(header)}
+        for col, _ in spec:
+            if col not in index:
+                raise MissingColumn(f"{path}: table {kind!r} lacks column {col!r}")
+        plan = [(index[col], getattr(reader, cell), col) for col, cell in spec]
+        width = len(header)
         for row_num, row in enumerate(rows, start=2):
-            reader.set_row(row, row_num)
-            records.append(build(reader, temperature_unit))
+            if len(row) != width:
+                raise MalformedRow(
+                    f"{path} row {row_num}: expected {width} fields, got {len(row)}")
+            reader.row_num = row_num
+            records.append(cls(*[read(row[i], col) for i, read, col in plan]))
 
     if reader.coerced_cells:
         logger.warning("%s: %d unparseable cells coerced to missing (see debug log)",
                        path, reader.coerced_cells)
     logger.info("parsed %s: %d records", path, len(records))
     return records
-
-
-def _temp(reader: _RowReader, unit: str) -> float | None:
-    value = reader.number("temperature")
-    if value is None:
-        return None
-    return convert_temperature(value, unit)
-
-
-def _build_edstay(r: _RowReader, unit: str) -> EdStayRecord:
-    return EdStayRecord(
-        subject_id=r.key_int("subject_id"),
-        stay_id=r.key_int("stay_id"),
-        hadm_id=r.key_int("hadm_id", optional=True),
-        intime=r.time_strict("intime", required=True),
-        outtime=r.time_strict("outtime", required=False),
-        disposition=r.text("disposition"),
-    )
-
-
-def _build_triage(r: _RowReader, unit: str) -> TriageRecord:
-    return TriageRecord(
-        subject_id=r.key_int("subject_id"),
-        stay_id=r.key_int("stay_id"),
-        temperature=_temp(r, unit),
-        heartrate=r.number("heartrate"),
-        resprate=r.number("resprate"),
-        o2sat=r.number("o2sat"),
-        sbp=r.number("sbp"),
-        dbp=r.number("dbp"),
-        pain=_parse_pain(r.text("pain")),
-        acuity=r.small_int("acuity"),
-        chiefcomplaint=r.text("chiefcomplaint"),
-    )
-
-
-def _build_vitalsign(r: _RowReader, unit: str) -> VitalSignRecord:
-    return VitalSignRecord(
-        subject_id=r.key_int("subject_id"),
-        stay_id=r.key_int("stay_id"),
-        charttime=r.time_lenient("charttime"),
-        temperature=_temp(r, unit),
-        heartrate=r.number("heartrate"),
-        resprate=r.number("resprate"),
-        o2sat=r.number("o2sat"),
-        sbp=r.number("sbp"),
-        dbp=r.number("dbp"),
-    )
-
-
-def _build_patient(r: _RowReader, unit: str) -> PatientRecord:
-    gender = r.text("gender").upper() or None
-    if gender is not None and gender not in ("F", "M"):
-        logger.debug("%s row %d: unexpected gender %r -> missing", r.path, r.row_num, gender)
-        r.coerced_cells += 1
-        gender = None
-    anchor_age = r.key_int("anchor_age")
-    anchor_year = r.key_int("anchor_year")
-    return PatientRecord(
-        subject_id=r.key_int("subject_id"),
-        gender=gender,
-        anchor_age=anchor_age,
-        anchor_year=anchor_year,
-        dod=r.date_lenient("dod"),
-    )
-
-
-def _build_admission(r: _RowReader, unit: str) -> AdmissionRecord:
-    return AdmissionRecord(
-        subject_id=r.key_int("subject_id"),
-        hadm_id=r.key_int("hadm_id"),
-        admittime=r.time_lenient("admittime"),
-        dischtime=r.time_lenient("dischtime"),
-        deathtime=r.time_lenient("deathtime"),
-    )
-
-
-def _build_icustay(r: _RowReader, unit: str) -> IcuStayRecord:
-    return IcuStayRecord(
-        subject_id=r.key_int("subject_id"),
-        hadm_id=r.key_int("hadm_id", optional=True),
-        icu_stay_id=r.key_int("stay_id"),
-        intime=r.time_lenient("intime"),
-        outtime=r.time_lenient("outtime"),
-    )
-
-
-def _build_diagnosis(r: _RowReader, unit: str) -> DiagnosisRecord:
-    version = r.small_int("icd_version")
-    return DiagnosisRecord(
-        subject_id=r.key_int("subject_id"),
-        hadm_id=r.key_int("hadm_id"),
-        seq_num=r.key_int("seq_num"),
-        icd_code=r.text("icd_code"),
-        icd_version=0 if version is None else version,
-    )
-
-
-def _build_medrecon(r: _RowReader, unit: str) -> MedreconRecord:
-    return MedreconRecord(
-        subject_id=r.key_int("subject_id"),
-        stay_id=r.key_int("stay_id"),
-        name=r.text("name"),
-    )
-
-
-def _build_pyxis(r: _RowReader, unit: str) -> PyxisRecord:
-    return PyxisRecord(
-        subject_id=r.key_int("subject_id"),
-        stay_id=r.key_int("stay_id"),
-        charttime=r.time_lenient("charttime"),
-        name=r.text("name"),
-    )
-
-
-_BUILDERS = {
-    "edstays": _build_edstay,
-    "triage": _build_triage,
-    "vitalsign": _build_vitalsign,
-    "patients": _build_patient,
-    "admissions": _build_admission,
-    "icustays": _build_icustay,
-    "diagnoses_icd": _build_diagnosis,
-    "medrecon": _build_medrecon,
-    "pyxis": _build_pyxis,
-}
-
-
-# -- serialization (inverse of parse_table) ----------------------------------
-
-def _celsius_out(value: float | None, unit: str) -> float | None:
-    if value is None:
-        return None
-    if unit == "fahrenheit":
-        return value * 9.0 / 5.0 + 32.0
-    return value
 
 
 def write_table(records, kind: str, path: str, temperature_unit: str = "fahrenheit") -> None:
@@ -513,38 +398,32 @@ def write_table(records, kind: str, path: str, temperature_unit: str = "fahrenhe
     become empty cells; floats use shortest round-trip formatting, so
     parse(write(parse(x))) == parse(x).
     """
-    if kind not in TABLE_KINDS:
+    if kind not in SCHEMAS:
         raise ConfigError(f"unknown table kind {kind!r}")
-    columns = REQUIRED_COLUMNS[kind]
+    cls, spec = SCHEMAS[kind]
+    values = attrgetter(*(f.name for f in fields(cls)))
+    cells = [cell for _, cell in spec]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(REQUIRED_COLUMNS[kind])
         for rec in records:
-            writer.writerow([_serialize_cell(rec, col, kind, temperature_unit)
-                             for col in columns])
+            writer.writerow([_write_cell(value, cell, temperature_unit)
+                             for value, cell in zip(values(rec), cells)])
     logger.info("wrote %s: %d records", path, len(records))
 
 
-def _serialize_cell(rec, col: str, kind: str, unit: str) -> str:
-    if col == "stay_id" and kind == "icustays":
-        return format_cell(rec.icu_stay_id)
-    value = getattr(rec, col)
-    if isinstance(value, dt.datetime):
+def _write_cell(value, kind: str, unit: str) -> str:
+    if kind in _TIME_KINDS:
         return format_timestamp(value)
-    if isinstance(value, dt.date):
+    if kind == "date":
         return format_date(value)
-    if col == "temperature":
-        return format_cell(_celsius_out(value, unit))
-    if col in ("intime", "outtime", "charttime", "admittime", "dischtime",
-               "deathtime", "dod"):
-        return ""  # None time field
+    if kind == "temperature" and value is not None and unit == "fahrenheit":
+        value = value * 9.0 / 5.0 + 32.0
     return format_cell(value)
 
 
 def read_raw_tables(input_dir: str, temperature_unit: str = "fahrenheit") -> RawTables:
     """Parse all nine tables from ``input_dir`` (files named <kind>.csv)."""
-    import os
-
     tables = RawTables()
     for kind in TABLE_KINDS:
         path = os.path.join(input_dir, f"{kind}.csv")
@@ -555,6 +434,26 @@ def read_raw_tables(input_dir: str, temperature_unit: str = "fahrenheit") -> Raw
 
 
 # -- linking ------------------------------------------------------------------
+
+def _group(records, key: str, known=None, orphans=None, kind=None, sort_key=None):
+    """Group records by their ``key`` field, each group sorted by ``sort_key``.
+
+    With ``known`` given, records whose key is not in it are dropped and
+    counted in ``orphans[kind]``.
+    """
+    get = attrgetter(key)
+    groups: dict = {}
+    for rec in records:
+        k = get(rec)
+        if known is not None and k not in known:
+            orphans[kind] += 1
+            continue
+        groups.setdefault(k, []).append(rec)
+    if sort_key is not None:
+        for lst in groups.values():
+            lst.sort(key=sort_key)
+    return groups
+
 
 def link_tables(tables: RawTables) -> LinkedCohort:
     """Join the nine tables around the root stays.
@@ -584,7 +483,6 @@ def link_tables(tables: RawTables) -> LinkedCohort:
 
     dropped: list[tuple[int, str]] = []
     orphans: dict[str, int] = {k: 0 for k in TABLE_KINDS if k != "edstays"}
-    unresolved_hadm = 0
 
     stays: list[EdStayRecord] = []
     seen_stays: set[int] = set()
@@ -601,8 +499,6 @@ def link_tables(tables: RawTables) -> LinkedCohort:
             logger.warning("stay %d dropped: subject %d has no patients row",
                            rec.stay_id, rec.subject_id)
             continue
-        if rec.hadm_id is not None and rec.hadm_id not in admissions_by_hadm:
-            unresolved_hadm += 1
         stays.append(rec)
     stays.sort(key=lambda s: s.stay_id)
     kept_ids = {s.stay_id for s in stays}
@@ -616,52 +512,18 @@ def link_tables(tables: RawTables) -> LinkedCohort:
             raise DuplicateKey(f"triage: duplicate stay_id {trec.stay_id}")
         triage_by_stay[trec.stay_id] = trec
 
-    vitals_by_stay: dict[int, list[VitalSignRecord]] = {}
-    for vrec in tables.vitalsign:
-        if vrec.stay_id not in kept_ids:
-            orphans["vitalsign"] += 1
-            continue
-        vitals_by_stay.setdefault(vrec.stay_id, []).append(vrec)
-    for lst in vitals_by_stay.values():
-        lst.sort(key=lambda v: (v.charttime is None, v.charttime))
-
-    medrecon_by_stay: dict[int, list[MedreconRecord]] = {}
-    for mrec in tables.medrecon:
-        if mrec.stay_id not in kept_ids:
-            orphans["medrecon"] += 1
-            continue
-        medrecon_by_stay.setdefault(mrec.stay_id, []).append(mrec)
-
-    pyxis_by_stay: dict[int, list[PyxisRecord]] = {}
-    for prec in tables.pyxis:
-        if prec.stay_id not in kept_ids:
-            orphans["pyxis"] += 1
-            continue
-        pyxis_by_stay.setdefault(prec.stay_id, []).append(prec)
-
-    stays_by_subject: dict[int, list[EdStayRecord]] = {}
-    for srec in stays:
-        stays_by_subject.setdefault(srec.subject_id, []).append(srec)
-    for lst in stays_by_subject.values():
-        lst.sort(key=lambda s: (s.intime, s.stay_id))
-
-    admissions_by_subject: dict[int, list[AdmissionRecord]] = {}
-    for arec in tables.admissions:
-        if arec.subject_id not in patients:
-            orphans["admissions"] += 1
-            continue
-        admissions_by_subject.setdefault(arec.subject_id, []).append(arec)
-    for lst in admissions_by_subject.values():
-        lst.sort(key=lambda a: (a.admittime is None, a.admittime, a.hadm_id))
-
-    icustays_by_subject: dict[int, list[IcuStayRecord]] = {}
-    for irec in tables.icustays:
-        if irec.subject_id not in patients:
-            orphans["icustays"] += 1
-            continue
-        icustays_by_subject.setdefault(irec.subject_id, []).append(irec)
-    for lst in icustays_by_subject.values():
-        lst.sort(key=lambda i: (i.intime is None, i.intime, i.icu_stay_id))
+    vitals_by_stay = _group(tables.vitalsign, "stay_id", kept_ids, orphans, "vitalsign",
+                            lambda v: (v.charttime is None, v.charttime))
+    medrecon_by_stay = _group(tables.medrecon, "stay_id", kept_ids, orphans, "medrecon")
+    pyxis_by_stay = _group(tables.pyxis, "stay_id", kept_ids, orphans, "pyxis")
+    stays_by_subject = _group(stays, "subject_id",
+                              sort_key=lambda s: (s.intime, s.stay_id))
+    admissions_by_subject = _group(
+        tables.admissions, "subject_id", patients, orphans, "admissions",
+        lambda a: (a.admittime is None, a.admittime, a.hadm_id))
+    icustays_by_subject = _group(
+        tables.icustays, "subject_id", patients, orphans, "icustays",
+        lambda i: (i.intime is None, i.intime, i.icu_stay_id))
 
     diagnoses_by_hadm: dict[int, list[DiagnosisRecord]] = {}
     unresolved_diag: dict[int, int] = {}
@@ -717,6 +579,5 @@ def link_tables(tables: RawTables) -> LinkedCohort:
         diagnoses_by_hadm=diagnoses_by_hadm,
         dropped_stays=dropped,
         orphan_counts=orphans,
-        unresolved_hadm_stays=unresolved_hadm,
         unresolved_diag_by_subject=unresolved_diag,
     )

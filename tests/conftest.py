@@ -8,13 +8,24 @@ under the repository root.
 """
 
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible. Hypothesis still caches data
+# under its home directory (./.hypothesis by default), so that lives in the
+# system temp directory, outside the checkout.
+settings.register_profile("edbench", derandomize=True, database=None, deadline=None)
+settings.load_profile("edbench")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "edbench-hypothesis")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # tool caches, plus the log a run's own output is conventionally piped into
-_UNGUARDED = {".git", ".pytest_cache", "__pycache__", ".hypothesis",
+_UNGUARDED = {".git", ".pytest_cache", "__pycache__",
               ".bench_work", "test_output.txt"}
 
 

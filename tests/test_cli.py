@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +273,22 @@ def test_predict_writes_manifest_beside_output(run_all, tmp_path, monkeypatch):
     assert manifest["command"] == "predict"
     assert list(manifest["artifacts"]) == [str(out_csv)]
     assert not (tmp_path / "out").exists()
+
+
+def test_manifest_artifact_keys_are_absolute(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(INI_TEMPLATE.format(inp="data", out="out"))
+    (tmp_path / "elsewhere").mkdir()
+    for command in ("synth", "extract-master"):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--config", "run.ini"]) == 0
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["artifacts"], command
+        for name, digest in manifest["artifacts"].items():
+            path = Path(name)
+            assert path.is_absolute() and path.is_file(), name
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
 
 def test_train_single_task_at_disposition(run_all):

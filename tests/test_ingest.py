@@ -1,11 +1,18 @@
+import csv
 import datetime as dt
+import io
+import logging
 
 import pytest
+from conftest import RAW_TABLES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edbench.errors import (BadTimestamp, ConfigError, DataError, DuplicateKey,
                             MalformedRow, MissingColumn)
-from edbench.ingest import (TABLE_KINDS, link_tables, parse_table,
-                            read_raw_tables, write_table)
+from edbench.ingest import (SCHEMAS, TABLE_KINDS, TEMPERATURE_UNITS,
+                            link_tables, parse_table, read_raw_tables,
+                            write_table)
 
 
 def test_parse_edstays_types(raw_dir):
@@ -126,6 +133,117 @@ def test_round_trip_celsius_unit(raw_dir, tmp_path):
     write_table(first, "triage", str(out), temperature_unit="celsius")
     second = parse_table(str(out), "triage", temperature_unit="celsius")
     assert second == first
+
+
+# Per cell kind: a table, one of its columns, and (cell, outcome) pairs. An
+# outcome is the exception parse_table raises, or the parsed value with the
+# number of cells the per-file warning counts as coerced.
+CELL_CASES = {
+    "key": ("medrecon", "stay_id", [
+        ("", MalformedRow), ("2.0", MalformedRow), (" 7 ", (7, 0))]),
+    "optional key": ("edstays", "hadm_id", [
+        ("", (None, 0)), ("x", MalformedRow)]),
+    "text": ("triage", "chiefcomplaint", [
+        ("", ("", 0)), ("  rash ", ("rash", 0))]),
+    "number": ("vitalsign", "heartrate", [
+        ("", (None, 0)), ("err", (None, 1)), ("nan", (None, 1)),
+        ("inf", (None, 1)), ("72.5", (72.5, 0))]),
+    "temperature": ("triage", "temperature", [
+        ("", (None, 0)), ("hot", (None, 1)), ("212", (100.0, 0))]),
+    "small int": ("triage", "acuity", [
+        ("", (None, 0)), ("3.0", (3, 0)), ("3.5", (None, 1)), ("x", (None, 1))]),
+    "icd version": ("diagnoses_icd", "icd_version", [
+        ("", (0, 0)), ("x", (0, 1)), ("10", (10, 0))]),
+    "pain": ("triage", "pain", [
+        ("", (None, 0)), ("UTA", (None, 0)), ("11", (None, 0)), ("7.0", (None, 0))]),
+    "gender": ("patients", "gender", [
+        ("", (None, 0)), ("x", (None, 1)), ("m", ("M", 0))]),
+    "required root time": ("edstays", "intime", [
+        ("", BadTimestamp), ("x", BadTimestamp)]),
+    "optional root time": ("edstays", "outtime", [
+        ("", (None, 0)), ("x", BadTimestamp)]),
+    "child time": ("vitalsign", "charttime", [
+        ("", (None, 0)), ("x", (None, 1))]),
+    "date": ("patients", "dod", [
+        ("", (None, 0)), ("2150-01-02", (dt.date(2150, 1, 2), 0)),
+        ("2150-01-02 03:04:05", (dt.date(2150, 1, 2), 0)),
+        ("garbage", (None, 1))]),
+}
+
+
+@pytest.mark.parametrize("cell_kind", CELL_CASES)
+def test_empty_and_unparseable_cells(cell_kind, tmp_path, caplog):
+    kind, col, cases = CELL_CASES[cell_kind]
+    header, row = list(csv.reader(io.StringIO(RAW_TABLES[kind])))[:2]
+    path = tmp_path / f"{kind}.csv"
+    caplog.set_level(logging.WARNING, logger="edbench.ingest")
+    for cell, outcome in cases:
+        row[header.index(col)] = cell
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, row])
+        caplog.clear()
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                parse_table(str(path), kind)
+            continue
+        value, coerced = outcome
+        [rec] = parse_table(str(path), kind)
+        assert getattr(rec, col) == value, (cell_kind, cell)
+        warned = [r.getMessage() for r in caplog.records
+                  if "coerced" in r.getMessage()]
+        expected = [f"{path}: {coerced} unparseable cells coerced to missing "
+                    "(see debug log)"] if coerced else []
+        assert warned == expected, (cell_kind, cell)
+
+
+_TIMES = st.datetimes(dt.datetime(1000, 1, 1)).map(lambda t: t.replace(microsecond=0))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# integral cells are read through float, exact up to 2**53
+_SMALL_INTS = st.integers(-2**53, 2**53)
+
+# every value parse_table can give for a cell of each kind
+CELL_VALUES = {
+    "key": st.integers(),
+    "opt_key": st.none() | st.integers(),
+    "text": st.text().map(str.strip),
+    "number": st.none() | _FLOATS,
+    "temperature": st.none() | _FLOATS,
+    "small_int": st.none() | _SMALL_INTS,
+    "icd_version": _SMALL_INTS,
+    "pain": st.none() | st.integers(0, 10),
+    "gender": st.sampled_from([None, "F", "M"]),
+    "root_time": _TIMES,
+    "opt_root_time": st.none() | _TIMES,
+    "child_time": st.none() | _TIMES,
+    "date": st.none() | st.dates(dt.date(1000, 1, 1)),
+}
+
+
+def _records(kind):
+    cls, spec = SCHEMAS[kind]
+    row = st.tuples(*(CELL_VALUES[cell] for _, cell in spec))
+    return st.lists(row.map(lambda values: cls(*values)), max_size=4)
+
+
+@pytest.mark.parametrize("unit", TEMPERATURE_UNITS)
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_write_then_parse_round_trips(kind, unit, data, tmp_path_factory):
+    path = str(tmp_path_factory.getbasetemp() / f"round_trip_{kind}_{unit}.csv")
+
+    def round_trip(records):
+        write_table(records, kind, path, temperature_unit=unit)
+        return parse_table(path, kind, temperature_unit=unit)
+
+    records = data.draw(_records(kind))
+    once = round_trip(records)
+    if unit == "celsius":
+        assert once == records
+    else:
+        # Fahrenheit -> Celsius need not invert exactly, but one pass reaches
+        # a fixed point
+        assert round_trip(once) == once
 
 
 def test_link_drops_and_orphans(linked):
