@@ -400,6 +400,8 @@ def write_table(records, kind: str, path: str, temperature_unit: str = "fahrenhe
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"unknown table kind {kind!r}")
+    if temperature_unit not in TEMPERATURE_UNITS:
+        raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
     cls, spec = SCHEMAS[kind]
     values = attrgetter(*(f.name for f in fields(cls)))
     cells = [cell for _, cell in spec]

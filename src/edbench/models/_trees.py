@@ -11,11 +11,16 @@ maximizing sum((sum y_c)^2 / n_c) over children select the same split, so
 one criterion serves both classification (Gini) and squared-error
 regression on residuals. Gini impurity decrease is still computed
 explicitly for the importance accounting.
+
+A grown tree is a plain dict of equal-length lists keyed by TREE_FIELDS,
+the one place the tree format is declared. Node 0 is the root, children
+always come after their parent, and ``feature == -1`` marks a leaf (whose
+``left`` and ``right`` are -1). The same dict is what model files hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,87 +50,24 @@ def bin_features(X: np.ndarray) -> BinnedFeatures:
     return BinnedFeatures(codes=codes, thresholds=thresholds)
 
 
-@dataclass
-class Tree:
-    """Flat array tree; feature == -1 marks a leaf."""
-
-    feature: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
-    threshold: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
-    left: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
-    right: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
-    value: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
-    n_samples: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    gain: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        out_node = np.zeros(n, dtype=np.int32)
-        while True:
-            feat = self.feature[out_node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            node_ids = out_node[rows]
-            x = X[rows, feat[rows]]
-            go_left = x <= self.threshold[node_ids]
-            out_node[rows] = np.where(go_left, self.left[node_ids], self.right[node_ids])
-        return self.value[out_node]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "n_samples": self.n_samples.tolist(),
-            "gain": self.gain.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(obj["feature"], dtype=np.int32),
-            threshold=np.asarray(obj["threshold"], dtype=np.float64),
-            left=np.asarray(obj["left"], dtype=np.int32),
-            right=np.asarray(obj["right"], dtype=np.int32),
-            value=np.asarray(obj["value"], dtype=np.float64),
-            n_samples=np.asarray(obj["n_samples"], dtype=np.int64),
-            gain=np.asarray(obj["gain"], dtype=np.float64),
-        )
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples",
+               "gain")
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.n_samples: list[int] = []
-        self.gain: list[float] = []
-
-    def add(self, value: float, n: int) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        self.n_samples.append(n)
-        self.gain.append(0.0)
-        return len(self.feature) - 1
-
-    def finish(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-            n_samples=np.asarray(self.n_samples, dtype=np.int64),
-            gain=np.asarray(self.gain, dtype=np.float64),
-        )
+def predict_tree(tree: dict, X: np.ndarray) -> np.ndarray:
+    """Leaf value reached by each row of ``X``; ``x <= threshold`` goes left."""
+    feature, threshold, left, right, value = (
+        np.asarray(tree[name])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    while True:
+        feat = feature[node]
+        rows = np.nonzero(feat >= 0)[0]
+        if rows.size == 0:
+            return value[node]
+        at = node[rows]
+        go_left = X[rows, feat[rows]] <= threshold[at]
+        node[rows] = np.where(go_left, left[at], right[at])
 
 
 def grow_tree(
@@ -139,7 +81,7 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
-) -> Tree:
+) -> dict:
     """Grow one tree on the rows in ``idx``.
 
     Split criterion maximizes sum((sum y_c)^2 / n_c); for 0/1 targets this
@@ -154,7 +96,13 @@ def grow_tree(
     codes = binned.codes
     d = codes.shape[1]
     n_bins = np.array([len(t) + 1 for t in binned.thresholds], dtype=np.int64)
-    builder = _TreeBuilder()
+    tree: dict[str, list] = {name: [] for name in TREE_FIELDS}
+
+    def add_leaf(value: float, n: int) -> int:
+        # in TREE_FIELDS order: a leaf has no feature, split or children
+        for name, cell in zip(TREE_FIELDS, (-1, 0.0, -1, -1, value, n, 0.0)):
+            tree[name].append(cell)
+        return len(tree["feature"]) - 1
 
     def leaf_value(rows: np.ndarray) -> float:
         if leaf_grad is not None:
@@ -167,9 +115,8 @@ def grow_tree(
         p = pos / n
         return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
-    # recursion via explicit stack: (rows, depth, parent_slot, is_left)
-    root_slot = builder.add(leaf_value(idx), len(idx))
-    stack = [(idx, 0, root_slot)]
+    # recursion via explicit stack: (rows, depth, node slot)
+    stack = [(idx, 0, add_leaf(leaf_value(idx), len(idx)))]
     while stack:
         rows, depth, slot = stack.pop()
         n = len(rows)
@@ -234,14 +181,12 @@ def grow_tree(
             var_r = float(np.var(y[rows_r]))
             dec = var_p - (n_l / n) * var_l - (n_r / n) * var_r
 
-        builder.feature[slot] = feat
-        builder.threshold[slot] = threshold
-        builder.gain[slot] = max(dec, 0.0)
-        left_slot = builder.add(leaf_value(rows_l), n_l)
-        right_slot = builder.add(leaf_value(rows_r), n_r)
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
+        tree["feature"][slot] = feat
+        tree["threshold"][slot] = threshold
+        tree["gain"][slot] = max(dec, 0.0)
+        left_slot = tree["left"][slot] = add_leaf(leaf_value(rows_l), n_l)
+        right_slot = tree["right"][slot] = add_leaf(leaf_value(rows_r), n_r)
         stack.append((rows_r, depth + 1, right_slot))
         stack.append((rows_l, depth + 1, left_slot))
 
-    return builder.finish()
+    return tree

@@ -12,36 +12,37 @@ repeated runs with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, ManifestMismatch, WrongKind
+from ..errors import ConfigError, DataError, ManifestMismatch, WrongKind
 from . import boosting, forest, linear, mlp
 from .features import FeatureMatrix, manifest_fingerprint
 
-MODEL_KINDS = ("logistic", "random_forest", "boosting", "mlp")
+# kind -> (fitter, predictor, default hyperparameters, fitter takes the seed)
+_KINDS = {
+    "logistic": (linear.fit_logistic, linear.predict_logistic,
+                 linear.DEFAULTS, False),
+    "random_forest": (forest.fit_forest, forest.predict_forest,
+                      forest.DEFAULTS, True),
+    "boosting": (boosting.fit_boosting, boosting.predict_boosting,
+                 boosting.DEFAULTS, False),
+    "mlp": (mlp.fit_mlp, mlp.predict_mlp, mlp.DEFAULTS, True),
+}
+
+MODEL_KINDS = tuple(_KINDS)
+
+# hyperparameters (of any kind) outside these ranges break the fitters
+_COUNTS = ("n_trees", "min_leaf", "hidden", "epochs", "batch_size")
+_POSITIVE = ("C", "learning_rate")
 
 DISPLAY_NAMES = {
     "logistic": "LR",
     "random_forest": "RF",
     "boosting": "GB",
     "mlp": "MLP",
-}
-
-_FITTERS = {
-    "logistic": (linear.fit_logistic, linear.DEFAULTS, False),
-    "random_forest": (forest.fit_forest, forest.DEFAULTS, True),
-    "boosting": (boosting.fit_boosting, boosting.DEFAULTS, False),
-    "mlp": (mlp.fit_mlp, mlp.DEFAULTS, True),
-}
-
-_PREDICTORS = {
-    "logistic": linear.predict_logistic,
-    "random_forest": forest.predict_forest,
-    "boosting": boosting.predict_boosting,
-    "mlp": mlp.predict_mlp,
 }
 
 
@@ -67,13 +68,19 @@ class TrainedModel:
 
 def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
                 **overrides) -> TrainedModel:
-    if kind not in _FITTERS:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
-    fitter, defaults, takes_seed = _FITTERS[kind]
+    fitter, _, defaults, takes_seed = _KINDS[kind]
     hyper = dict(defaults)
     for key, value in overrides.items():
         if key not in hyper:
             raise ConfigError(f"{kind}: unknown hyperparameter {key!r}")
+        if isinstance(hyper[key], int) and not isinstance(value, int):
+            raise ConfigError(f"{kind}: {key} must be an integer, got {value!r}")
+        if key in _COUNTS and not value >= 1:
+            raise ConfigError(f"{kind}: {key} must be >= 1, got {value!r}")
+        if key in _POSITIVE and not value > 0:
+            raise ConfigError(f"{kind}: {key} must be > 0, got {value!r}")
         hyper[key] = value
     kwargs = dict(hyper)
     if takes_seed:
@@ -107,7 +114,7 @@ def predict_proba(model: TrainedModel, data) -> np.ndarray:
                 f"got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ManifestMismatch("prediction inputs contain non-finite values")
-    return _PREDICTORS[model.kind](model.params, X)
+    return _KINDS[model.kind][1](model.params, X)
 
 
 def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
@@ -122,32 +129,26 @@ def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    payload = {
-        "kind": model.kind,
-        "task": model.task,
-        "time_point": model.time_point,
-        "columns": model.columns,
-        "fingerprint": model.fingerprint,
-        "seed": model.seed,
-        "hyperparams": model.hyperparams,
-        "params": model.params,
-    }
     Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        json.dumps(vars(model), sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path) -> TrainedModel:
-    obj = json.loads(Path(path).read_text())
-    model = TrainedModel(
-        kind=obj["kind"],
-        task=obj["task"],
-        time_point=obj["time_point"],
-        columns=obj["columns"],
-        hyperparams=obj["hyperparams"],
-        params=obj["params"],
-        seed=obj["seed"],
-        fingerprint=obj["fingerprint"],
-    )
-    if model.kind not in _PREDICTORS:
-        raise ConfigError(f"unknown model kind in file: {model.kind!r}")
-    return model
+    """Read a file written by save_model; a file that is not one raises
+    DataError, naming the key that is missing or unknown."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a model JSON file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: a model file holds one JSON object")
+    names = [f.name for f in fields(TrainedModel)]
+    for key in names:
+        if key not in obj:
+            raise DataError(f"{path}: model file lacks key {key!r}")
+    for key in obj:
+        if key not in names:
+            raise DataError(f"{path}: model file has unknown key {key!r}")
+    if obj["kind"] not in _KINDS:
+        raise ConfigError(f"unknown model kind in file: {obj['kind']!r}")
+    return TrainedModel(**obj)

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels, NonFiniteLoss
-from ._trees import Tree, bin_features, grow_tree
+from ._trees import bin_features, grow_tree, predict_tree
 from .linear import sigmoid, _softplus
 
 logger = logging.getLogger(__name__)
@@ -65,12 +65,12 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         hess = p * (1.0 - p)
         tree = grow_tree(binned, idx, resid, max_depth=max_depth,
                          min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess)
-        F = F + learning_rate * tree.predict(X)
+        F = F + learning_rate * predict_tree(tree, X)
         dev = _deviance(F, y)
         if not np.isfinite(dev):
             raise NonFiniteLoss(f"boosting: non-finite deviance at stage {stage}")
         deviance.append(dev)
-        trees.append(tree.to_dict())
+        trees.append(tree)
     logger.info("boosting: %d stages, deviance %.6f -> %.6f",
                 n_stages, deviance[0], deviance[-1])
     return {
@@ -86,6 +86,6 @@ def predict_boosting(params: dict, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(params["constant"]))
     F = np.full(X.shape[0], float(params["base_score"]))
     lr = float(params["learning_rate"])
-    for tree_dict in params["trees"]:
-        F += lr * Tree.from_dict(tree_dict).predict(X)
+    for tree in params["trees"]:
+        F += lr * predict_tree(tree, X)
     return sigmoid(F)

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels
-from ._trees import Tree, bin_features, grow_tree
+from ._trees import bin_features, grow_tree, predict_tree
 
 logger = logging.getLogger(__name__)
 
@@ -52,10 +52,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
     for child in children:
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
-        tree = grow_tree(binned, boot, y, max_depth=max_depth,
-                         min_leaf=min_leaf,
-                         features_per_node=features_per_node, rng=rng)
-        trees.append(tree.to_dict())
+        trees.append(grow_tree(binned, boot, y, max_depth=max_depth,
+                               min_leaf=min_leaf,
+                               features_per_node=features_per_node, rng=rng))
     logger.info("forest: %d trees on %d rows x %d features", n_trees, n, d)
     return {
         "n_trees": n_trees,
@@ -68,8 +67,8 @@ def predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
     if "constant" in params:
         return np.full(X.shape[0], float(params["constant"]))
     acc = np.zeros(X.shape[0])
-    for tree_dict in params["trees"]:
-        acc += Tree.from_dict(tree_dict).predict(X)
+    for tree in params["trees"]:
+        acc += predict_tree(tree, X)
     return acc / len(params["trees"])
 
 
@@ -85,12 +84,12 @@ def forest_importance(params: dict) -> np.ndarray:
     trees = params["trees"]
     if not trees:
         return total
-    for tree_dict in trees:
-        tree = Tree.from_dict(tree_dict)
-        root_n = float(tree.n_samples[0])
-        split = tree.feature >= 0
-        np.add.at(total, tree.feature[split],
-                  (tree.n_samples[split] / root_n) * tree.gain[split])
+    for tree in trees:
+        root_n = tree["n_samples"][0]
+        for feat, n, gain in zip(tree["feature"], tree["n_samples"],
+                                 tree["gain"]):
+            if feat >= 0:
+                total[feat] += n / root_n * gain
     total /= len(trees)
     s = total.sum()
     if s > 0:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import shutil
 import typing
 from pathlib import Path
 
@@ -174,6 +175,38 @@ def test_duplicate_stay_is_an_integrity_error(tmp_path):
     lines = stays.read_text().splitlines()
     stays.write_text("\n".join(lines + [lines[1]]) + "\n")
     assert cli.main(["extract-master", "--config", str(ini)]) == 4
+
+
+def test_out_of_range_hyperparameter_is_a_config_error(run_all, tmp_path):
+    (tmp_path / "out").mkdir()
+    shutil.copy(run_all / "out" / "train.csv", tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n\n"
+                   "[models.random_forest]\nmin_leaf = 0\n")
+    rc = cli.main(["train", "--config", str(ini), "--task", "critical",
+                   "--model", "random_forest"])
+    assert rc == 2
+    assert not (tmp_path / "out" / "models" / "runtimes.json").exists()
+
+
+def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
+    good = run_all / "out" / "models" / "critical_triage_logistic.json"
+    text = good.read_text()
+    payload = json.loads(text)
+    del payload["params"]
+    cases = {"truncated.json": (text[:len(text) // 2], 3, "not a model JSON"),
+             "no_params.json": (json.dumps(payload), 3, "'params'"),
+             "extra.json": (text.replace("{", '{"note": 1,', 1), 3, "'note'"),
+             "svm.json": (text.replace('"logistic"', '"svm"'), 2, "'svm'")}
+    for name, (body, code, message) in cases.items():
+        (tmp_path / name).write_text(body)
+        caplog.clear()
+        rc = cli.main(["predict", "--model-file", str(tmp_path / name),
+                       "--input", str(run_all / "out" / "test.csv"),
+                       "--output", str(tmp_path / "preds.csv")])
+        assert rc == code, name
+        assert message in caplog.text, name
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -115,6 +115,9 @@ def test_unknown_kind_and_unit_are_config_errors(tmp_path):
         parse_table(str(path), "nope")
     with pytest.raises(ConfigError):
         parse_table(str(path), "triage", temperature_unit="kelvin")
+    with pytest.raises(ConfigError):
+        write_table([], "triage", str(tmp_path / "out.csv"),
+                    temperature_unit="kelvin")
 
 
 def test_round_trip_every_table(raw_dir, tmp_path):

@@ -3,17 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edbench.errors import (ConfigError, DataError, DegenerateLabels,
                             ManifestMismatch, WrongKind)
 from edbench.models import (build_feature_matrix, load_manifest, load_model,
                             predict_proba, rf_variable_importance, save_model,
                             train_model)
-from edbench.models._trees import bin_features, grow_tree
+from edbench.models._trees import (TREE_FIELDS, bin_features, grow_tree,
+                                   predict_tree)
 from edbench.models.boosting import fit_boosting, predict_boosting
 from edbench.models.forest import fit_forest, forest_importance, predict_forest
 from edbench.models.linear import fit_logistic, logistic_objective, predict_logistic
 from edbench.models.mlp import fit_mlp, mlp_loss_and_grads, predict_mlp
+
+# a fitter that produces NaN or inf fails here instead of passing silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _rel_err(a, b):
@@ -121,18 +128,89 @@ def test_single_split_matches_exhaustive_search():
         feat, thr, dec = _brute_best_split(X, y)
         binned = bin_features(X)
         tree = grow_tree(binned, np.arange(60), y, max_depth=1)
-        assert tree.feature[0] == feat
-        assert tree.threshold[0] == pytest.approx(thr)
-        assert tree.gain[0] == pytest.approx(dec / 60.0, abs=1e-12)
+        assert tree["feature"][0] == feat
+        assert tree["threshold"][0] == pytest.approx(thr)
+        assert tree["gain"][0] == pytest.approx(dec / 60.0, abs=1e-12)
 
 
 def test_tree_routes_at_threshold_inclusive_left():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = grow_tree(bin_features(X), np.arange(4), y, max_depth=1)
-    thr = tree.threshold[0]
-    preds = tree.predict(np.array([[thr], [np.nextafter(thr, 10)]]))
+    thr = tree["threshold"][0]
+    preds = predict_tree(tree, np.array([[thr], [np.nextafter(thr, 10)]]))
     assert preds[0] == 0.0 and preds[1] == 1.0
+
+
+def _leaf_of(tree, X):
+    """Node index each row of X ends at."""
+    nodes = {**tree, "value": list(range(len(tree["feature"])))}
+    return predict_tree(nodes, X).astype(np.intp)
+
+
+def _grown_trees(variant, X, y, max_depth, min_leaf):
+    """(tree, training rows) pairs; rows is None for the forest, which
+    draws its bootstrap rows itself."""
+    rows = np.arange(len(y))
+    if variant == "forest":
+        params = fit_forest(X, y, n_trees=3, max_depth=max_depth,
+                            min_leaf=min_leaf, seed=0)
+        return [(tree, None) for tree in params["trees"]]
+    if variant == "boosting":
+        params = fit_boosting(X, y, n_stages=3, max_depth=max_depth,
+                              min_leaf=min_leaf)
+        return [(tree, rows) for tree in params["trees"]]
+    binned = bin_features(X)
+    if variant == "tree":
+        return [(grow_tree(binned, rows, y, max_depth=max_depth,
+                           min_leaf=min_leaf), rows)]
+    resid = y - y.mean()
+    hess = np.full(len(y), y.mean() * (1.0 - y.mean()))
+    return [(grow_tree(binned, rows, resid, max_depth=max_depth,
+                       min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess),
+             rows)]
+
+
+@st.composite
+def _tree_data(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    # few distinct values, so ties and constant columns are common
+    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(
+        [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    y[:2] = (0.0, 1.0)
+    return X, y
+
+
+@pytest.mark.parametrize("variant", ["forest", "boosting", "tree", "newton_tree"])
+@settings(max_examples=50)
+@given(data=_tree_data(), max_depth=st.integers(1, 6),
+       min_leaf=st.integers(1, 3))
+def test_grown_trees_are_well_formed(variant, data, max_depth, min_leaf):
+    X, y = data
+    for tree, rows in _grown_trees(variant, X, y, max_depth, min_leaf):
+        assert sorted(tree) == sorted(TREE_FIELDS)
+        size = len(tree["feature"])
+        assert all(len(tree[name]) == size for name in TREE_FIELDS)
+        children = [0]
+        for i, (feat, left, right) in enumerate(
+                zip(tree["feature"], tree["left"], tree["right"])):
+            assert (feat == -1) == (left == -1) == (right == -1)
+            if feat != -1:
+                assert left > i and right > i
+                assert tree["n_samples"][i] == (tree["n_samples"][left]
+                                                + tree["n_samples"][right])
+                children += [left, right]
+        assert sorted(children) == list(range(size))     # one parent each
+        assert all(gain >= 0.0 for gain in tree["gain"])
+        assert tree["n_samples"][0] == len(y)
+        if rows is not None:
+            # each training row is counted at the leaf it is routed to
+            reached = np.bincount(_leaf_of(tree, X[rows]), minlength=size)
+            leaf = np.asarray(tree["feature"]) == -1
+            assert np.array_equal(reached[leaf],
+                                  np.asarray(tree["n_samples"])[leaf])
 
 
 # -- boosting -------------------------------------------------------------------
@@ -343,6 +421,25 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
         train_model(matrix, "svm")
     with pytest.raises(ConfigError):
         train_model(matrix, "boosting", depth=3)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("random_forest", "n_trees", 0),
+    ("random_forest", "min_leaf", 0),
+    ("boosting", "min_leaf", 0),
+    ("mlp", "epochs", 0),
+    ("mlp", "batch_size", 0),
+    ("mlp", "hidden", 0),
+    ("logistic", "C", 0.0),
+    ("logistic", "C", float("nan")),
+    ("mlp", "learning_rate", 0.0),
+    ("boosting", "learning_rate", -1.0),
+    ("boosting", "n_stages", 2.5),
+    ("mlp", "epochs", 2.5),
+])
+def test_train_model_rejects_out_of_range_hyperparams(kind, key, value):
+    with pytest.raises(ConfigError, match=key):
+        train_model(_matrix(), kind, **{key: value})
 
 
 def test_predict_proba_guards_manifest():
