@@ -44,8 +44,8 @@ from .clean_split import (IMPUTE_STRATEGIES, apply_cleaning, apply_exclusions,
 from .scores import (SCORE_NAMES, compute_score, esi_risk,
                      load_score_definition)
 from .models import (DISPLAY_NAMES, MODEL_KINDS, TASKS, build_feature_matrix,
-                     load_manifest, load_model, predict_proba, save_model,
-                     train_model)
+                     load_manifest, load_model, predict_proba,
+                     resolve_hyperparams, save_model, train_model)
 from .evaluate import (ModelResult, build_report, render_report,
                        summarize_cohort, write_cohort_summary)
 from .synthdata import SynthConfig, generate_with_truth, write_synthetic
@@ -122,6 +122,8 @@ class PipelineConfig:
         for key, path in self.paths.items():
             if not os.path.isfile(path):
                 raise ConfigError(f"[paths] {key}: no such file {path!r}")
+        for kind, overrides in self.model_overrides.items():
+            resolve_hyperparams(kind, overrides)
 
     @classmethod
     def from_ini(cls, path: str | None) -> "PipelineConfig":
@@ -158,8 +160,6 @@ class PipelineConfig:
                     cfg.synth = SynthConfig(**kwargs)
                 elif section.startswith("models."):
                     kind = section.partition(".")[2]
-                    if kind not in MODEL_KINDS:
-                        raise ConfigError(f"unknown model section [{section}]")
                     overrides = {}
                     for key, raw in parser[section].items():
                         try:

@@ -6,6 +6,7 @@ from .base import (
     TrainedModel,
     load_model,
     predict_proba,
+    resolve_hyperparams,
     rf_variable_importance,
     save_model,
     train_model,
@@ -31,6 +32,7 @@ __all__ = [
     "load_model",
     "manifest_fingerprint",
     "predict_proba",
+    "resolve_hyperparams",
     "rf_variable_importance",
     "save_model",
     "train_model",

@@ -34,8 +34,10 @@ _KINDS = {
 
 MODEL_KINDS = tuple(_KINDS)
 
-# hyperparameters (of any kind) outside these ranges break the fitters
-_COUNTS = ("n_trees", "min_leaf", "hidden", "epochs", "batch_size")
+# hyperparameters (of any kind) outside these ranges break the fitters or
+# leave a constant model
+_COUNTS = ("n_trees", "n_stages", "max_depth", "min_leaf", "hidden", "epochs",
+           "batch_size")
 _POSITIVE = ("C", "learning_rate")
 
 DISPLAY_NAMES = {
@@ -66,12 +68,12 @@ class TrainedModel:
         return len(self.columns)
 
 
-def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
-                **overrides) -> TrainedModel:
+def resolve_hyperparams(kind: str, overrides: dict) -> dict:
+    """The defaults of ``kind`` updated by ``overrides``. An unknown kind,
+    an unknown name or an out-of-range value raises ConfigError."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
-    fitter, _, defaults, takes_seed = _KINDS[kind]
-    hyper = dict(defaults)
+    hyper = dict(_KINDS[kind][2])
     for key, value in overrides.items():
         if key not in hyper:
             raise ConfigError(f"{kind}: unknown hyperparameter {key!r}")
@@ -82,6 +84,13 @@ def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
         if key in _POSITIVE and not value > 0:
             raise ConfigError(f"{kind}: {key} must be > 0, got {value!r}")
         hyper[key] = value
+    return hyper
+
+
+def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
+                **overrides) -> TrainedModel:
+    hyper = resolve_hyperparams(kind, overrides)
+    fitter, _, _, takes_seed = _KINDS[kind]
     kwargs = dict(hyper)
     if takes_seed:
         kwargs["seed"] = seed

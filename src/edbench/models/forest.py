@@ -4,8 +4,10 @@ Each tree trains on a bootstrap resample (drawn with replacement, same
 size as the training set) and considers ceil(sqrt(d)) randomly chosen
 features at every node. Per-tree randomness comes from independent
 child seeds spawned from the model seed, so results are reproducible
-and independent of evaluation order. The forest predicts the mean of
-per-tree leaf class fractions.
+and independent of evaluation order. Each tree's generator first draws
+the bootstrap rows, then, in ``grow_tree``, one block of feature draws
+per depth level for that level's open nodes. The forest predicts the
+mean of per-tree leaf class fractions.
 """
 
 from __future__ import annotations

@@ -105,6 +105,8 @@ def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
     "[synth]\ntriage_moments = 1\n",
     "[mystery]\nx = 1\n",
     "[models.svm]\nc = 1\n",
+    "[models.mlp]\nepochs = 0\n",
+    "[models.random_forest]\nn_tree = 5\n",
     "[pipeline]\nseed = banana\n",
     "[pipeline]\nseed = -1\n",
     "[pipeline]\ntest_fraction = 1.5\n",
@@ -181,12 +183,13 @@ def test_out_of_range_hyperparameter_is_a_config_error(run_all, tmp_path):
     (tmp_path / "out").mkdir()
     shutil.copy(run_all / "out" / "train.csv", tmp_path / "out")
     ini = tmp_path / "cfg.ini"
-    ini.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n\n"
-                   "[models.random_forest]\nmin_leaf = 0\n")
-    rc = cli.main(["train", "--config", str(ini), "--task", "critical",
-                   "--model", "random_forest"])
-    assert rc == 2
-    assert not (tmp_path / "out" / "models" / "runtimes.json").exists()
+    # the mlp is fitted last, so a late check would leave earlier fits behind
+    for section in ("[models.random_forest]\nmin_leaf = 0\n",
+                    "[models.mlp]\nepochs = 0\n"):
+        ini.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n\n"
+                       + section)
+        assert cli.main(["train", "--config", str(ini)]) == 2
+        assert not list((tmp_path / "out" / "models").glob("*"))
 
 
 def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):

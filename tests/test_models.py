@@ -14,6 +14,7 @@ from edbench.models import (build_feature_matrix, load_manifest, load_model,
                             train_model)
 from edbench.models._trees import (TREE_FIELDS, bin_features, grow_tree,
                                    predict_tree)
+from edbench.models import boosting
 from edbench.models.boosting import fit_boosting, predict_boosting
 from edbench.models.forest import fit_forest, forest_importance, predict_forest
 from edbench.models.linear import fit_logistic, logistic_objective, predict_logistic
@@ -211,6 +212,137 @@ def test_grown_trees_are_well_formed(variant, data, max_depth, min_leaf):
             leaf = np.asarray(tree["feature"]) == -1
             assert np.array_equal(reached[leaf],
                                   np.asarray(tree["n_samples"])[leaf])
+
+
+def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
+                           leaf_grad=None, leaf_hess=None):
+    """Reference builder: grows the tree depth-first, one node at a time,
+    with a padded histogram over every feature. ``grow_tree`` must return
+    exactly this dict whenever it does not subsample features."""
+    classification = leaf_grad is None
+    codes = binned.codes
+    d = codes.shape[1]
+    n_bins = np.array([len(t) + 1 for t in binned.thresholds], dtype=np.int64)
+    tree = {name: [] for name in TREE_FIELDS}
+
+    def add_leaf(value, n):
+        for name, cell in zip(TREE_FIELDS, (-1, 0.0, -1, -1, value, n, 0.0)):
+            tree[name].append(cell)
+        return len(tree["feature"]) - 1
+
+    def leaf_value(rows):
+        if leaf_grad is not None:
+            g = float(leaf_grad[rows].sum())
+            h = float(leaf_hess[rows].sum())
+            return g / max(h, 1e-12)
+        return float(y[rows].mean())
+
+    def gini(pos, n):
+        p = pos / n
+        return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+    stack = [(idx, 0, add_leaf(leaf_value(idx), len(idx)))]
+    while stack:
+        rows, depth, slot = stack.pop()
+        n = len(rows)
+        ysum = float(y[rows].sum())
+        if depth >= max_depth or n < 2 * min_leaf:
+            continue
+        if classification and (ysum == 0.0 or ysum == n):
+            continue
+        nb = int(n_bins.max())
+        sub = codes[rows].astype(np.int64)
+        flat = (sub.T + (np.arange(d) * nb)[:, None]).ravel()
+        cnt = np.bincount(flat, minlength=d * nb).reshape(d, nb).astype(np.float64)
+        wsum = np.bincount(flat, weights=np.tile(y[rows], d),
+                           minlength=d * nb).reshape(d, nb)
+        cum_n = np.cumsum(cnt, axis=1)
+        cum_s = np.cumsum(wsum, axis=1)
+        tot_n = cum_n[:, -1:]
+        tot_s = cum_s[:, -1:]
+        nl = cum_n[:, :-1]
+        sl = cum_s[:, :-1]
+        nr = tot_n - nl
+        sr = tot_s - sl
+        valid = (nl >= min_leaf) & (nr >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(valid, sl * sl / nl + sr * sr / nr, -np.inf)
+        if score.size == 0 or not np.isfinite(score).any():
+            continue
+        best_flat = int(np.argmax(score))
+        base = tot_s[0, 0] ** 2 / tot_n[0, 0]
+        if score.ravel()[best_flat] <= base + 1e-12:
+            continue
+        feat, split_bin = divmod(best_flat, nb - 1)
+        if split_bin >= len(binned.thresholds[feat]):
+            continue
+        go_left = codes[rows, feat] <= split_bin
+        rows_l = rows[go_left]
+        rows_r = rows[~go_left]
+        if len(rows_l) < min_leaf or len(rows_r) < min_leaf:
+            continue
+        n_l, n_r = len(rows_l), len(rows_r)
+        s_l = float(y[rows_l].sum())
+        s_r = ysum - s_l
+        if classification:
+            dec = gini(ysum, n) - (n_l / n) * gini(s_l, n_l) - (n_r / n) * gini(s_r, n_r)
+        else:
+            dec = (float(np.var(y[rows])) - (n_l / n) * float(np.var(y[rows_l]))
+                   - (n_r / n) * float(np.var(y[rows_r])))
+        tree["feature"][slot] = feat
+        tree["threshold"][slot] = float(binned.thresholds[feat][split_bin])
+        tree["gain"][slot] = max(dec, 0.0)
+        left_slot = tree["left"][slot] = add_leaf(leaf_value(rows_l), n_l)
+        right_slot = tree["right"][slot] = add_leaf(leaf_value(rows_r), n_r)
+        stack.append((rows_r, depth + 1, right_slot))
+        stack.append((rows_l, depth + 1, left_slot))
+    return tree
+
+
+def _both_builders(X, y, idx, newton, **kwargs):
+    binned = bin_features(X)
+    if newton:
+        resid = y - y.mean()
+        hess = np.full(len(y), y.mean() * (1.0 - y.mean()))
+        y = resid
+        kwargs.update(leaf_grad=resid, leaf_hess=hess)
+    return (grow_tree(binned, idx, y, **kwargs),
+            _depth_first_grow_tree(binned, idx, y, **kwargs))
+
+
+@pytest.mark.parametrize("newton", [False, True], ids=["tree", "newton_tree"])
+@settings(max_examples=100)
+@given(data=_tree_data(), max_depth=st.integers(1, 8),
+       min_leaf=st.integers(1, 3), bootstrap=st.booleans())
+def test_level_wise_growth_equals_depth_first_oracle(newton, data, max_depth,
+                                                     min_leaf, bootstrap):
+    X, y = data
+    idx = np.arange(len(y))
+    if bootstrap:
+        idx = np.random.default_rng(len(y)).integers(0, len(y), size=len(y))
+    new, old = _both_builders(X, y, idx, newton, max_depth=max_depth,
+                              min_leaf=min_leaf)
+    assert new == old
+
+
+def test_deep_trees_on_continuous_data_equal_depth_first_oracle():
+    X, y = _toy(n=600, d=5, seed=14, noise=2.0)
+    X[:, 4] = np.round(X[:, 4])       # one coarse feature beside 256-bin ones
+    boot = np.random.default_rng(5).integers(0, len(y), size=len(y))
+    for newton in (False, True):
+        new, old = _both_builders(X, y, boot, newton, max_depth=32)
+        assert new == old
+        assert len(new["feature"]) > 100
+
+
+def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
+    X, y = _toy(n=500, seed=15, noise=1.0)
+    for max_depth in (3, 6):
+        params = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
+        with monkeypatch.context() as patch:
+            patch.setattr(boosting, "grow_tree", _depth_first_grow_tree)
+            reference = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
+        assert params == reference
 
 
 # -- boosting -------------------------------------------------------------------
@@ -426,6 +558,11 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
 @pytest.mark.parametrize("kind, key, value", [
     ("random_forest", "n_trees", 0),
     ("random_forest", "min_leaf", 0),
+    ("random_forest", "max_depth", 0),
+    ("random_forest", "max_depth", -3),
+    ("boosting", "max_depth", 0),
+    ("boosting", "max_depth", -3),
+    ("boosting", "n_stages", 0),
     ("boosting", "min_leaf", 0),
     ("mlp", "epochs", 0),
     ("mlp", "batch_size", 0),
