@@ -1,11 +1,20 @@
-"""Small shared helpers: timestamp handling and CSV cell formatting."""
+"""Small shared helpers: packaged data files, timestamps, CSV cell formatting."""
 
 from __future__ import annotations
 
 import datetime as dt
+from importlib import resources
 
 TIMESTAMP_FMT = "%Y-%m-%d %H:%M:%S"
 DATE_FMT = "%Y-%m-%d"
+
+
+def read_data_file(packaged: str, path: str | None = None) -> str:
+    """Text of ``path``, or of the packaged edbench.data file ``packaged``."""
+    if path is None:
+        return resources.files("edbench.data").joinpath(packaged).read_text()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def parse_timestamp(text: str) -> dt.datetime | None:
@@ -72,7 +81,3 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def fahrenheit_to_celsius(value: float) -> float:
-    return (value - 32.0) * 5.0 / 9.0

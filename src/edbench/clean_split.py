@@ -19,10 +19,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
+from ._util import read_data_file
 from .errors import AllMissingColumn, ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -61,12 +61,7 @@ class CleaningBounds:
 def load_cleaning_config(path: str | None = None) -> dict[str, CleaningBounds]:
     """Per-column bounds from ``path`` or the packaged defaults."""
     parser = configparser.ConfigParser()
-    if path is None:
-        text = resources.files("edbench.data").joinpath("cleaning_bounds.ini").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    parser.read_string(text)
+    parser.read_string(read_data_file("cleaning_bounds.ini", path))
     config: dict[str, CleaningBounds] = {}
     for section in parser.sections():
         try:

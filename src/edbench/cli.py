@@ -5,10 +5,11 @@ synthetic raw extract, ``extract-master`` links and labels it into the
 master dataset, ``build-benchmark`` cleans/splits/imputes, ``train``
 fits the baseline models, ``evaluate`` produces the report and figures,
 ``predict`` scores new visits with a saved model, and ``all`` chains
-the stages end to end. One INI file configures every stage; each run
-ends by writing ``run_manifest.json`` recording the resolved config
-hash, versions, per-stage row counts, and artifact hashes so a run can
-be audited and reproduced.
+the stages end to end, handing records on in memory: its CSVs are
+artifacts, and the inputs of single-stage runs. One INI file configures
+every stage; each run ends by writing ``run_manifest.json`` recording the
+resolved config hash, versions, per-stage row counts, and artifact hashes
+so a run can be audited and reproduced.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 integrity error.
 """
@@ -21,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -109,8 +111,11 @@ class PipelineConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.lookback_years <= 0:
-            raise ConfigError(f"lookback_years must be positive, got {self.lookback_years}")
+        if not 0 < self.lookback_years < math.inf:
+            raise ConfigError(f"lookback_years must be positive and finite, "
+                              f"got {self.lookback_years}")
+        if not math.isfinite(self.impute_constant):
+            raise ConfigError(f"impute_constant must be finite, got {self.impute_constant}")
         if self.imputation not in IMPUTE_STRATEGIES:
             raise ConfigError(f"imputation must be one of {IMPUTE_STRATEGIES}, "
                               f"got {self.imputation!r}")
@@ -224,33 +229,28 @@ def _model_seed(cfg: PipelineConfig, task: str, kind: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _resolve_time_point(task: str, flag: str | None) -> str:
-    return flag if flag is not None else TASKS[task][1]
-
-
 def _load_task_manifest(cfg: PipelineConfig, time_point: str) -> list[str]:
-    override = cfg.paths.get(f"manifest_{time_point}")
-    return load_manifest(override if override else time_point)
+    return load_manifest(cfg.paths.get(f"manifest_{time_point}", time_point))
 
 
 def _load_scores(cfg: PipelineConfig) -> dict:
-    defs = {}
-    for name in SCORE_NAMES:
-        override = cfg.paths.get(f"score_{name}")
-        defs[name] = load_score_definition(override if override else name)
-    return defs
+    return {name: load_score_definition(cfg.paths.get(f"score_{name}", name))
+            for name in SCORE_NAMES}
 
 
-def _resolve_tasks(flag: str) -> tuple[str, ...]:
-    return TASK_ORDER if flag == "all" else (flag,)
+def _read_output(cfg: PipelineConfig, name: str, hint: str) -> tuple[list[dict], list[str]]:
+    path = Path(cfg.output_dir) / name
+    _require_file(path, hint)
+    return read_master_csv(str(path))
 
 
-def _resolve_kinds(flag: str) -> tuple[str, ...]:
-    return MODEL_KINDS if flag == "all" else (flag,)
+def _resolve(flag: str, every: tuple[str, ...]) -> tuple[str, ...]:
+    return every if flag == "all" else (flag,)
 
 
 # ---------------------------------------------------------------------------
-# stages: each returns (counts, written paths)
+# stages: each returns (counts, written paths). The work of each stage `all`
+# chains takes the records it consumes and also returns those it hands on.
 
 
 def stage_synth(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
@@ -265,7 +265,7 @@ def stage_synth(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
     return counts, paths
 
 
-def stage_extract_master(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
+def _extract_master(cfg: PipelineConfig):
     missing = [f"{kind}.csv" for kind in TABLE_KINDS
                if not os.path.isfile(os.path.join(cfg.input_dir, f"{kind}.csv"))]
     if missing:
@@ -278,8 +278,9 @@ def stage_extract_master(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
     lookback_days = int(round(cfg.lookback_years * 365))
     records = build_master(cohort, lookback_days=lookback_days,
                            cmap=cmap, matcher=matcher)
+    columns = master_columns(cmap, matcher)
     path = _out_path(cfg, MASTER_NAME)
-    write_master_csv(records, str(path), master_columns(cmap, matcher))
+    write_master_csv(records, str(path), columns)
     counts = {
         "stays_in": len(tables.edstays),
         "stays_linked": len(cohort.stays),
@@ -287,13 +288,14 @@ def stage_extract_master(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
         "orphan_rows": dict(sorted(cohort.orphan_counts.items())),
         "master_rows": len(records),
     }
-    return counts, [path]
+    return counts, [path], records, columns
 
 
-def stage_build_benchmark(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
-    master = Path(cfg.output_dir) / MASTER_NAME
-    _require_file(master, "run extract-master first")
-    records, columns = read_master_csv(str(master))
+def stage_extract_master(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
+    return _extract_master(cfg)[:2]
+
+
+def _build_benchmark(cfg: PipelineConfig, records: list[dict], columns: list[str]):
     kept, excluded = apply_exclusions(records)
     reasons: dict[str, int] = {}
     for _, reason in excluded:
@@ -322,25 +324,25 @@ def stage_build_benchmark(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
         "imputed_cells_train": filled_train,
         "imputed_cells_test": filled_test,
     }
-    return counts, paths
+    return counts, paths, train, test
 
 
-def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
-                time_point: str | None = None) -> tuple[dict, list[Path]]:
-    train_path = Path(cfg.output_dir) / TRAIN_NAME
-    _require_file(train_path, "run build-benchmark first")
-    records, _ = read_master_csv(str(train_path))
+def stage_build_benchmark(cfg: PipelineConfig) -> tuple[dict, list[Path]]:
+    master = _read_output(cfg, MASTER_NAME, "run extract-master first")
+    return _build_benchmark(cfg, *master)[:2]
+
+
+def _train(cfg: PipelineConfig, records: list[dict], tasks=TASK_ORDER,
+           kinds=MODEL_KINDS, time_point: str | None = None) -> tuple[dict, list[Path]]:
     models_dir = Path(cfg.output_dir) / MODELS_DIR
     models_dir.mkdir(parents=True, exist_ok=True)
     runtimes_path = models_dir / RUNTIMES_NAME
-    runtimes: dict[str, float] = {}
-    if runtimes_path.is_file():
-        runtimes = json.loads(runtimes_path.read_text())
+    runtimes = json.loads(runtimes_path.read_text()) if runtimes_path.is_file() else {}
 
     counts: dict[str, dict] = {}
     paths: list[Path] = []
     for task in tasks:
-        tp = _resolve_time_point(task, time_point)
+        tp = time_point or TASKS[task][1]  # else the task's default
         manifest = _load_task_manifest(cfg, tp)
         matrix = build_feature_matrix(records, task, time_point=tp,
                                       manifest=manifest, split="train")
@@ -365,24 +367,22 @@ def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
     return counts, paths
 
 
-def stage_evaluate(cfg: PipelineConfig, tasks=TASK_ORDER,
-                   time_point: str | None = None) -> tuple[dict, list[Path]]:
-    test_path = Path(cfg.output_dir) / TEST_NAME
-    train_path = Path(cfg.output_dir) / TRAIN_NAME
-    _require_file(test_path, "run build-benchmark first")
-    _require_file(train_path, "run build-benchmark first")
-    test_records, _ = read_master_csv(str(test_path))
-    train_records, _ = read_master_csv(str(train_path))
+def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
+                time_point: str | None = None) -> tuple[dict, list[Path]]:
+    records, _ = _read_output(cfg, TRAIN_NAME, "run build-benchmark first")
+    return _train(cfg, records, tasks, kinds, time_point)
 
+
+def _evaluate(cfg: PipelineConfig, train_records: list[dict],
+              test_records: list[dict], tasks=TASK_ORDER,
+              time_point: str | None = None) -> tuple[dict, list[Path]]:
     runtimes_path = Path(cfg.output_dir) / MODELS_DIR / RUNTIMES_NAME
-    runtimes: dict[str, float] = {}
-    if runtimes_path.is_file():
-        runtimes = json.loads(runtimes_path.read_text())
+    runtimes = json.loads(runtimes_path.read_text()) if runtimes_path.is_file() else {}
     score_defs = _load_scores(cfg)
 
     results: list[ModelResult] = []
     for task in tasks:
-        tp = _resolve_time_point(task, time_point)
+        tp = time_point or TASKS[task][1]  # else the task's default
         display = TASK_DISPLAY[task]
         manifest = _load_task_manifest(cfg, tp)
         matrix = build_feature_matrix(test_records, task, time_point=tp,
@@ -427,6 +427,13 @@ def stage_evaluate(cfg: PipelineConfig, tasks=TASK_ORDER,
     counts = {"report_rows": len(rows), "test_rows": len(test_records),
               "cohort_rows": len(cohort)}
     return counts, paths
+
+
+def stage_evaluate(cfg: PipelineConfig, tasks=TASK_ORDER,
+                   time_point: str | None = None) -> tuple[dict, list[Path]]:
+    test, _ = _read_output(cfg, TEST_NAME, "run build-benchmark first")
+    train, _ = _read_output(cfg, TRAIN_NAME, "run build-benchmark first")
+    return _evaluate(cfg, train, test, tasks, time_point)
 
 
 def stage_predict(cfg: PipelineConfig, model_file: str, input_csv: str,
@@ -503,33 +510,35 @@ def _dispatch(args, cfg: PipelineConfig) -> tuple[dict, list[Path]]:
     stages: dict[str, dict] = {}
     written: list[Path] = []
 
-    def run(name: str, counts_paths):
-        counts, paths = counts_paths
+    def run(name: str, counts: dict, paths: list[Path], *handoff):
+        # record one stage; return the records it hands to the next
         stages[name] = counts
         written.extend(paths)
+        return handoff
 
     if args.command == "synth":
-        run("synth", stage_synth(cfg))
+        run("synth", *stage_synth(cfg))
     elif args.command == "extract-master":
-        run("extract_master", stage_extract_master(cfg))
+        run("extract_master", *stage_extract_master(cfg))
     elif args.command == "build-benchmark":
-        run("build_benchmark", stage_build_benchmark(cfg))
+        run("build_benchmark", *stage_build_benchmark(cfg))
     elif args.command == "train":
-        run("train", stage_train(cfg, _resolve_tasks(args.task),
-                                 _resolve_kinds(args.model), args.time_point))
+        run("train", *stage_train(cfg, _resolve(args.task, TASK_ORDER),
+                                  _resolve(args.model, MODEL_KINDS), args.time_point))
     elif args.command == "evaluate":
-        run("evaluate", stage_evaluate(cfg, _resolve_tasks(args.task),
-                                       args.time_point))
+        run("evaluate", *stage_evaluate(cfg, _resolve(args.task, TASK_ORDER),
+                                        args.time_point))
     elif args.command == "predict":
-        run("predict", stage_predict(cfg, args.model_file, args.input,
-                                     args.output))
+        run("predict", *stage_predict(cfg, args.model_file, args.input,
+                                      args.output))
     elif args.command == "all":
         if cfg.synth is not None:
-            run("synth", stage_synth(cfg))
-        run("extract_master", stage_extract_master(cfg))
-        run("build_benchmark", stage_build_benchmark(cfg))
-        run("train", stage_train(cfg))
-        run("evaluate", stage_evaluate(cfg))
+            run("synth", *stage_synth(cfg))
+        records, columns = run("extract_master", *_extract_master(cfg))
+        train, test = run("build_benchmark", *_build_benchmark(cfg, records, columns))
+        del records  # only the two splits stay alive through train and evaluate
+        run("train", *_train(cfg, train))
+        run("evaluate", *_evaluate(cfg, train, test))
     return stages, written
 
 

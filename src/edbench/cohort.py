@@ -29,9 +29,9 @@ import datetime as dt
 import logging
 import re
 from bisect import bisect_left
-from importlib import resources
+from sys import intern
 
-from ._util import format_cell, parse_float
+from ._util import format_cell, parse_float, read_data_file
 from .comorbidity import (
     DEFAULT_LOOKBACK_DAYS,
     ComorbidityMap,
@@ -88,12 +88,7 @@ class ComplaintMatcher:
 
 def load_complaint_matcher(path: str | None = None) -> ComplaintMatcher:
     parser = configparser.ConfigParser()
-    if path is None:
-        text = resources.files("edbench.data").joinpath("chief_complaints.ini").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    parser.read_string(text)
+    parser.read_string(read_data_file("chief_complaints.ini", path))
     categories = []
     for section in parser.sections():
         raw = parser[section].get("keywords", "")
@@ -225,6 +220,7 @@ def build_master(
     for sid, icus in cohort.icustays_by_subject.items():
         icu_times[sid] = sorted(i.intime for i in icus if i.intime is not None)
 
+    # formatted keys are interned, so every record shares one string per column
     skipped_codes = 0
     records: list[dict] = []
     for stay in cohort.stays:
@@ -239,17 +235,17 @@ def build_master(
         for kind, times in (("ed", ed_times), ("hosp", adm_times), ("icu", icu_times)):
             series = times.get(stay.subject_id, [])
             for w in HISTORY_WINDOWS_DAYS:
-                rec[f"n_{kind}_{w}d"] = count_prior_events(series, stay.intime, w)
+                rec[intern(f"n_{kind}_{w}d")] = count_prior_events(series, stay.intime, w)
 
         triage = cohort.triage_by_stay.get(stay.stay_id)
         for f in VITAL_FIELDS:
-            rec[f"triage_{f}"] = getattr(triage, f) if triage else None
+            rec[intern(f"triage_{f}")] = getattr(triage, f) if triage else None
         rec["triage_pain"] = triage.pain if triage else None
         rec["triage_acuity"] = triage.acuity if triage else None
 
         complaint = triage.chiefcomplaint if triage else ""
         for name, hit in matcher.match(complaint).items():
-            rec[f"chiefcom_{name}"] = hit
+            rec[intern(f"chiefcom_{name}")] = hit
 
         codes, skipped = collect_codes_in_lookback(cohort, stay, lookback_days)
         skipped_codes += skipped
@@ -257,7 +253,7 @@ def build_master(
         rec.update(map_to_eci(codes, cmap))
 
         for f, value in extract_ed_vitals(cohort.vitals_by_stay.get(stay.stay_id, [])).items():
-            rec[f"ed_{f}"] = value
+            rec[intern(f"ed_{f}")] = value
         los = (stay.outtime - stay.intime).total_seconds() / 3600.0
         rec["ed_los_hours"] = max(los, 0.0)
         rec["n_med"] = len(cohort.pyxis_by_stay.get(stay.stay_id, ()))

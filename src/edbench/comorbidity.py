@@ -20,8 +20,8 @@ import configparser
 import datetime as dt
 import logging
 from dataclasses import dataclass
-from importlib import resources
 
+from ._util import read_data_file
 from .errors import ConfigError, UnknownVersion
 from .ingest import EdStayRecord, LinkedCohort
 
@@ -52,12 +52,7 @@ def normalize_code(code: str) -> str:
 def load_map(path: str | None = None) -> ComorbidityMap:
     """Load the prefix map from ``path`` or the packaged default."""
     parser = configparser.ConfigParser()
-    if path is None:
-        text = resources.files("edbench.data").joinpath("comorbidity_map.ini").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    parser.read_string(text)
+    parser.read_string(read_data_file("comorbidity_map.ini", path))
 
     cci_fields: list[str] = []
     eci_fields: list[str] = []

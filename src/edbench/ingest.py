@@ -24,8 +24,9 @@ Error semantics, applied uniformly:
 * child rows whose stay id does not resolve are dropped and counted.
 
 Temperatures are stored in Celsius; the input unit is configurable and
-defaults to Fahrenheit, converted as (v - 32) * 5/9. Pain is kept only when
-it parses as an integer in [0, 10].
+defaults to Fahrenheit, converted as (v - 32) * 5/9; a cell whose conversion
+overflows is unparseable. Pain is kept only when it parses as an integer in
+[0, 10].
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+import math
 import os
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from ._util import (
-    fahrenheit_to_celsius,
     format_cell,
     format_date,
     format_timestamp,
@@ -290,9 +291,12 @@ class _TableReader:
 
     def temperature(self, raw: str, col: str) -> float | None:
         value = self.number(raw, col)
-        if value is None or self.temperature_unit == "celsius":
-            return value
-        return fahrenheit_to_celsius(value)
+        if value is not None and self.temperature_unit == "fahrenheit":
+            value = (value - 32.0) * 5.0 / 9.0
+            if math.isinf(value):  # a huge finite cell overflows
+                self._coerce("unparseable", col, raw.strip())
+                return None
+        return value
 
     def small_int(self, raw: str, col: str) -> int | None:
         raw = raw.strip()

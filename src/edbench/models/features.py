@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
+from .._util import read_data_file
 from ..errors import ConfigError, DataError
 
 TIME_POINTS = ("triage", "disposition")
@@ -30,12 +30,8 @@ TASKS = {
 
 def load_manifest(which: str) -> list[str]:
     """Load a manifest by time point name or explicit file path."""
-    if which in TIME_POINTS:
-        text = resources.files("edbench.data").joinpath(
-            f"manifest_{which}.txt").read_text()
-    else:
-        with open(which, encoding="utf-8") as fh:
-            text = fh.read()
+    text = read_data_file(f"manifest_{which}.txt",
+                          None if which in TIME_POINTS else which)
     columns = [line.strip() for line in text.splitlines()
                if line.strip() and not line.lstrip().startswith("#")]
     if len(set(columns)) != len(columns):

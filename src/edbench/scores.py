@@ -20,8 +20,8 @@ import configparser
 import logging
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
+from ._util import read_data_file
 from .errors import BadAcuity, ConfigError, NoBand
 
 logger = logging.getLogger(__name__)
@@ -97,13 +97,9 @@ def _validate_bands(score: str, comp: str, bands: list[Band]) -> None:
 def load_score_definition(path_or_name: str) -> ScoreDefinition:
     """Load a score table from a file path or a packaged score name."""
     parser = configparser.ConfigParser()
-    if path_or_name in SCORE_NAMES:
-        text = resources.files("edbench.data").joinpath(
-            f"score_{path_or_name}.ini").read_text()
-    else:
-        with open(path_or_name, encoding="utf-8") as fh:
-            text = fh.read()
-    parser.read_string(text)
+    parser.read_string(read_data_file(
+        f"score_{path_or_name}.ini",
+        None if path_or_name in SCORE_NAMES else path_or_name))
 
     if "score" not in parser:
         raise ConfigError(f"{path_or_name}: missing [score] section")

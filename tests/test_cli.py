@@ -113,6 +113,10 @@ def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
     "[pipeline]\nimputation = magic\n",
     "[paths]\ncleaning_bounds = /no/such/file.ini\n",
     "[synth]\nn_patients = 0\n",
+    "[pipeline]\nlookback_years = nan\n",
+    "[pipeline]\nlookback_years = inf\n",
+    "[pipeline]\nimputation = constant\nimpute_constant = nan\n",
+    "[pipeline]\nimputation = constant\nimpute_constant = inf\n",
 ])
 def test_bad_configs_are_rejected(tmp_path, body):
     ini = tmp_path / "bad.ini"
@@ -325,6 +329,92 @@ def test_manifest_artifact_keys_are_absolute(tmp_path, monkeypatch):
             path = Path(name)
             assert path.is_absolute() and path.is_file(), name
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
+# -- in-memory handoff ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def handoff_runs(tmp_path_factory):
+    """`all` in one directory, the same stages one at a time in another, the
+    number of read_master_csv calls each command made, and the stage counts
+    each directory's manifests recorded."""
+    root = tmp_path_factory.mktemp("handoff")
+    for tag in ("all", "staged"):
+        (root / f"{tag}.ini").write_text(INI_TEMPLATE.format(
+            inp=root / tag / "data", out=root / tag / "out"))
+    reads = []
+    calls = {}
+    stages = {"all": {}, "staged": {}}
+
+    def run(tag, command, *extra):
+        reads.clear()
+        assert cli.main([command, "--config", str(root / f"{tag}.ini"), *extra]) == 0
+        calls[command] = len(reads)
+        if command != "predict":        # predict's manifest is beside --output
+            manifest = root / tag / "out" / "run_manifest.json"
+            stages[tag].update(json.loads(manifest.read_text())["stages"])
+
+    with pytest.MonkeyPatch.context() as mp:
+        read_master_csv = cli.read_master_csv
+        mp.setattr(cli, "read_master_csv",
+                   lambda path: reads.append(path) or read_master_csv(path))
+        run("all", "all")
+        for command in ("synth", "extract-master", "build-benchmark", "train",
+                        "evaluate"):
+            run("staged", command)
+        out = root / "staged" / "out"
+        run("staged", "predict",
+            "--model-file", str(out / "models" / "critical_triage_logistic.json"),
+            "--input", str(out / "test.csv"), "--output", str(root / "preds.csv"))
+    return root, calls, stages
+
+
+def test_read_master_csv_calls_per_command(handoff_runs):
+    _, calls, _ = handoff_runs
+    assert calls == {"all": 0, "synth": 0, "extract-master": 0,
+                     "build-benchmark": 1, "train": 1, "evaluate": 2,
+                     "predict": 1}
+
+
+def _runtime_masked(path):
+    if path.suffix == ".json":
+        rows = json.loads(path.read_text())
+        for row in rows:
+            row["runtime_seconds"] = None
+        return rows
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    runtime_col = rows[0].index("Runtime")
+    for row in rows[1:]:
+        row[runtime_col] = ""
+    return rows
+
+
+def test_all_writes_what_the_stages_write_one_at_a_time(handoff_runs):
+    root, _, stages = handoff_runs
+    in_memory, staged = root / "all", root / "staged"
+    files = sorted(p.relative_to(in_memory) for p in in_memory.rglob("*")
+                   if p.is_file())
+    assert files == sorted(p.relative_to(staged) for p in staged.rglob("*")
+                           if p.is_file())
+    assert len(files) == 9 + 1 + 11 + 12 + 1    # tables, truth, out, models, runtimes
+    for rel in files:
+        a, b = in_memory / rel, staged / rel
+        if rel.name in ("runtimes.json", "run_manifest.json"):
+            continue                             # wall clock and command differ
+        if rel.stem == "report":
+            assert _runtime_masked(a) == _runtime_masked(b), rel
+        else:
+            assert a.read_bytes() == b.read_bytes(), rel
+    # every stage counts the same rows; only the fit times differ
+    def without_fit_times(counts):
+        train = {name: {k: v for k, v in fit.items() if k != "seconds"}
+                 for name, fit in counts["train"].items()}
+        return {**counts, "train": train}
+    assert set(stages["all"]) == {"synth", "extract_master", "build_benchmark",
+                                  "train", "evaluate"}
+    assert without_fit_times(stages["all"]) == without_fit_times(stages["staged"])
 
 
 def test_train_single_task_at_disposition(run_all):

@@ -1,5 +1,8 @@
+import copy
 import datetime as dt
 
+from edbench.clean_split import (apply_cleaning, apply_imputer, fit_imputer,
+                                 load_cleaning_config)
 from edbench.cohort import (compute_age, count_prior_events,
                             load_complaint_matcher, master_columns,
                             read_master_csv, write_master_csv)
@@ -145,14 +148,29 @@ def test_comorbidity_from_lookback_only(master_by_stay):
     assert later["eci_congestive_heart_failure"] == 1
 
 
+def _benchmark_records(master):
+    """The fixture master as build-benchmark leaves it: cleaned, with one
+    reading clamped, and mean-imputed, which puts fractional values into
+    the integer pain column."""
+    records = copy.deepcopy(master)
+    records[0]["triage_heartrate"] = 300.0
+    stats = apply_cleaning(records, load_cleaning_config())
+    assert stats["triage_heartrate"]["clamped"] == 1
+    apply_imputer(records, fit_imputer(records, strategy="mean"))
+    assert any(rec["triage_pain"] % 1 for rec in records)
+    return records
+
+
 def test_master_csv_round_trip(master, tmp_path):
+    # `edbench all` hands on in memory what single-stage runs read back
     path = tmp_path / "master.csv"
-    write_master_csv(master, str(path))
-    back, columns = read_master_csv(str(path))
-    assert columns == master_columns()
-    assert back == master
-    # booleans serialize as 0/1, missing as empty
-    text = path.read_text().splitlines()
-    row3 = text[3].split(",")     # stay 9003, acuity missing
-    acuity_col = columns.index("triage_acuity")
-    assert row3[acuity_col] == ""
+    for records in (master, _benchmark_records(master)):
+        write_master_csv(records, str(path))
+        back, columns = read_master_csv(str(path))
+        assert columns == master_columns()
+        assert back == records
+        # booleans serialize as 0/1, missing as empty
+        text = path.read_text().splitlines()
+        row3 = text[3].split(",")     # stay 9003, acuity missing
+        acuity_col = columns.index("triage_acuity")
+        assert row3[acuity_col] == ""

