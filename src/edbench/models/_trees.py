@@ -34,17 +34,28 @@ sorted order, bin); classification leaves are integer sum / count, Newton
 leaves sum their gradient per node with numpy's pairwise ``sum``, and
 Newton gains take ``np.var`` per split node.
 
-A grown tree is a plain dict of equal-length lists keyed by TREE_FIELDS,
-the one place the tree format is declared. Node 0 is the root, children
-always come after their parent, and ``feature == -1`` marks a leaf (whose
-``left`` and ``right`` are -1). Nodes are numbered in depth-first creation
-order: a split appends its left child, then its right child, and the left
-subtree is expanded first. The same dict is what model files hold.
+A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
+TREE_FIELDS, the one place the tree format is declared, in the manner of
+scikit-learn's parallel-array ``Tree`` (Pedregosa et al., 2011). Node 0 is
+the root and ``feature == -1`` marks a leaf (whose ``left`` is -1). Nodes
+are numbered in depth-first creation order: a split appends its left
+child, then its right child, and the left subtree is expanded first; so
+the right child is always ``left + 1`` and is not stored, and children
+always come after their parent. Model files hold the same fields as JSON
+lists: ``trees_json`` writes them, and ``tree_from_json`` turns them back
+into arrays and rejects a tree that breaks any of these rules.
+
+``predict_trees`` walks every tree of an ensemble at once, as QuickScorer
+does (Lucchese et al., 2015): the trees are concatenated with per-tree
+node offsets, and one (tree, row) node index per pair advances a level at
+a time until every pair sits at a leaf.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,26 +86,114 @@ def bin_features(X: np.ndarray) -> BinnedFeatures:
     return BinnedFeatures(codes=codes, thresholds=thresholds)
 
 
-TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples",
-               "gain")
+TREE_FIELDS = ("feature", "threshold", "left", "value", "n_samples", "gain")
+_INT_FIELDS = ("feature", "left", "n_samples")
+
+PREDICT_BLOCK = 2048    # rows per block in predict_trees
 
 
-def predict_tree(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf value reached by each row of ``X``; ``x <= threshold`` goes left."""
-    feature, threshold, left, right, value = (
-        np.asarray(tree[name])
-        for name in ("feature", "threshold", "left", "right", "value"))
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    while True:
-        feat = feature[node]
-        rows = np.nonzero(feat >= 0)[0]
-        if rows.size == 0:
-            return value[node]
-        at = node[rows]
-        go_left = X[rows, feat[rows]] <= threshold[at]
-        node[rows] = np.where(go_left, left[at], right[at])
+def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
+    """Leaf value each tree gives each row of ``X``, as a (trees, rows)
+    array; ``x <= threshold`` goes left. Rows are walked in blocks of
+    PREDICT_BLOCK, which bounds the size of the per-pair index arrays."""
+    sizes = [len(tree["feature"]) for tree in trees]
+    offset = np.cumsum(sizes) - sizes
+    feature, threshold, value = (
+        np.concatenate([tree[name] for tree in trees])
+        for name in ("feature", "threshold", "value"))
+    left = np.concatenate([tree["left"] + off
+                           for tree, off in zip(trees, offset)])
+    n, d = X.shape
+    out = np.empty((len(trees), n))
+    for start in range(0, n, PREDICT_BLOCK):
+        b = min(PREDICT_BLOCK, n - start)
+        flat = np.ascontiguousarray(X[start:start + b]).ravel()
+        node = np.repeat(offset, b)                 # pair (t, r) at t * b + r
+        cell = np.tile(np.arange(b) * d, len(trees))  # row r's first cell
+        walk = np.arange(node.size)
+        while True:
+            feat = feature[node[walk]]
+            inner = feat >= 0
+            walk = walk[inner]
+            if walk.size == 0:
+                break
+            at = node[walk]
+            node[walk] = left[at] + (flat[cell[walk] + feat[inner]]
+                                     > threshold[at])
+        out[:, start:start + b] = value[node].reshape(len(trees), b)
+    return out
 
 
+def trees_json(trees: list[dict]) -> Iterator[str]:
+    """The JSON text of a non-empty list of trees, in one piece per tree;
+    joined, byte for byte what ``json.dumps`` writes for the list with
+    sorted keys, no whitespace and the arrays as lists. Each distinct value
+    of a field is formatted once per ensemble: formatting numbers is most
+    of the cost of writing a forest, and thresholds, leaf fractions, gains
+    and child indices repeat across nodes and trees."""
+    ends = np.cumsum([len(tree["feature"]) for tree in trees])[:-1]
+    texts = {}
+    for name in sorted(TREE_FIELDS):
+        distinct, inverse = _distinct(
+            np.concatenate([tree[name] for tree in trees]))
+        cells = json.dumps(distinct, separators=(",", ":"))
+        cells = np.array(cells[1:-1].split(","), dtype=object)[inverse]
+        texts[name] = ["[" + ",".join(part.tolist()) + "]"
+                       for part in np.split(cells, ends)]
+    for t in range(len(trees)):
+        yield ("[{" if t == 0 else ",{") + ",".join(
+            f'"{name}":{texts[name][t]}' for name in texts) + "}"
+    yield "]"
+
+
+def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of an int64 or float64 column, and the index
+    into them of each cell."""
+    if column.dtype.kind == "i":
+        low, high = int(column.min()), int(column.max())
+        if high - low < column.size:    # a table of the range needs no sort
+            return list(range(low, high + 1)), column - low
+    # distinct bit patterns, so that -0.0 and 0.0 stay apart
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return bits.view(column.dtype).tolist(), inverse
+
+
+def tree_from_json(tree, n_features: int) -> dict:
+    """The arrays of one tree read from a model file. Raises ValueError,
+    saying what is wrong, unless the fields are exactly TREE_FIELDS, of equal
+    length, integers where they must be, each ``feature`` is -1 or below
+    ``n_features``, leaves and only leaves have ``left == -1``, and each
+    split's children both come after it. That last rule makes every walk
+    from the root end at a leaf."""
+    if not isinstance(tree, dict) or sorted(tree) != sorted(TREE_FIELDS):
+        raise ValueError(f"tree fields must be {', '.join(TREE_FIELDS)}")
+    arrays = {}
+    for name in TREE_FIELDS:
+        integer = name in _INT_FIELDS
+        try:
+            column = np.asarray(tree[name])
+        except ValueError:                  # ragged nesting
+            column = np.empty((0, 0))
+        if column.ndim != 1 or column.dtype.kind not in ("i" if integer
+                                                         else "if"):
+            raise ValueError(f"{name!r} must be a list of "
+                             + ("integers" if integer else "numbers"))
+        arrays[name] = column.astype(np.int64 if integer else np.float64,
+                                     copy=False)
+    size = len(arrays["feature"])
+    if size == 0 or any(len(column) != size for column in arrays.values()):
+        raise ValueError("tree fields must be non-empty and of equal length")
+    feature, left = arrays["feature"], arrays["left"]
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise ValueError(f"'feature' must lie in [-1, {n_features})")
+    split = feature >= 0
+    if ((left == -1) == split).any():
+        raise ValueError("'left' must be -1 exactly at leaves")
+    where = np.arange(size)
+    if ((left[split] <= where[split]) | (left[split] >= size - 1)).any():
+        raise ValueError("a split's children must come after it, inside "
+                         "the tree")
+    return arrays
 
 
 def grow_tree(
@@ -294,5 +393,4 @@ def _depth_first(levels: list[dict]) -> dict:
     tree = {name: column[order] for name, column in flat.items()}
     is_split = tree["left"] >= 0
     tree["left"] = np.where(is_split, new_id[tree["left"]], -1)
-    tree["right"] = np.where(is_split, tree["left"] + 1, -1)
-    return {name: tree[name].tolist() for name in TREE_FIELDS}
+    return {name: tree[name] for name in TREE_FIELDS}

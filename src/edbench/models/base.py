@@ -5,8 +5,12 @@ fingerprint of that manifest; prediction refuses inputs whose manifest
 fingerprint (or column count) disagrees, which catches the classic
 mistake of scoring disposition-time features with a triage-time model.
 
-Model files are JSON with sorted keys and hold no wall-clock data, so
-repeated runs with the same seed produce byte-identical files.
+Model files are compact JSON (sorted keys, no whitespace) and hold no
+wall-clock data, so repeated runs with the same seed produce byte-identical
+files. Tree models keep their nodes as numpy arrays in memory and as JSON
+lists on disk; ``load_model`` turns them back into arrays and checks each
+tree (``_trees.tree_from_json``), so a tampered file is a DataError rather
+than a crash or an endless walk.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, ManifestMismatch, WrongKind
 from . import boosting, forest, linear, mlp
+from ._trees import tree_from_json, trees_json
 from .features import FeatureMatrix, manifest_fingerprint
 
 # kind -> (fitter, predictor, default hyperparameters, fitter takes the seed)
@@ -138,13 +143,28 @@ def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    Path(path).write_text(
-        json.dumps(vars(model), sort_keys=True, indent=2) + "\n")
+    """Write ``model`` as compact JSON with sorted keys. A tree model's
+    trees are streamed from ``_trees.trees_json`` into the place where
+    ``json.dumps`` wrote an empty list; the key ``"trees"`` occurs once, as
+    any quote inside a string value is escaped. The file is byte for byte
+    ``json.dumps`` of the whole model with its arrays as lists."""
+    fields = vars(model)
+    trees = fields["params"].get("trees")
+    if trees:
+        fields = {**fields, "params": {**fields["params"], "trees": []}}
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        if trees:
+            head, _, text = text.partition('"trees":[]')
+            fh.write(head + '"trees":')
+            fh.writelines(trees_json(trees))
+        fh.write(text + "\n")
 
 
 def load_model(path) -> TrainedModel:
     """Read a file written by save_model; a file that is not one raises
-    DataError, naming the key that is missing or unknown."""
+    DataError, naming the key that is missing or unknown, or the tree that
+    is malformed."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -160,4 +180,14 @@ def load_model(path) -> TrainedModel:
             raise DataError(f"{path}: model file has unknown key {key!r}")
     if obj["kind"] not in _KINDS:
         raise ConfigError(f"unknown model kind in file: {obj['kind']!r}")
+    if obj["kind"] in ("random_forest", "boosting"):
+        params = obj["params"]
+        trees = params.get("trees") if isinstance(params, dict) else None
+        if not isinstance(trees, list) or not (trees or "constant" in params):
+            raise DataError(f"{path}: model file holds no trees")
+        for i, tree in enumerate(trees):
+            try:
+                trees[i] = tree_from_json(tree, len(obj["columns"]))
+            except ValueError as exc:
+                raise DataError(f"{path}: tree {i}: {exc}") from None
     return TrainedModel(**obj)

@@ -6,6 +6,8 @@ residuals ``y - p``, with leaf values set by a single Newton step
 (sum of residuals over sum of ``p (1 - p)``) scaled by the learning
 rate. Training records the deviance after every stage; on the training
 set the sequence must never increase, which the test suite checks.
+Prediction walks every stage's tree at once with ``predict_trees`` and
+adds the leaf values in stage order, as training did.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels, NonFiniteLoss
-from ._trees import bin_features, grow_tree, predict_tree
+from ._trees import bin_features, grow_tree, predict_trees
 from .linear import sigmoid, _softplus
 
 logger = logging.getLogger(__name__)
@@ -65,7 +67,7 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         hess = p * (1.0 - p)
         tree = grow_tree(binned, idx, resid, max_depth=max_depth,
                          min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess)
-        F = F + learning_rate * predict_tree(tree, X)
+        F = F + learning_rate * predict_trees([tree], X)[0]
         dev = _deviance(F, y)
         if not np.isfinite(dev):
             raise NonFiniteLoss(f"boosting: non-finite deviance at stage {stage}")
@@ -86,6 +88,6 @@ def predict_boosting(params: dict, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(params["constant"]))
     F = np.full(X.shape[0], float(params["base_score"]))
     lr = float(params["learning_rate"])
-    for tree in params["trees"]:
-        F += lr * predict_tree(tree, X)
+    for leaf in predict_trees(params["trees"], X):
+        F += lr * leaf
     return sigmoid(F)

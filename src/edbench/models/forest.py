@@ -7,7 +7,9 @@ child seeds spawned from the model seed, so results are reproducible
 and independent of evaluation order. Each tree's generator first draws
 the bootstrap rows, then, in ``grow_tree``, one block of feature draws
 per depth level for that level's open nodes. The forest predicts the
-mean of per-tree leaf class fractions.
+mean of per-tree leaf class fractions, summed in tree order from one
+``predict_trees`` walk over the whole ensemble. ``params["trees"]`` holds
+one dict of node arrays per tree (see ``_trees``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels
-from ._trees import bin_features, grow_tree, predict_tree
+from ._trees import bin_features, grow_tree, predict_trees
 
 logger = logging.getLogger(__name__)
 
@@ -69,8 +71,8 @@ def predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
     if "constant" in params:
         return np.full(X.shape[0], float(params["constant"]))
     acc = np.zeros(X.shape[0])
-    for tree in params["trees"]:
-        acc += predict_tree(tree, X)
+    for leaf in predict_trees(params["trees"], X):
+        acc += leaf
     return acc / len(params["trees"])
 
 
@@ -87,11 +89,11 @@ def forest_importance(params: dict) -> np.ndarray:
     if not trees:
         return total
     for tree in trees:
-        root_n = tree["n_samples"][0]
-        for feat, n, gain in zip(tree["feature"], tree["n_samples"],
-                                 tree["gain"]):
-            if feat >= 0:
-                total[feat] += n / root_n * gain
+        split = tree["feature"] >= 0
+        # unbuffered, so splits add up in node order
+        np.add.at(total, tree["feature"][split],
+                  tree["n_samples"][split] / tree["n_samples"][0]
+                  * tree["gain"][split])
     total /= len(trees)
     s = total.sum()
     if s > 0:

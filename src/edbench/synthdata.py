@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,8 +186,12 @@ class SynthConfig:
             raise ConfigError(
                 "prevalence_critical must be below prevalence_hospitalization "
                 "(critical visits are always hospitalized)")
-        if self.mean_visits < 1.0:
-            raise ConfigError("mean_visits must be >= 1")
+        if not (math.isfinite(self.mean_visits) and self.mean_visits >= 1.0):
+            raise ConfigError(
+                f"mean_visits must be finite and >= 1, got {self.mean_visits}")
+        if not math.isfinite(self.signal_scale):
+            raise ConfigError(
+                f"signal_scale must be finite, got {self.signal_scale}")
         for name in ("missing_fraction", "outlier_fraction", "minor_fraction",
                      "missing_acuity_fraction", "decoy_icu_fraction",
                      "decoy_dod_fraction"):

@@ -117,6 +117,8 @@ def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
     "[pipeline]\nlookback_years = inf\n",
     "[pipeline]\nimputation = constant\nimpute_constant = nan\n",
     "[pipeline]\nimputation = constant\nimpute_constant = inf\n",
+    "[synth]\nmean_visits = nan\n",
+    "[synth]\nsignal_scale = inf\n",
 ])
 def test_bad_configs_are_rejected(tmp_path, body):
     ini = tmp_path / "bad.ini"
@@ -205,6 +207,17 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
              "no_params.json": (json.dumps(payload), 3, "'params'"),
              "extra.json": (text.replace("{", '{"note": 1,', 1), 3, "'note'"),
              "svm.json": (text.replace('"logistic"', '"svm"'), 2, "'svm'")}
+    # tampered trees: a cycle at the root, a child far outside the tree, and
+    # a node array one entry short
+    boosting = run_all / "out" / "models" / "critical_triage_boosting.json"
+    for name, field, change in (
+            ("cycle.json", "left", lambda c: [0] + c[1:]),
+            ("far_child.json", "left", lambda c: [10 ** 6] + c[1:]),
+            ("short.json", "value", lambda c: c[:-1])):
+        payload = json.loads(boosting.read_text())
+        tree = payload["params"]["trees"][0]
+        tree[field] = change(tree[field])
+        cases[name] = (json.dumps(payload), 3, f"{name}: tree 0: ")
     for name, (body, code, message) in cases.items():
         (tmp_path / name).write_text(body)
         caplog.clear()

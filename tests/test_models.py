@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from edbench.errors import (ConfigError, DataError, DegenerateLabels,
 from edbench.models import (build_feature_matrix, load_manifest, load_model,
                             predict_proba, rf_variable_importance, save_model,
                             train_model)
+from edbench.models import _trees, boosting
 from edbench.models._trees import (TREE_FIELDS, bin_features, grow_tree,
-                                   predict_tree)
-from edbench.models import boosting
+                                   predict_trees)
 from edbench.models.boosting import fit_boosting, predict_boosting
 from edbench.models.forest import fit_forest, forest_importance, predict_forest
-from edbench.models.linear import fit_logistic, logistic_objective, predict_logistic
+from edbench.models.linear import (fit_logistic, logistic_objective,
+                                  predict_logistic, sigmoid)
 from edbench.models.mlp import fit_mlp, mlp_loss_and_grads, predict_mlp
 
 def _rel_err(a, b):
@@ -135,14 +138,14 @@ def test_tree_routes_at_threshold_inclusive_left():
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = grow_tree(bin_features(X), np.arange(4), y, max_depth=1)
     thr = tree["threshold"][0]
-    preds = predict_tree(tree, np.array([[thr], [np.nextafter(thr, 10)]]))
+    preds = predict_trees([tree], np.array([[thr], [np.nextafter(thr, 10)]]))[0]
     assert preds[0] == 0.0 and preds[1] == 1.0
 
 
 def _leaf_of(tree, X):
     """Node index each row of X ends at."""
-    nodes = {**tree, "value": list(range(len(tree["feature"])))}
-    return predict_tree(nodes, X).astype(np.intp)
+    nodes = {**tree, "value": np.arange(len(tree["feature"]))}
+    return predict_trees([nodes], X)[0].astype(np.intp)
 
 
 def _grown_trees(variant, X, y, max_depth, min_leaf):
@@ -189,12 +192,13 @@ def test_grown_trees_are_well_formed(variant, data, max_depth, min_leaf):
     for tree, rows in _grown_trees(variant, X, y, max_depth, min_leaf):
         assert sorted(tree) == sorted(TREE_FIELDS)
         size = len(tree["feature"])
-        assert all(len(tree[name]) == size for name in TREE_FIELDS)
+        assert all(isinstance(tree[name], np.ndarray) and tree[name].ndim == 1
+                   and len(tree[name]) == size for name in TREE_FIELDS)
         children = [0]
-        for i, (feat, left, right) in enumerate(
-                zip(tree["feature"], tree["left"], tree["right"])):
-            assert (feat == -1) == (left == -1) == (right == -1)
+        for i, (feat, left) in enumerate(zip(tree["feature"], tree["left"])):
+            assert (feat == -1) == (left == -1)
             if feat != -1:
+                right = left + 1
                 assert left > i and right > i
                 assert tree["n_samples"][i] == (tree["n_samples"][left]
                                                 + tree["n_samples"][right])
@@ -205,24 +209,26 @@ def test_grown_trees_are_well_formed(variant, data, max_depth, min_leaf):
         if rows is not None:
             # each training row is counted at the leaf it is routed to
             reached = np.bincount(_leaf_of(tree, X[rows]), minlength=size)
-            leaf = np.asarray(tree["feature"]) == -1
-            assert np.array_equal(reached[leaf],
-                                  np.asarray(tree["n_samples"])[leaf])
+            leaf = tree["feature"] == -1
+            assert np.array_equal(reached[leaf], tree["n_samples"][leaf])
 
 
 def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
                            leaf_grad=None, leaf_hess=None):
     """Reference builder: grows the tree depth-first, one node at a time,
     with a padded histogram over every feature. ``grow_tree`` must return
-    exactly this dict whenever it does not subsample features."""
+    exactly this tree, less the stored ``right``, whenever it does not
+    subsample features (see ``_assert_equal_to_oracle``)."""
     classification = leaf_grad is None
     codes = binned.codes
     d = codes.shape[1]
     n_bins = np.array([len(t) + 1 for t in binned.thresholds], dtype=np.int64)
-    tree = {name: [] for name in TREE_FIELDS}
+    fields = ("feature", "threshold", "left", "right", "value", "n_samples",
+              "gain")
+    tree = {name: [] for name in fields}
 
     def add_leaf(value, n):
-        for name, cell in zip(TREE_FIELDS, (-1, 0.0, -1, -1, value, n, 0.0)):
+        for name, cell in zip(fields, (-1, 0.0, -1, -1, value, n, 0.0)):
             tree[name].append(cell)
         return len(tree["feature"]) - 1
 
@@ -295,6 +301,24 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
     return tree
 
 
+def _oracle_arrays(tree):
+    """The oracle's lists as arrays, without ``right``, which must be
+    ``left + 1`` at every split and -1 at every leaf."""
+    left, right = np.array(tree["left"]), np.array(tree["right"])
+    split = left >= 0
+    assert np.array_equal(right[split], left[split] + 1)
+    assert np.all(right[~split] == -1)
+    return {name: np.array(tree[name]) for name in tree if name != "right"}
+
+
+def _assert_equal_to_oracle(new, old):
+    """Same fields, each exactly equal (``np.array_equal``)."""
+    old = _oracle_arrays(old)
+    assert sorted(new) == sorted(old)
+    for name in new:
+        assert np.array_equal(new[name], old[name]), name
+
+
 def _both_builders(X, y, idx, newton, **kwargs):
     binned = bin_features(X)
     if newton:
@@ -318,7 +342,7 @@ def test_level_wise_growth_equals_depth_first_oracle(newton, data, max_depth,
         idx = np.random.default_rng(len(y)).integers(0, len(y), size=len(y))
     new, old = _both_builders(X, y, idx, newton, max_depth=max_depth,
                               min_leaf=min_leaf)
-    assert new == old
+    _assert_equal_to_oracle(new, old)
 
 
 def test_deep_trees_on_continuous_data_equal_depth_first_oracle():
@@ -327,7 +351,7 @@ def test_deep_trees_on_continuous_data_equal_depth_first_oracle():
     boot = np.random.default_rng(5).integers(0, len(y), size=len(y))
     for newton in (False, True):
         new, old = _both_builders(X, y, boot, newton, max_depth=32)
-        assert new == old
+        _assert_equal_to_oracle(new, old)
         assert len(new["feature"]) > 100
 
 
@@ -335,10 +359,82 @@ def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
     X, y = _toy(n=500, seed=15, noise=1.0)
     for max_depth in (3, 6):
         params = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
+        oracle_trees = []
+
+        def oracle(*args, **kwargs):
+            oracle_trees.append(_depth_first_grow_tree(*args, **kwargs))
+            return _oracle_arrays(oracle_trees[-1])
+
         with monkeypatch.context() as patch:
-            patch.setattr(boosting, "grow_tree", _depth_first_grow_tree)
+            patch.setattr(boosting, "grow_tree", oracle)
             reference = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
-        assert params == reference
+        trees = params.pop("trees")
+        assert reference.pop("trees") and params == reference
+        assert len(trees) == len(oracle_trees) == 15
+        for new, old in zip(trees, oracle_trees):
+            _assert_equal_to_oracle(new, old)
+
+
+# -- ensemble prediction -----------------------------------------------------------
+
+def _walk(tree, x):
+    """Reference: the leaf value one row reaches, one node at a time."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        go_right = x[tree["feature"][node]] > tree["threshold"][node]
+        node = tree["left"][node] + int(go_right)
+    return tree["value"][node]
+
+
+def _sequential_forest(params, X):
+    if "constant" in params:
+        return np.full(len(X), float(params["constant"]))
+    acc = np.zeros(len(X))
+    for tree in params["trees"]:
+        acc += np.array([_walk(tree, x) for x in X])
+    return acc / len(params["trees"])
+
+
+def _sequential_boosting(params, X):
+    if "constant" in params:
+        return np.full(len(X), float(params["constant"]))
+    F = np.full(len(X), float(params["base_score"]))
+    for tree in params["trees"]:
+        F += params["learning_rate"] * np.array([_walk(tree, x) for x in X])
+    return sigmoid(F)
+
+
+@settings(max_examples=60)
+@given(data=_tree_data(), depths=st.lists(st.integers(0, 6), min_size=1,
+                                          max_size=6),
+       block=st.sampled_from([1, 3, 4096]), constant=st.booleans())
+def test_ensemble_prediction_equals_sequential_walk(data, depths, block,
+                                                    constant):
+    X, y = data
+    if constant:
+        y[:] = y[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateLabels)
+            forest = fit_forest(X, y, n_trees=2, seed=0)
+            boost = fit_boosting(X, y, n_stages=2)
+    else:
+        # one tree per drawn depth, so the ensembles mix depths
+        binned, rows = bin_features(X), np.arange(len(y))
+        rng = np.random.default_rng(len(y))
+        forest = {"n_trees": len(depths), "n_features": X.shape[1],
+                  "trees": [grow_tree(binned, rng.integers(0, len(y), len(y)),
+                                      y, max_depth=depth) for depth in depths]}
+        resid = y - y.mean()
+        hess = np.full(len(y), y.mean() * (1.0 - y.mean()))
+        boost = {"base_score": 0.25, "learning_rate": 0.3,
+                 "trees": [grow_tree(binned, rows, resid, max_depth=depth,
+                                     leaf_grad=resid, leaf_hess=hess)
+                           for depth in depths]}
+    with mock.patch.object(_trees, "PREDICT_BLOCK", block):
+        assert np.array_equal(predict_forest(forest, X),
+                              _sequential_forest(forest, X))
+        assert np.array_equal(predict_boosting(boost, X),
+                              _sequential_boosting(boost, X))
 
 
 # -- boosting -------------------------------------------------------------------
@@ -531,6 +627,9 @@ def test_train_save_load_round_trip(kind, tmp_path):
     model = train_model(matrix, kind, seed=1, **overrides)
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
+    assert path.read_text() == json.dumps(
+        vars(model), sort_keys=True, separators=(",", ":"),
+        default=np.ndarray.tolist) + "\n"
     loaded = load_model(path)
     assert np.array_equal(predict_proba(loaded, matrix),
                           predict_proba(model, matrix))
@@ -541,6 +640,67 @@ def test_train_save_load_round_trip(kind, tmp_path):
     payload = json.loads(path.read_text())
     assert "runtime" not in json.dumps(payload).lower()
     assert payload["kind"] == kind and payload["seed"] == 1
+
+
+def test_trees_json_is_json_dumps_of_the_lists():
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5]
+    trees = []
+    for size in (1, 7, 3, 12):
+        # narrow and wide integer ranges, as feature and n_samples have
+        tree = {"feature": rng.integers(-1, 3, size),
+                "left": rng.integers(-1, 40, size),
+                "n_samples": rng.integers(1, 10 ** 6, size)}
+        for name in ("threshold", "value", "gain"):
+            tree[name] = rng.choice(special + list(rng.normal(size=3)), size)
+        trees.append(tree)
+    as_lists = [{name: column.tolist() for name, column in tree.items()}
+                for tree in trees]
+    assert "".join(_trees.trees_json(trees)) == json.dumps(
+        as_lists, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("field, change, message", [
+    (None, lambda t: t.pop("gain"), "tree fields"),
+    (None, lambda t: t.update(right=t["left"]), "tree fields"),
+    ("value", lambda c: c[:-1], "equal length"),
+    ("feature", lambda c: [float(v) for v in c], "'feature'"),
+    ("left", lambda c: [str(v) for v in c], "'left'"),
+    ("n_samples", lambda c: [v + 0.5 for v in c], "'n_samples'"),
+    ("threshold", lambda c: ["x"] * len(c), "'threshold'"),
+    ("feature", lambda c: [2] + c[1:], "'feature'"),
+    ("feature", lambda c: [-2] + c[1:], "'feature'"),
+    ("feature", lambda c: c[:-1] + [0], "'left'"),
+    ("left", lambda c: [-1] + c[1:], "'left'"),
+    ("left", lambda c: [0] + c[1:], "after it"),
+    ("left", lambda c: [len(c) - 1] + c[1:], "after it"),
+    ("left", lambda c: [10 ** 6] + c[1:], "after it"),
+])
+def test_load_model_rejects_malformed_trees(field, change, message, tmp_path):
+    model = train_model(_matrix(), "boosting", n_stages=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    tree = payload["params"]["trees"][1]
+    assert tree["feature"][0] >= 0          # the root splits
+    if field is None:
+        change(tree)
+    else:
+        tree[field] = change(tree[field])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"tree 1: .*{message}"):
+        load_model(path)
+
+
+def test_load_model_rejects_tree_model_without_trees(tmp_path):
+    model = train_model(_matrix(), "random_forest", n_trees=2)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    payload["params"]["trees"] = []
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="no trees"):
+        load_model(path)
 
 
 def test_train_model_rejects_unknown_kind_and_hyperparam():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -31,6 +32,11 @@ def test_config_validation():
         SynthConfig(missing_fraction=-0.1)
     with pytest.raises(ConfigError):
         SynthConfig(decoy_dod_fraction=1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="mean_visits"):
+            SynthConfig(mean_visits=value)
+        with pytest.raises(ConfigError, match="signal_scale"):
+            SynthConfig(signal_scale=value)
 
 
 def test_write_is_deterministic_and_seed_sensitive(tmp_path):
