@@ -4,14 +4,14 @@ handful of visits, showing the per-component point breakdown."""
 from edbench.cohort import build_master
 from edbench.ingest import link_tables
 from edbench.scores import (SCORE_NAMES, compute_score, esi_risk,
-                            load_default_scores)
+                            load_score_definition)
 from edbench.synthdata import SynthConfig, generate_with_truth
 
 
 def main():
     gen = generate_with_truth(SynthConfig(n_patients=40, seed=3))
     records = build_master(link_tables(gen.tables))
-    definitions = load_default_scores()
+    definitions = {name: load_score_definition(name) for name in SCORE_NAMES}
 
     # one visit in detail
     rec = next(r for r in records if r["outcome_critical"])

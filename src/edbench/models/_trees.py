@@ -13,15 +13,33 @@ regression on residuals. Gini impurity decrease is still computed
 explicitly for the importance accounting.
 
 Trees grow one depth level at a time, in the manner of LightGBM (Ke et
-al., 2017) and XGBoost ``hist`` (Chen & Guestrin, 2016). Per level, one
-``bincount`` keyed by (open node, feature, bin) builds every open node's
-histograms, each chosen feature laid out with its own bin count, back to
-back; split scores and the first-maximum search run only over occupied
-bins, and one vectorised comparison routes the rows of every split node.
-A random forest draws its feature subsets once per level from the tree's
-generator: ``rng.random((m, d))`` for the level's m open nodes in level
-order, each node taking the first ``features_per_node`` (the forest's
-``ceil(sqrt(d))``) columns of its row's argsort, sorted.
+al., 2017) and XGBoost ``hist`` (Chen & Guestrin, 2016), and several trees
+grow together in one pass (``grow_trees``; ``grow_tree`` is the pass of
+one). Per level, one ``bincount`` keyed by (open node, feature, bin) builds
+the histograms of every open node of every tree in the pass, each chosen
+feature laid out with its own bin count, back to back; split scores and the
+first-maximum search run only over occupied bins, and one vectorised
+comparison routes the rows of every split node. Most of a level's cost is
+a fixed count of numpy calls, so a pass of many small trees pays it once
+where one tree at a time would pay it per tree. A random forest draws its
+feature subsets once per level from each tree's own generator:
+``rng.random((m, d))`` for that tree's m open nodes in level order, each
+node taking the first ``features_per_node`` (the forest's
+``ceil(sqrt(d))``) columns of its row's argsort, sorted. ``fit_forest``
+puts as many trees in a pass as fit ``forest.PASS_CELLS`` root cells
+(bootstrap rows x ``features_per_node``). The per-level gathers, keys and
+weights hold one cell per active row and candidate feature, and rows only
+leave as nodes close, so the root level's cells bound a pass's working
+set; a training set that fills the budget alone grows one tree per pass.
+
+Boosting grows every stage's tree over every feature on the same rows, so
+its histogram layout is kept per fit, on ``BinnedFeatures``
+(``_Workspace``): where each feature's bins start in a node's block of
+cells, the whole level-0 layout (keys, occupied bins, segments and running
+row counts), which only the residual weights change from stage to stage,
+and buffers for the keys, the weights and the padded float ``cumsum`` that
+every level and stage reuses. The level-0 layout is served again only for
+rows equal to those it was built on.
 
 Without feature subsampling the result is bit-identical to growing the
 same tree depth-first, one node at a time (the reference builder in the
@@ -32,7 +50,10 @@ rebased at each segment start, while Newton residual sums run per
 segment in bin order; ties go to the first maximum over (feature in
 sorted order, bin); classification leaves are integer sum / count, Newton
 leaves sum their gradient per node with numpy's pairwise ``sum``, and
-Newton gains take ``np.var`` per split node.
+Newton gains take ``np.var`` per split node. For the same reasons a tree
+grown in a pass equals the tree grown alone: no float of one tree meets a
+value of another, except in the running sums of 0/1 labels, which are
+exact.
 
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
 TREE_FIELDS, the one place the tree format is declared, in the manner of
@@ -53,6 +74,7 @@ a time until every pair sits at a leaf.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections.abc import Iterator
@@ -67,6 +89,19 @@ MAX_BINS = 256
 class BinnedFeatures:
     codes: np.ndarray        # (n, d) uint16 bin codes
     thresholds: list[np.ndarray]  # per feature, edge values; code<=k iff x<=edges[k]
+
+    def __post_init__(self):
+        self.n_bins = np.array([len(t) + 1 for t in self.thresholds],
+                               dtype=np.int64)
+        self.edges = np.concatenate(self.thresholds)   # all features' edges
+        self.edge_start = np.cumsum(self.n_bins - 1) - (self.n_bins - 1)
+        self._workspace = None
+
+    def workspace(self) -> _Workspace:
+        """The split-search state of this fit, made on first use."""
+        if self._workspace is None:
+            self._workspace = _Workspace(self.n_bins)
+        return self._workspace
 
 
 def bin_features(X: np.ndarray) -> BinnedFeatures:
@@ -208,46 +243,70 @@ def grow_tree(
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
 ) -> dict:
-    """Grow one tree on the rows in ``idx``, one depth level at a time.
+    """Grow one tree on the rows in ``idx``: ``grow_trees`` for a pass of
+    one tree, drawing its features from ``rng``."""
+    return grow_trees(binned, [idx], y, max_depth=max_depth,
+                      min_leaf=min_leaf, features_per_node=features_per_node,
+                      rngs=[rng], leaf_grad=leaf_grad, leaf_hess=leaf_hess)[0]
+
+
+def grow_trees(
+    binned: BinnedFeatures,
+    idxs: list[np.ndarray],
+    y: np.ndarray,
+    *,
+    max_depth: int,
+    min_leaf: int = 1,
+    features_per_node: int | None = None,
+    rngs: list[np.random.Generator | None] | None = None,
+    leaf_grad: np.ndarray | None = None,
+    leaf_hess: np.ndarray | None = None,
+) -> list[dict]:
+    """Grow one tree per entry of ``idxs``, on the rows it lists, together:
+    one depth level at a time, each level one histogram pass and one
+    routing step over the open nodes of every tree of the pass.
 
     Split criterion maximizes sum((sum y_c)^2 / n_c); for 0/1 targets this
     is the Gini split. Leaf values are mean(y) unless Newton statistics
     (leaf_grad / leaf_hess) are supplied, in which case a leaf predicts
     sum(grad) / sum(hess); without them the tree is a 0/1 classifier, whose
     pure nodes stay leaves and whose gains are Gini decreases.
-    ``features_per_node`` activates random feature subsampling via ``rng``,
-    drawn once per level as the module docstring describes.
+    ``features_per_node`` activates random feature subsampling, tree t
+    drawing from ``rngs[t]`` once per level as the module docstring
+    describes. Each tree comes out as ``grow_tree`` alone would grow it.
     """
     classification = leaf_grad is None
     codes = binned.codes
     d = codes.shape[1]
-    n_bins = np.array([len(t) + 1 for t in binned.thresholds], dtype=np.int64)
-    edges = np.concatenate(binned.thresholds)
-    edge_start = np.cumsum(n_bins - 1) - (n_bins - 1)
     subsample = features_per_node is not None and features_per_node < d
+    work = binned.workspace()
 
-    def leaf_values(rows, node, count, label):
+    def leaf_values(groups, count, label):
         if classification:
             return label / count            # integer sum / count == mean
         return np.array([
             float(leaf_grad[g].sum()) / max(float(leaf_hess[g].sum()), 1e-12)
-            for g in _groups(rows, node, count.size)])
+            for g in groups])
 
-    # the current level: its active rows (in idx order), the level node
-    # each row sits in, and per node the row count and label sum
-    rows = np.asarray(idx, dtype=np.intp)
-    node = np.zeros(rows.size, dtype=np.intp)
-    count = np.array([rows.size])
-    label = np.array([y[rows].sum()])
-    value = leaf_values(rows, node, count, label)
+    # the current level: its active rows (tree by tree, each in idx order),
+    # the level node each row sits in, and per node its tree, row count and
+    # label sum; nodes are in tree order, so each tree's rows stay together
+    sizes = [len(idx) for idx in idxs]
+    rows = np.concatenate(idxs).astype(np.intp, copy=False)
+    node = np.repeat(np.arange(len(idxs)), sizes)
+    tree = np.arange(len(idxs))
+    count = np.array(sizes)
+    label = np.array([y[idx].sum() for idx in idxs])
+    # Newton statistics need each node's rows, in order
+    groups = None if classification else _groups(rows, node, count.size)
+    value = leaf_values(groups, count, label)
     levels = []
-    n_nodes = 0
     for depth in itertools.count():
         m = count.size
-        n_nodes += m
+        # "left" is the index of a split's left child in the next level
         level = {"feature": np.full(m, -1), "threshold": np.zeros(m),
                  "left": np.full(m, -1), "value": value, "n_samples": count,
-                 "gain": np.zeros(m)}
+                 "gain": np.zeros(m), "tree": tree}
         levels.append(level)
         is_open = count >= 2 * min_leaf
         if classification:
@@ -258,16 +317,19 @@ def grow_tree(
         keep = is_open[node]
         rows, node = rows[keep], (np.cumsum(is_open) - 1)[node[keep]]
         if subsample:
-            draw = rng.random((ids.size, d))
+            opened = np.bincount(tree[ids], minlength=len(idxs)).tolist()
+            draw = np.concatenate([rngs[t].random((c, d))
+                                   for t, c in enumerate(opened) if c])
             feats = np.sort(np.argsort(draw, axis=1)[:, :features_per_node],
                             axis=1)
-            sub = codes[rows[:, None], feats[node]]
+            hist = work.subset_histogram(codes, rows, node, feats)
         else:
             feats = np.broadcast_to(np.arange(d), (ids.size, d))
-            sub = codes[rows]
+            hist = work.full_histogram(codes, rows, node, ids.size,
+                                       root=depth == 0)
         split, feat, cut, n_l, s_l = _best_splits(
-            sub, node, feats, n_bins, y[rows], count[ids], min_leaf,
-            exact=classification)
+            hist, work.weights(y[rows], feats.shape[1]), feats, count[ids],
+            min_leaf, work, exact=classification)
         if not split.any():
             break
         ids, feat, cut, n_l, s_l = (a[split] for a in (ids, feat, cut, n_l, s_l))
@@ -287,23 +349,24 @@ def grow_tree(
             dec = (_gini(s, n) - (n_l / n) * _gini(s_l, n_l)
                    - (n_r / n) * _gini(s_r, n_r))
         else:
-            parents = _groups(rows, r, n_split)
-            kids = _groups(rows, child, 2 * n_split)
+            parents = [groups[i] for i in ids.tolist()]
+            groups = _groups(rows, child, 2 * n_split)
             dec = np.array([
                 float(np.var(y[p])) - (nl / nn) * float(np.var(y[kl]))
                 - (nr / nn) * float(np.var(y[kr]))
                 for p, kl, kr, nl, nn, nr in zip(
-                    parents, kids[0::2], kids[1::2],
+                    parents, groups[0::2], groups[1::2],
                     n_l.tolist(), n.tolist(), n_r.tolist())])
 
         level["feature"][ids] = feat
-        level["threshold"][ids] = edges[edge_start[feat] + cut]
+        level["threshold"][ids] = binned.edges[binned.edge_start[feat] + cut]
         level["gain"][ids] = np.where(dec < 0.0, 0.0, dec)   # max(dec, 0.0)
-        level["left"][ids] = n_nodes + 2 * np.arange(n_split)
+        level["left"][ids] = 2 * np.arange(n_split)
+        tree = np.repeat(tree[ids], 2)
         node = child
         count = np.stack((n_l, n_r), axis=1).ravel()    # left, right per split
         label = np.stack((s_l, s_r), axis=1).ravel()
-        value = leaf_values(rows, node, count, label)
+        value = leaf_values(groups, count, label)
 
     return _depth_first(levels)
 
@@ -319,43 +382,133 @@ def _gini(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_splits(sub, node, feats, n_bins, y, count, min_leaf, *, exact):
+class _Histogram:
+    """Where the active rows of one level fall among its histogram cells:
+    every (open node, candidate feature) pair owns a segment of that
+    feature's own bins, back to back. It holds each (row, feature) cell's
+    key, and for the occupied cells their segment, each segment's first and
+    last occupied cell, and the running row count within the segment:
+    everything split search needs that does not depend on the labels."""
+
+    def __init__(self, keys: np.ndarray, start: np.ndarray, n_cells: int):
+        self.keys, self.start, self.n_cells = keys, start, n_cells
+        cnt = np.bincount(keys, minlength=n_cells)
+        # scores only at occupied bins: an empty bin repeats the score of the
+        # bin before it, so the first maximum is always an occupied bin
+        self.occ = np.flatnonzero(cnt)
+        per_seg = np.add.reduceat(cnt > 0, start, dtype=np.intp)
+        self.seg = np.repeat(np.arange(start.size), per_seg)
+        self.tail = np.cumsum(per_seg) - 1          # last and first cell
+        self.head = self.tail - per_seg + 1
+        c = cnt[self.occ]
+        self.n_l = np.cumsum(c)
+        self.n_l -= (self.n_l - c)[self.head][self.seg]
+        self.width = int(per_seg.max())             # most cells of a segment
+
+    @functools.cached_property
+    def padded(self) -> np.ndarray:
+        """Each occupied cell's place in a (segments, width) block."""
+        return (self.seg * self.width + np.arange(self.occ.size)
+                - self.head[self.seg])
+
+
+class _Workspace:
+    """Per-fit state of split search, held on BinnedFeatures: where each
+    feature's bins start in a node's block of cells when a node takes every
+    feature, the level-0 histogram of the last rows grown on that way (a
+    boosting stage grows every tree on the same rows, and only the residual
+    weights change), and buffers reused from level to level and tree to
+    tree."""
+
+    def __init__(self, n_bins: np.ndarray):
+        self.n_bins = n_bins
+        self.bin_start = np.cumsum(n_bins) - n_bins
+        self.block = int(n_bins.sum())
+        self.root_rows: np.ndarray | None = None
+        self.root: _Histogram | None = None
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` cells of a buffer kept for the fit. It is
+        zeroed when made, and after that holds only earlier contents."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.zeros(size, dtype)
+        return buf[:size]
+
+    def weights(self, y_rows: np.ndarray, k: int) -> np.ndarray:
+        """``np.repeat(y_rows, k)``, each row's label once per cell, in the
+        weights buffer."""
+        w = self.buffer("weights", y_rows.size * k)
+        w.reshape(y_rows.size, k)[...] = y_rows[:, None]
+        return w
+
+    def subset_histogram(self, codes, rows, node, feats) -> _Histogram:
+        """The histogram of a level whose open nodes take the candidate
+        features ``feats`` (m, k), each segment as long as its feature has
+        bins."""
+        m, k = feats.shape
+        size = self.n_bins[feats].ravel()
+        start = np.cumsum(size) - size
+        keys = self.buffer("keys", rows.size * k, np.int64)
+        grid = keys.reshape(rows.size, k)
+        # flat gathers by np.take, which beat fancy indexing on a 2-D array
+        np.multiply(rows[:, None], codes.shape[1], out=grid)
+        grid += np.take(feats, node, axis=0)
+        sub = np.take(codes.ravel(), grid)
+        np.take(start.reshape(m, k), node, axis=0, out=grid)
+        grid += sub
+        return _Histogram(keys, start, int(size.sum()))
+
+    def full_histogram(self, codes, rows, node, m, *, root) -> _Histogram:
+        """The histogram of a level whose m open nodes take every feature,
+        each node one block of cells laid out as ``bin_start`` says. A
+        one-node root level is kept and served again for the same rows."""
+        keep = root and m == 1
+        if keep and self.root_rows is not None \
+                and np.array_equal(self.root_rows, rows):
+            return self.root
+        d = codes.shape[1]
+        start = (np.arange(m)[:, None] * self.block + self.bin_start).ravel()
+        keys = (np.empty(rows.size * d, dtype=np.int64) if keep
+                else self.buffer("keys", rows.size * d, np.int64))
+        grid = keys.reshape(rows.size, d)
+        np.add(codes[rows], self.bin_start, out=grid)
+        grid += (node * self.block)[:, None]
+        hist = _Histogram(keys, start, m * self.block)
+        if keep:
+            self.root_rows, self.root = rows, hist
+        return hist
+
+
+def _best_splits(hist, weights, feats, count, min_leaf, work, *, exact):
     """Best split of each open node of one level, from one histogram pass.
 
-    ``sub`` holds the codes of each active row in its node's candidate
-    features ``feats`` (m, k); ``node`` is each row's open node and ``count``
-    each node's row count. Every (node, feature) pair owns a segment of that
-    feature's own bins, back to back. Returns per node whether it splits,
-    the feature, the last bin that goes left, and the left child's row count
-    and label sum.
+    ``hist`` lays out the level's cells, ``weights`` is the label of each
+    (active row, candidate feature) cell, ``feats`` (m, k) holds each open
+    node's candidate features and ``count`` each node's row count. Returns
+    per node whether it splits, the feature, the last bin that goes left,
+    and the left child's row count and label sum.
     """
     m, k = feats.shape
-    size = n_bins[feats].ravel()
-    start = np.cumsum(size) - size
-    keys = (sub + start.reshape(m, k)[node]).ravel()
-    cnt = np.bincount(keys, minlength=int(size.sum()))
-    wsum = np.bincount(keys, weights=np.repeat(y, k), minlength=cnt.size)
-
-    # scores only at occupied bins: an empty bin repeats the score of the
-    # bin before it, so the first maximum is always an occupied bin
-    occ = np.flatnonzero(cnt)
-    per_seg = np.add.reduceat(cnt > 0, start, dtype=np.intp)
-    seg = np.repeat(np.arange(m * k), per_seg)      # segment of each cell
-    tail = np.cumsum(per_seg) - 1                   # its last and first cell
-    head = tail - per_seg + 1
-    c, w = cnt[occ], wsum[occ]
-    n_l = np.cumsum(c)
-    n_l -= (n_l - c)[head][seg]
+    seg, head, tail, n_l = hist.seg, hist.head, hist.tail, hist.n_l
+    w = np.bincount(hist.keys, weights=weights,
+                    minlength=hist.n_cells)[hist.occ]
     if exact:
         # integer label sums: one flat running sum, rebased per segment
         s_l = np.cumsum(w)
         s_l -= (s_l - w)[head][seg]
     else:
-        # float sums: each segment cumulates on its own, in bin order
-        col = np.arange(occ.size) - head[seg]
-        pad = np.zeros((m * k, int(col.max()) + 1))
-        pad[seg, col] = w
-        s_l = np.cumsum(pad, axis=1)[seg, col]
+        # float sums: each segment cumulates on its own, in bin order, in a
+        # padded (segments, width) block; the cumsum of a cell reads only
+        # the cells before it, so what a reused block holds past a
+        # segment's end is never read
+        shape = (m * k, hist.width)
+        pad = work.buffer("pad", m * k * hist.width)
+        pad[hist.padded] = w
+        total = work.buffer("cumsum", pad.size)
+        np.cumsum(pad.reshape(shape), axis=1, out=total.reshape(shape))
+        s_l = total[hist.padded]
     owner = seg // k
     n_r = count[owner] - n_l
     s_r = s_l[tail][seg] - s_l
@@ -367,30 +520,63 @@ def _best_splits(sub, node, feats, n_bins, y, count, min_leaf, *, exact):
     best = np.maximum.reduceat(score, head[::k])
     hit = np.flatnonzero(score == best[owner])
     cell = hit[np.searchsorted(owner[hit], np.arange(m))]
-    # the parent's own score, from its first feature's total; a Python
-    # float's ** is libm pow, which can differ from t * t in the last bit
-    parent = np.array([t ** 2 for t in s_l[tail[::k]].tolist()]) / count
-    split = best > parent + 1e-12
-    return (split, feats.ravel()[seg[cell]], occ[cell] - start[seg[cell]],
-            n_l[cell], s_l[cell])
+    # the parent's own score, from its first feature's total
+    sums = s_l[tail[::k]]
+    if exact:
+        # integer sums below 2**26, whose square t * t is exact
+        squares = sums * sums
+    else:
+        # a Python float's ** is libm pow, which can differ from t * t in
+        # the last bit
+        squares = np.array([t ** 2 for t in sums.tolist()])
+    split = best > squares / count + 1e-12
+    return (split, feats.ravel()[seg[cell]],
+            hist.occ[cell] - hist.start[seg[cell]], n_l[cell], s_l[cell])
 
 
-def _depth_first(levels: list[dict]) -> dict:
-    """Join the per-level node arrays into one tree, numbered in depth-first
-    creation order: a split appends its left child, then its right child,
-    and the left subtree is expanded first."""
-    flat = {name: np.concatenate([level[name] for level in levels])
-            for name in levels[0]}
-    left = flat["left"].tolist()
-    order, stack = [0], [0]
-    while stack:
-        first = left[stack.pop()]
-        if first >= 0:
-            order += (first, first + 1)
-            stack += (first + 1, first)
-    new_id = np.empty(len(order), dtype=np.intp)
-    new_id[order] = np.arange(len(order))
-    tree = {name: column[order] for name, column in flat.items()}
-    is_split = tree["left"] >= 0
-    tree["left"] = np.where(is_split, new_id[tree["left"]], -1)
-    return {name: tree[name] for name in TREE_FIELDS}
+def _depth_first(levels: list[dict]) -> list[dict]:
+    """Join the per-level node arrays of a pass into its trees, each
+    numbered in depth-first creation order: a split appends its left child,
+    then its right child, and the left subtree is expanded first. So a split
+    whose children are numbered from c puts them at c and c + 1; the left
+    child's children are numbered from c + 2, and the right child's from
+    just past the left child's subtree. Subtree sizes, taken bottom-up, give
+    every number top-down, a level at a time for all trees at once."""
+    sizes = []                              # subtree size per node
+    below = np.zeros(0, dtype=np.intp)      # the last level only has leaves
+    for level in reversed(levels):
+        left = level["left"]
+        size = np.ones(left.size, dtype=np.intp)
+        split = left >= 0
+        first = left[split]
+        size[split] += below[first] + below[first + 1]
+        sizes.append(size)
+        below = size
+    sizes.reverse()
+    # each node's number within its tree, and where its children start
+    places = [np.zeros(sizes[0].size, dtype=np.intp)]
+    kids = np.ones(sizes[0].size, dtype=np.intp)
+    for level, size in zip(levels, sizes[1:]):
+        split = level["left"] >= 0
+        first, c = level["left"][split], kids[split]
+        place = np.empty(size.size, dtype=np.intp)
+        kids = np.empty(size.size, dtype=np.intp)
+        place[first], place[first + 1] = c, c + 1
+        kids[first], kids[first + 1] = c + 2, c + 1 + size[first]
+        places.append(place)
+    places.append(np.zeros(0, dtype=np.intp))
+
+    tree_size = sizes[0]
+    tree_start = np.cumsum(tree_size) - tree_size
+    flat = {name: np.empty(int(tree_size.sum()), dtype=levels[0][name].dtype)
+            for name in TREE_FIELDS}
+    for level, place, below in zip(levels, places, places[1:]):
+        at = tree_start[level["tree"]] + place
+        split = level["left"] >= 0
+        left = np.full(split.size, -1)
+        left[split] = below[level["left"][split]]
+        for name in TREE_FIELDS:
+            flat[name][at] = left if name == "left" else level[name]
+    ends = np.cumsum(tree_size)[:-1]
+    parts = [np.split(flat[name], ends) for name in TREE_FIELDS]
+    return [dict(zip(TREE_FIELDS, columns)) for columns in zip(*parts)]

@@ -16,6 +16,7 @@ than a crash or an endless walk.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -44,6 +45,16 @@ MODEL_KINDS = tuple(_KINDS)
 _COUNTS = ("n_trees", "n_stages", "max_depth", "min_leaf", "hidden", "epochs",
            "batch_size")
 _POSITIVE = ("C", "learning_rate")
+
+# the arrays of the logistic and MLP params, by shape: "d" is the number of
+# feature columns, "h" the MLP's hidden width (the columns of W1); the
+# scalars are the bias terms
+_DENSE_PARAMS = {
+    "logistic": ({"weights": ("d",), "mean": ("d",), "std": ("d",)},
+                 ("bias",)),
+    "mlp": ({"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "mean": ("d",),
+             "std": ("d",)}, ("b2",)),
+}
 
 DISPLAY_NAMES = {
     "logistic": "LR",
@@ -163,8 +174,8 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     """Read a file written by save_model; a file that is not one raises
-    DataError, naming the key that is missing or unknown, or the tree that
-    is malformed."""
+    DataError, naming the key that is missing or unknown, the tree that is
+    malformed, or the logistic or MLP parameter of the wrong shape."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -190,4 +201,38 @@ def load_model(path) -> TrainedModel:
                 trees[i] = tree_from_json(tree, len(obj["columns"]))
             except ValueError as exc:
                 raise DataError(f"{path}: tree {i}: {exc}") from None
+    else:
+        try:
+            _check_dense_params(obj["kind"], obj["params"], len(obj["columns"]))
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return TrainedModel(**obj)
+
+
+def _check_dense_params(kind: str, params, n_columns: int) -> None:
+    """Raise ValueError, naming the parameter, unless the logistic or MLP
+    ``params`` hold numeric arrays of the shapes ``n_columns`` inputs need
+    (``_DENSE_PARAMS``) and a finite number for each bias term."""
+    arrays, scalars = _DENSE_PARAMS[kind]
+    if not isinstance(params, dict):
+        raise ValueError("'params' must be an object")
+    sizes = {"d": n_columns}
+    for name, shape in arrays.items():
+        try:
+            value = np.asarray(params.get(name))
+        except ValueError:                  # ragged nesting
+            value = np.empty(0, dtype=object)
+        if value.dtype.kind not in "if" or value.ndim != len(shape):
+            raise ValueError(f"param {name!r} must be a "
+                             f"{len(shape)}-D array of numbers")
+        for axis, size in zip(shape, value.shape):
+            sizes.setdefault(axis, size)
+        expected = tuple(sizes[axis] for axis in shape)
+        if value.shape != expected:
+            raise ValueError(f"param {name!r} has shape {value.shape}, "
+                             f"expected {expected}")
+    for name in scalars:
+        value = params.get(name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"param {name!r} must be a finite number")

@@ -5,11 +5,15 @@ size as the training set) and considers ceil(sqrt(d)) randomly chosen
 features at every node. Per-tree randomness comes from independent
 child seeds spawned from the model seed, so results are reproducible
 and independent of evaluation order. Each tree's generator first draws
-the bootstrap rows, then, in ``grow_tree``, one block of feature draws
-per depth level for that level's open nodes. The forest predicts the
-mean of per-tree leaf class fractions, summed in tree order from one
-``predict_trees`` walk over the whole ensemble. ``params["trees"]`` holds
-one dict of node arrays per tree (see ``_trees``).
+the bootstrap rows, then, in ``grow_trees``, one block of feature draws
+per depth level for that tree's open nodes. Trees grow together in passes
+of as many trees as fit PASS_CELLS root cells (bootstrap rows x
+features per node; see ``_trees``), in seed order; since each tree draws
+only from its own generator, a tree comes out the same whatever pass it
+is grown in. The forest predicts the mean of per-tree leaf class
+fractions, summed in tree order from one ``predict_trees`` walk over the
+whole ensemble. ``params["trees"]`` holds one dict of node arrays per tree
+(see ``_trees``).
 """
 
 from __future__ import annotations
@@ -21,9 +25,14 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels
-from ._trees import bin_features, grow_tree, predict_trees
+from ._trees import bin_features, grow_trees, predict_trees
 
 logger = logging.getLogger(__name__)
+
+# root cells (bootstrap rows x features_per_node) of the trees grown in one
+# pass; at 2 ** 17, a pass holds 12 trees of 1,200 rows and 72 features, and
+# from 7,282 rows at that width, one tree
+PASS_CELLS = 2 ** 17
 
 DEFAULTS = {
     "n_trees": 100,
@@ -52,13 +61,15 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
     binned = bin_features(X)
     features_per_node = int(math.ceil(math.sqrt(d)))
     children = np.random.SeedSequence(seed).spawn(n_trees)
+    per_pass = max(1, PASS_CELLS // (n * features_per_node))
     trees = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        boot = rng.integers(0, n, size=n)
-        trees.append(grow_tree(binned, boot, y, max_depth=max_depth,
-                               min_leaf=min_leaf,
-                               features_per_node=features_per_node, rng=rng))
+    for first in range(0, n_trees, per_pass):
+        rngs = [np.random.default_rng(child)
+                for child in children[first:first + per_pass]]
+        boots = [rng.integers(0, n, size=n) for rng in rngs]
+        trees += grow_trees(binned, boots, y, max_depth=max_depth,
+                            min_leaf=min_leaf,
+                            features_per_node=features_per_node, rngs=rngs)
     logger.info("forest: %d trees on %d rows x %d features", n_trees, n, d)
     return {
         "n_trees": n_trees,

@@ -139,11 +139,6 @@ def load_score_definition(path_or_name: str) -> ScoreDefinition:
                            components=components)
 
 
-def load_default_scores() -> dict[str, ScoreDefinition]:
-    """The five packaged early-warning scores, in canonical order."""
-    return {name: load_score_definition(name) for name in SCORE_NAMES}
-
-
 def band_points(value: float, component: ScoreComponent) -> int:
     """Points for one value; NoBand if it falls through every band."""
     if value is not None and not math.isnan(value):

@@ -229,6 +229,36 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
     assert not (tmp_path / "preds.csv").exists()
 
 
+@pytest.mark.parametrize("kind, name, change", [
+    ("logistic", "weights", lambda v: v[:-1]),
+    ("logistic", "mean", lambda v: v + [0.0]),
+    ("logistic", "std", lambda v: [[x] for x in v]),
+    ("logistic", "weights", lambda v: ["x"] * len(v)),
+    ("logistic", "bias", lambda v: "nan"),
+    ("logistic", "bias", lambda v: None),
+    ("mlp", "W1", lambda v: v[1:]),
+    ("mlp", "W1", lambda v: [row[:-1] for row in v]),
+    ("mlp", "b1", lambda v: v[:-1]),
+    ("mlp", "w2", lambda v: v + [1.0]),
+    ("mlp", "std", lambda v: v[:-1]),
+    ("mlp", "b2", lambda v: [v]),
+])
+def test_predict_rejects_misshapen_dense_params(run_all, tmp_path, caplog,
+                                                kind, name, change):
+    good = run_all / "out" / "models" / f"critical_triage_{kind}.json"
+    payload = json.loads(good.read_text())
+    payload["params"][name] = change(payload["params"][name])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    rc = cli.main(["predict", "--model-file", str(path),
+                   "--input", str(run_all / "out" / "test.csv"),
+                   "--output", str(tmp_path / "preds.csv")])
+    assert rc == 3
+    # a W1 one column short is caught at b1, whose width no longer matches
+    assert "param '" in caplog.text
+    assert not (tmp_path / "preds.csv").exists()
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

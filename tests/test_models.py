@@ -14,7 +14,7 @@ from edbench.errors import (ConfigError, DataError, DegenerateLabels,
 from edbench.models import (build_feature_matrix, load_manifest, load_model,
                             predict_proba, rf_variable_importance, save_model,
                             train_model)
-from edbench.models import _trees, boosting
+from edbench.models import _trees, boosting, forest
 from edbench.models._trees import (TREE_FIELDS, bin_features, grow_tree,
                                    predict_trees)
 from edbench.models.boosting import fit_boosting, predict_boosting
@@ -373,6 +373,126 @@ def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
         assert len(trees) == len(oracle_trees) == 15
         for new, old in zip(trees, oracle_trees):
             _assert_equal_to_oracle(new, old)
+
+
+def _assert_same_trees(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert list(a) == list(b) == list(TREE_FIELDS)
+        for name in TREE_FIELDS:
+            assert a[name].dtype == b[name].dtype, name
+            assert np.array_equal(a[name], b[name]), name
+
+
+def _forest_in_passes(X, y, per_pass, **kwargs):
+    """fit_forest's trees with the pass budget set to ``per_pass`` trees, and
+    the same trees grown one at a time with ``grow_tree``, each from its own
+    generator as the forest.py docstring says."""
+    n, d = X.shape
+    features_per_node = math.ceil(math.sqrt(d))
+    with mock.patch.object(forest, "PASS_CELLS",
+                           per_pass * n * features_per_node):
+        trees = fit_forest(X, y, **kwargs)["trees"]
+    binned = bin_features(X)
+    alone = []
+    for child in np.random.SeedSequence(kwargs["seed"]).spawn(
+            kwargs["n_trees"]):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, n, size=n)
+        alone.append(grow_tree(binned, boot, y, max_depth=kwargs["max_depth"],
+                               min_leaf=kwargs["min_leaf"],
+                               features_per_node=features_per_node, rng=rng))
+    return trees, alone
+
+
+@st.composite
+def _forest_data(draw):
+    """Like _tree_data, with up to 9 features, so that most forests draw a
+    feature subset (ceil(sqrt(d)) < d from d = 3 on)."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 9))
+    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(
+        [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    y[:2] = (0.0, 1.0)
+    return X, y
+
+
+# one tree per pass, an uneven last pass (3 + 3 + 1), all trees in one pass
+_PASSES = [1, 3, 7]
+
+
+@pytest.mark.parametrize("per_pass", _PASSES)
+@settings(max_examples=40)
+@given(data=_forest_data(), max_depth=st.integers(1, 8),
+       min_leaf=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_forest_grown_in_passes_equals_trees_grown_alone(per_pass, data,
+                                                         max_depth, min_leaf,
+                                                         seed):
+    X, y = data
+    _assert_same_trees(*_forest_in_passes(
+        X, y, per_pass, n_trees=7, max_depth=max_depth, min_leaf=min_leaf,
+        seed=seed))
+
+
+def _tree_depth(tree):
+    depth = np.zeros(len(tree["feature"]), dtype=int)
+    for i, left in enumerate(tree["left"].tolist()):
+        if left >= 0:
+            depth[left] = depth[left + 1] = depth[i] + 1
+    return int(depth.max())
+
+
+@pytest.mark.parametrize("per_pass", _PASSES)
+def test_forest_passes_mix_one_leaf_trees_and_depths(per_pass):
+    # three positives in twelve rows: some bootstraps miss them all and grow
+    # one leaf, the others stop at different depths, some at max_depth
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(12, 9))
+    y = np.zeros(12)
+    y[:3] = 1.0
+    for min_leaf in (1, 2, 3):
+        trees, alone = _forest_in_passes(X, y, per_pass, n_trees=7,
+                                         max_depth=3, min_leaf=min_leaf,
+                                         seed=2)
+        _assert_same_trees(trees, alone)
+        depths = {_tree_depth(tree) for tree in trees}
+        assert 0 in depths and len(depths) >= 3, depths
+        assert min_leaf == 3 or 3 in depths, depths
+
+
+@pytest.mark.parametrize("newton", [False, True], ids=["tree", "newton_tree"])
+@settings(max_examples=50)
+@given(data=_tree_data(), max_depth=st.integers(1, 5),
+       min_leaf=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_split_search_cache_never_goes_stale(newton, data, max_depth,
+                                             min_leaf, seed):
+    # one BinnedFeatures across calls, as boosting keeps it across stages:
+    # the same rows with new labels, rows in another order, a bootstrap,
+    # and rows the caller changed in place after a call
+    X, y = data
+    n = len(y)
+    rng = np.random.default_rng(seed)
+    binned = bin_features(X)
+
+    def check(rows, labels):
+        kwargs = {"max_depth": max_depth, "min_leaf": min_leaf}
+        if newton:
+            resid = labels - rng.uniform(0.2, 0.8, size=n)
+            kwargs.update(leaf_grad=resid, leaf_hess=np.full(n, 0.25))
+            labels = resid
+        new = grow_tree(binned, rows, labels, **kwargs)
+        _assert_equal_to_oracle(
+            new, _depth_first_grow_tree(binned, rows, labels, **kwargs))
+
+    idx = np.arange(n)
+    check(idx, y)
+    check(idx, 1.0 - y)
+    check(idx[::-1], y)
+    boot = rng.integers(0, n, size=n)
+    check(boot, y)
+    boot[:] = np.sort(boot)         # the caller reorders its rows in place
+    check(boot, y)
 
 
 # -- ensemble prediction -----------------------------------------------------------

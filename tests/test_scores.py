@@ -13,7 +13,12 @@ import pytest
 
 from edbench.errors import BadAcuity, ConfigError, NoBand
 from edbench.scores import (SCORE_NAMES, band_points, compute_score, esi_risk,
-                            load_default_scores, load_score_definition)
+                            load_score_definition)
+
+
+def _packaged_scores():
+    """The five packaged early-warning scores, in canonical order."""
+    return {name: load_score_definition(name) for name in SCORE_NAMES}
 
 
 # -- independent chart transcriptions ----------------------------------------
@@ -124,7 +129,7 @@ def test_bands_cover_reals():
 
 
 def test_worked_examples():
-    defs = load_default_scores()
+    defs = _packaged_scores()
     rec = {"age": 30, "triage_resprate": 18.0, "triage_o2sat": 99.0,
            "triage_temperature": 37.0, "triage_sbp": 120.0,
            "triage_dbp": 80.0, "triage_heartrate": 95.0,
@@ -155,7 +160,7 @@ def test_worked_examples():
 
 
 def test_news2_differs_from_news_only_on_o2sat():
-    defs = load_default_scores()
+    defs = _packaged_scores()
     rec = {"triage_resprate": 16.0, "triage_o2sat": 85.0,
            "triage_temperature": 37.0, "triage_sbp": 120.0,
            "triage_dbp": 70.0, "triage_heartrate": 80.0}
@@ -168,7 +173,7 @@ def test_news2_differs_from_news_only_on_o2sat():
 
 
 def test_map_derivation():
-    defs = load_default_scores()
+    defs = _packaged_scores()
     # MAP = dbp + (sbp - dbp)/3 = 40 + 80/3 = 66.67 -> 2 points
     rec = {"age": 30, "triage_sbp": 120.0, "triage_dbp": 40.0,
            "triage_heartrate": 80.0, "triage_resprate": 16.0,
@@ -181,7 +186,7 @@ def test_map_derivation():
 
 
 def test_missing_inputs_contribute_zero_and_are_recorded():
-    defs = load_default_scores()
+    defs = _packaged_scores()
     res = compute_score(defs["news"], {"triage_heartrate": 95.0})
     assert res.total == 1
     assert set(res.missing) == {"resprate", "o2sat", "temperature", "sbp"}
@@ -190,7 +195,7 @@ def test_missing_inputs_contribute_zero_and_are_recorded():
 
 
 def test_ed_vitals_source():
-    defs = load_default_scores()
+    defs = _packaged_scores()
     rec = {"triage_heartrate": 120.0, "ed_heartrate": 80.0,
            "triage_resprate": 16.0, "ed_resprate": 16.0,
            "triage_o2sat": 98.0, "ed_o2sat": 98.0,
@@ -204,7 +209,7 @@ def test_ed_vitals_source():
 
 
 def test_consumes_counts_match_report_column():
-    defs = load_default_scores()
+    defs = _packaged_scores()
     assert {n: len(d.consumes) for n, d in defs.items()} == {
         "news": 6, "news2": 6, "mews": 6, "rems": 6, "cart": 4}
 
