@@ -356,8 +356,7 @@ def _train(cfg: PipelineConfig, records: list[dict], tasks=TASK_ORDER,
             name = path.stem
             runtimes[name] = seconds
             counts[name] = {"rows": len(records),
-                            "n_variables": model.n_variables,
-                            "seconds": round(seconds, 3)}
+                            "n_variables": model.n_variables}
             paths.append(path)
             logger.info("trained %s in %.2fs", name, seconds)
 

@@ -18,7 +18,7 @@ Outcome definitions:
   (0, 72h] of this stay's outtime.
 
 Rows are emitted in stay_id order, so the output is invariant to input
-row order.
+row order. ``column_kind`` is the one place a column's kind is named.
 """
 
 from __future__ import annotations
@@ -199,6 +199,25 @@ def master_columns(cmap: ComorbidityMap | None = None,
     return cols
 
 
+def column_kind(name: str) -> str:
+    """One of ``id``, ``sex``, ``flag``, ``index`` (cci/eci, 0/1 or an
+    ordinal 0-2), ``count`` and ``number``: the family of ``master_columns``
+    a column comes from, which picks its CSV parser, cohort-summary row and
+    feature encoding. It goes by name, not by the packaged maps, so an
+    outside CSV reads the same under any map."""
+    if name in ("subject_id", "stay_id", "hadm_id"):
+        return "id"
+    if name == "gender":
+        return "sex"
+    if name.startswith(("cci_", "eci_")):
+        return "index"
+    if name in ("age", "triage_pain", "triage_acuity") or name.startswith("n_"):
+        return "count"
+    if name.startswith("chiefcom_") or name in OUTCOME_COLUMNS:
+        return "flag"
+    return "number"
+
+
 def build_master(
     cohort: LinkedCohort,
     lookback_days: int = DEFAULT_LOOKBACK_DAYS,
@@ -221,7 +240,6 @@ def build_master(
         icu_times[sid] = sorted(i.intime for i in icus if i.intime is not None)
 
     # formatted keys are interned, so every record shares one string per column
-    skipped_codes = 0
     records: list[dict] = []
     for stay in cohort.stays:
         patient = cohort.patients[stay.subject_id]
@@ -247,8 +265,7 @@ def build_master(
         for name, hit in matcher.match(complaint).items():
             rec[intern(f"chiefcom_{name}")] = hit
 
-        codes, skipped = collect_codes_in_lookback(cohort, stay, lookback_days)
-        skipped_codes += skipped
+        codes = collect_codes_in_lookback(cohort, stay, lookback_days)
         rec.update(map_to_cci(codes, cmap))
         rec.update(map_to_eci(codes, cmap))
 
@@ -267,20 +284,12 @@ def build_master(
         rec["outcome_ed_reattendance_72h"] = label_ed_reattendance_72h(stay, cohort)
         records.append(rec)
 
-    if skipped_codes:
-        logger.warning("%d diagnosis code rows skipped (unresolvable admissions)",
-                       skipped_codes)
     logger.info("master dataset: %d records, %d columns",
                 len(records), len(master_columns(cmap, matcher)))
     return records
 
 
 # -- master CSV i/o -----------------------------------------------------------
-
-_INT_COLUMNS = {"subject_id", "stay_id", "hadm_id", "age", "triage_pain",
-                "triage_acuity", "n_med", "n_medrecon"}
-_STR_COLUMNS = {"gender"}
-
 
 def _int_if_integral(s: str):
     # int-ish columns may hold fractional values after imputation (a median
@@ -291,14 +300,15 @@ def _int_if_integral(s: str):
     return int(value) if value == int(value) else value
 
 
-def _column_parser(col: str):
-    if col in _STR_COLUMNS:
-        return lambda s: s if s else None
-    if (col in _INT_COLUMNS or col.startswith(("n_", "cci_", "eci_"))):
-        return _int_if_integral
-    if col.startswith("chiefcom_") or col in OUTCOME_COLUMNS:
-        return lambda s: None if not s else bool(int(s))
-    return parse_float
+# kind -> parser of one CSV cell
+_PARSERS = {
+    "id": _int_if_integral,
+    "sex": lambda s: s if s else None,
+    "flag": lambda s: None if not s else bool(int(s)),
+    "index": _int_if_integral,
+    "count": _int_if_integral,
+    "number": parse_float,
+}
 
 
 def write_master_csv(records: list[dict], path: str,
@@ -321,7 +331,7 @@ def read_master_csv(path: str) -> tuple[list[dict], list[str]]:
             columns = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        parsers = [_column_parser(c) for c in columns]
+        parsers = [_PARSERS[column_kind(c)] for c in columns]
         records = []
         for row in reader:
             if len(row) != len(columns):

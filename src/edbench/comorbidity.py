@@ -151,13 +151,13 @@ def collect_codes_in_lookback(
     cohort: LinkedCohort,
     stay: EdStayRecord,
     lookback_days: int = DEFAULT_LOOKBACK_DAYS,
-) -> tuple[list[CodePair], int]:
+) -> list[CodePair]:
     """Gather diagnosis codes from admissions inside the lookback window.
 
     The window is [intime - lookback_days, intime), half-open at the ED
     arrival, and the admission linked to the index visit is excluded
-    outright. Returns (code pairs, skipped) where skipped counts the
-    subject's diagnosis rows that could not be resolved to any admission.
+    outright. Diagnosis rows of unknown admissions never reach here:
+    ``link_tables`` counts and drops them.
     """
     window_start = stay.intime - dt.timedelta(days=lookback_days)
     codes: list[CodePair] = []
@@ -170,5 +170,4 @@ def collect_codes_in_lookback(
             continue
         for diag in cohort.diagnoses_by_hadm.get(adm.hadm_id, ()):
             codes.append((diag.icd_code, diag.icd_version))
-    skipped = cohort.unresolved_diag_by_subject.get(stay.subject_id, 0)
-    return codes, skipped
+    return codes

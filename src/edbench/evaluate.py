@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cohort import column_kind
 from .errors import NoPositives, OneClassOnly, ResampleExhausted
 
 logger = logging.getLogger(__name__)
@@ -213,14 +214,6 @@ def evaluate_predictions(scores, labels, *, B: int = DEFAULT_BOOTSTRAP,
 # cohort summary
 
 
-_ID_COLUMNS = {"subject_id", "stay_id", "hadm_id"}
-
-
-def _is_binary_column(name: str) -> bool:
-    return (name.startswith("chiefcom_") or name.startswith("cci_")
-            or name.startswith("eci_") or name.startswith("outcome_"))
-
-
 def _fmt_mean_sd(values: list[float]) -> str:
     if not values:
         return ""
@@ -239,8 +232,9 @@ def summarize_cohort(records: list[dict], strata: tuple[str, ...] = ()) -> list[
     """Per-variable summary rows: continuous mean (SD), binary count (%).
 
     One column overall plus one per requested outcome stratum (records
-    where that outcome is positive). Sample SD uses the n-1 denominator;
-    acuity is expanded into one count row per level.
+    where that outcome is positive). Rows follow ``cohort.column_kind``:
+    ids are left out, flags and 0/1 indices give count (%), the rest mean
+    (SD), n-1 denominator; gender is a male count, acuity one per level.
     """
     if not records:
         return []
@@ -258,11 +252,11 @@ def summarize_cohort(records: list[dict], strata: tuple[str, ...] = ()) -> list[
 
     add_row("n", lambda subset: str(len(subset)))
 
-    ordinal_prefix = ("cci_", "eci_")
     for name in records[0].keys():
-        if name in _ID_COLUMNS:
+        kind = column_kind(name)
+        if kind == "id":
             continue
-        if name == "gender":
+        if kind == "sex":
             add_row("gender_male", lambda subset: _fmt_count_pct(
                 sum(1 for r in subset if r.get("gender") == "M"), len(subset)))
         elif name == "triage_acuity":
@@ -270,8 +264,7 @@ def summarize_cohort(records: list[dict], strata: tuple[str, ...] = ()) -> list[
                 add_row(f"triage_acuity={level}", lambda subset, lv=level: _fmt_count_pct(
                     sum(1 for r in subset if r.get("triage_acuity") == lv),
                     len(subset)))
-        elif _is_binary_column(name) and not (
-                name.startswith(ordinal_prefix) and _has_nonbinary(records, name)):
+        elif kind == "flag" or (kind == "index" and not _has_nonbinary(records, name)):
             add_row(name, lambda subset, nm=name: _fmt_count_pct(
                 sum(1 for r in subset if r.get(nm)), len(subset)))
         else:

@@ -192,9 +192,6 @@ class LinkedCohort:
     diagnoses_by_hadm: dict[int, list[DiagnosisRecord]]
     dropped_stays: list[tuple[int, str]]
     orphan_counts: dict[str, int]
-    # per subject, diagnosis rows whose hadm_id has no admissions row; these
-    # cannot be placed on a timeline and are skipped by lookback collection
-    unresolved_diag_by_subject: dict[int, int] = field(default_factory=dict)
 
 
 # -- schema -----------------------------------------------------------------
@@ -532,20 +529,20 @@ def link_tables(tables: RawTables) -> LinkedCohort:
         lambda i: (i.intime is None, i.intime, i.icu_stay_id))
 
     diagnoses_by_hadm: dict[int, list[DiagnosisRecord]] = {}
-    unresolved_diag: dict[int, int] = {}
+    unresolved_diag = 0
     for drec in tables.diagnoses_icd:
         if drec.subject_id not in patients:
             orphans["diagnoses_icd"] += 1
             continue
         if drec.hadm_id not in admissions_by_hadm:
-            unresolved_diag[drec.subject_id] = unresolved_diag.get(drec.subject_id, 0) + 1
+            unresolved_diag += 1
             continue
         diagnoses_by_hadm.setdefault(drec.hadm_id, []).append(drec)
     for lst in diagnoses_by_hadm.values():
         lst.sort(key=lambda d: d.seq_num)
     if unresolved_diag:
         logger.warning("%d diagnosis rows reference unknown admissions (skipped)",
-                       sum(unresolved_diag.values()))
+                       unresolved_diag)
 
     # Vitals charted far outside their stay window are suspicious but kept.
     window_violations = 0
@@ -585,5 +582,4 @@ def link_tables(tables: RawTables) -> LinkedCohort:
         diagnoses_by_hadm=diagnoses_by_hadm,
         dropped_stays=dropped,
         orphan_counts=orphans,
-        unresolved_diag_by_subject=unresolved_diag,
     )

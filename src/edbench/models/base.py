@@ -45,6 +45,7 @@ MODEL_KINDS = tuple(_KINDS)
 _COUNTS = ("n_trees", "n_stages", "max_depth", "min_leaf", "hidden", "epochs",
            "batch_size")
 _POSITIVE = ("C", "learning_rate")
+_MOMENTS = ("beta1", "beta2")      # Adam divides by 1 - beta**t
 
 # the arrays of the logistic and MLP params, by shape: "d" is the number of
 # feature columns, "h" the MLP's hidden width (the columns of W1); the
@@ -86,7 +87,8 @@ class TrainedModel:
 
 def resolve_hyperparams(kind: str, overrides: dict) -> dict:
     """The defaults of ``kind`` updated by ``overrides``. An unknown kind,
-    an unknown name or an out-of-range value raises ConfigError."""
+    an unknown name or an out-of-range value (a non-finite float among
+    them) raises ConfigError."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
     hyper = dict(_KINDS[kind][2])
@@ -95,10 +97,14 @@ def resolve_hyperparams(kind: str, overrides: dict) -> dict:
             raise ConfigError(f"{kind}: unknown hyperparameter {key!r}")
         if isinstance(hyper[key], int) and not isinstance(value, int):
             raise ConfigError(f"{kind}: {key} must be an integer, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{kind}: {key} must be finite, got {value!r}")
         if key in _COUNTS and not value >= 1:
             raise ConfigError(f"{kind}: {key} must be >= 1, got {value!r}")
         if key in _POSITIVE and not value > 0:
             raise ConfigError(f"{kind}: {key} must be > 0, got {value!r}")
+        if key in _MOMENTS and not 0 <= value < 1:
+            raise ConfigError(f"{kind}: {key} must be in [0, 1), got {value!r}")
         hyper[key] = value
     return hyper
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import read_data_file
+from ..cohort import column_kind
 from ..errors import ConfigError, DataError
 
 TIME_POINTS = ("triage", "disposition")
@@ -64,17 +65,8 @@ class FeatureMatrix:
         return manifest_fingerprint(self.columns)
 
 
-def _numeric(value, column: str) -> float:
-    if value is None:
-        return np.nan
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if column == "gender":
-        # gender is stored as F/M; encoded male=1
-        if value in ("M", "F"):
-            return 1.0 if value == "M" else 0.0
-        return np.nan
-    return float(value)
+# sex is stored as F/M; encoded male=1, any other value missing
+_SEX_CODES = {"M": 1.0, "F": 0.0}
 
 
 def build_feature_matrix(
@@ -86,8 +78,10 @@ def build_feature_matrix(
 ) -> FeatureMatrix:
     """Assemble X and y for one task from benchmark records.
 
-    Missing cells become NaN; after the pipeline's imputation there are
-    none, and the trainers reject non-finite input outright.
+    Each manifest column is converted on its own: missing cells become
+    NaN and flags 0/1, and a ``sex`` column (``cohort.column_kind``) is
+    encoded M=1, F=0. After the pipeline's imputation nothing is missing,
+    and the trainers reject non-finite input outright.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {sorted(TASKS)}")
@@ -98,19 +92,19 @@ def build_feature_matrix(
             raise ConfigError(f"unknown time point {time_point!r}")
         manifest = load_manifest(time_point)
 
-    n, d = len(records), len(manifest)
-    X = np.empty((n, d), dtype=np.float64)
-    y = np.empty(n, dtype=bool)
-    ids = np.empty(n, dtype=np.int64)
-    for i, rec in enumerate(records):
-        for j, col in enumerate(manifest):
-            if col not in rec:
-                raise DataError(f"record lacks manifest column {col!r}")
-            X[i, j] = _numeric(rec[col], col)
-        label = rec.get(label_col)
-        if label is None:
-            raise DataError(f"record lacks label column {label_col!r}")
-        y[i] = bool(label)
-        ids[i] = rec["stay_id"]
+    X = np.empty((len(records), len(manifest)), dtype=np.float64)
+    for j, col in enumerate(manifest):
+        try:
+            values = [rec[col] for rec in records]
+        except KeyError:
+            raise DataError(f"record lacks manifest column {col!r}") from None
+        if column_kind(col) == "sex":
+            values = [_SEX_CODES.get(v, np.nan) for v in values]
+        X[:, j] = np.asarray(values, dtype=np.float64)
+    labels = [rec.get(label_col) for rec in records]
+    if any(label is None for label in labels):
+        raise DataError(f"record lacks label column {label_col!r}")
+    y = np.array([bool(label) for label in labels], dtype=bool)
+    ids = np.array([rec["stay_id"] for rec in records], dtype=np.int64)
     return FeatureMatrix(X=X, y=y, columns=list(manifest), task=task,
                          time_point=time_point, split=split, stay_ids=ids)

@@ -1,9 +1,14 @@
 import copy
 import datetime as dt
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edbench.clean_split import (apply_cleaning, apply_imputer, fit_imputer,
                                  load_cleaning_config)
-from edbench.cohort import (compute_age, count_prior_events,
+from edbench.cohort import (column_kind, compute_age, count_prior_events,
                             load_complaint_matcher, master_columns,
                             read_master_csv, write_master_csv)
 from edbench.ingest import PatientRecord
@@ -174,3 +179,55 @@ def test_master_csv_round_trip(master, tmp_path):
         row3 = text[3].split(",")     # stay 9003, acuity missing
         acuity_col = columns.index("triage_acuity")
         assert row3[acuity_col] == ""
+
+
+# Python type of a present value, per kind (None is always allowed)
+_KIND_TYPES = {"id": int, "sex": str, "flag": bool, "index": int,
+               "count": int, "number": float}
+
+
+def test_column_kind_matches_built_types(master):
+    columns = master_columns()
+    assert list(master[0]) == columns
+    for col in columns:
+        kind = column_kind(col)
+        types = {type(rec[col]) for rec in master if rec[col] is not None}
+        assert types <= {_KIND_TYPES[kind]}, (col, kind, types)
+        if kind == "index":
+            assert {rec[col] for rec in master} <= {0, 1, 2}, col
+
+
+# names outside the packaged maps read by the name rule: an outcome_ name
+# that is not one of the five outcomes is a number, an n_ name a count
+_EXTRA_KINDS = {"outcome_extra": "number", "n_extra": "count"}
+_WHOLE = st.integers(-(2 ** 53), 2 ** 53)        # exact through a float parse
+_FRACTIONAL = st.floats(-1e6, 1e6).filter(lambda v: v != int(v))
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 1e-300]))
+_VALUES = {
+    "id": st.one_of(st.none(), _WHOLE),
+    "sex": st.sampled_from([None, "F", "M"]),
+    "flag": st.sampled_from([None, True, False]),
+    "index": st.sampled_from([0, 1, 2]),
+    "count": st.one_of(st.none(), _WHOLE, _FRACTIONAL),
+    "number": st.one_of(st.none(), _NUMBER),
+}
+_HEADER = master_columns() + list(_EXTRA_KINDS)
+
+
+def _typed(records):
+    # repr tells 3 from 3.0, True from 1 and -0.0 from 0.0
+    return [{k: repr(v) for k, v in rec.items()} for rec in records]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.fixed_dictionaries(
+    {col: _VALUES[column_kind(col)] for col in _HEADER}), max_size=4))
+def test_master_csv_round_trips_every_kind(records):
+    assert {c: column_kind(c) for c in _EXTRA_KINDS} == _EXTRA_KINDS
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "master.csv")
+        write_master_csv(records, path, columns=_HEADER)
+        back, columns = read_master_csv(path)
+    assert columns == _HEADER
+    assert _typed(back) == _typed(records)

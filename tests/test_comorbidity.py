@@ -5,11 +5,16 @@ tables; a mapping change that flips any of them is a regression, not a
 refactor.
 """
 
-import pytest
+import logging
 
+import pytest
+from conftest import write_raw
+
+from edbench.cohort import build_master
 from edbench.comorbidity import (collect_codes_in_lookback, default_map,
                                  map_to_cci, map_to_eci, normalize_code)
 from edbench.errors import UnknownVersion
+from edbench.ingest import link_tables, read_raw_tables
 
 # (code, version) -> fields expected at value >= 1, with ordinal levels
 # spelled out where they matter
@@ -168,17 +173,28 @@ def test_unknown_version_raises():
 
 def test_lookback_collects_prior_admissions_only(linked):
     stays = {s.stay_id: s for s in linked.stays}
-    codes, unresolved = collect_codes_in_lookback(linked, stays[9001])
-    assert unresolved == 0
+    codes = collect_codes_in_lookback(linked, stays[9001])
     # admission 504 (2149-08) is in the 5y window; own admission 501 is not
     assert sorted(c for c, _ in codes) == ["25000", "41011"]
     # the next visit sees admission 501 like any other history
-    codes2, _ = collect_codes_in_lookback(linked, stays[9002])
+    codes2 = collect_codes_in_lookback(linked, stays[9002])
     assert sorted(c for c, _ in codes2) == ["25000", "41011", "I500"]
 
 
 def test_lookback_window_excludes_old_admissions(linked):
     stays = {s.stay_id: s for s in linked.stays}
     # shrink the window to 1 year: admission 504 (19 months before) drops out
-    codes, _ = collect_codes_in_lookback(linked, stays[9001], lookback_days=365)
+    codes = collect_codes_in_lookback(linked, stays[9001], lookback_days=365)
     assert codes == []
+
+
+def test_unknown_admission_diagnosis_is_counted_once(tmp_path, caplog):
+    # subject 101 keeps three visits; the row must be counted once, not per visit
+    write_raw(tmp_path)
+    with open(tmp_path / "diagnoses_icd.csv", "a") as fh:
+        fh.write("101,999,1,4280,9\n")
+    caplog.set_level(logging.WARNING)
+    build_master(link_tables(read_raw_tables(str(tmp_path))))
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING and "diagnosis" in r.getMessage()]
+    assert warned == ["1 diagnosis rows reference unknown admissions (skipped)"]

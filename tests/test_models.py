@@ -849,6 +849,14 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
     ("boosting", "learning_rate", -1.0),
     ("boosting", "n_stages", 2.5),
     ("mlp", "epochs", 2.5),
+    ("boosting", "learning_rate", float("inf")),
+    ("logistic", "C", float("inf")),
+    ("logistic", "tol", float("nan")),
+    ("mlp", "eps", float("inf")),
+    ("mlp", "beta1", 1.0),
+    ("mlp", "beta2", 1.0),
+    ("mlp", "beta1", -0.1),
+    ("mlp", "beta2", float("nan")),
 ])
 def test_train_model_rejects_out_of_range_hyperparams(kind, key, value):
     with pytest.raises(ConfigError, match=key):
