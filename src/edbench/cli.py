@@ -7,9 +7,10 @@ fits the baseline models, ``evaluate`` produces the report and figures,
 ``predict`` scores new visits with a saved model, and ``all`` chains
 the stages end to end, handing records on in memory: its CSVs are
 artifacts, and the inputs of single-stage runs. One INI file configures
-every stage; each run ends by writing ``run_manifest.json`` recording the
-resolved config hash, versions, per-stage row counts, and artifact hashes
-so a run can be audited and reproduced.
+every stage; each run ends by writing ``run_manifest.json`` (``predict``:
+``<output name>.manifest.json`` beside its output) recording the resolved
+config hash, versions, per-stage row counts, and artifact hashes so a run
+can be audited and reproduced.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 integrity error.
 """
@@ -165,8 +166,12 @@ class PipelineConfig:
                     cfg.synth = SynthConfig(**kwargs)
                 elif section.startswith("models."):
                     kind = section.partition(".")[2]
+                    # configparser lowercases keys; hyperparameters like C are not
+                    names = {name.lower(): name
+                             for name in resolve_hyperparams(kind, {})}
                     overrides = {}
                     for key, raw in parser[section].items():
+                        key = names.get(key, key)
                         try:
                             overrides[key] = int(raw)
                         except ValueError:
@@ -569,9 +574,11 @@ def main(argv=None) -> int:
     try:
         cfg = PipelineConfig.from_ini(args.config)
         stages, written = _dispatch(args, cfg)
-        # predict leaves its manifest beside the predictions it wrote
+        # predict names its manifest after the predictions it wrote, so
+        # runs into one directory keep theirs and the pipeline's
         if args.command == "predict":
-            manifest_path = Path(args.output).parent / MANIFEST_NAME
+            output = Path(args.output)
+            manifest_path = output.with_name(output.name + ".manifest.json")
         else:
             manifest_path = _out_path(cfg, MANIFEST_NAME)
         _write_manifest(cfg, args.command, stages, written, manifest_path)

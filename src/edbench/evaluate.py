@@ -5,8 +5,16 @@ average ranks in O(n log n); the test suite pins it against a brute-force
 pairwise count. AUPRC is average precision with equal scores grouped
 into a single step, so constant scores give exactly the prevalence.
 Confidence intervals come from seeded bootstrap resampling; resamples on
-which the metric is undefined (one class only) are redrawn so every
-interval rests on the full number of effective samples.
+which the metric is undefined are redrawn so every interval rests on the
+full number of effective samples. AUROC, sensitivity and specificity
+redraw a resample holding one class only, AUPRC one without a positive.
+
+Each metric draws its resamples from its own child stream of the seed, and
+whether a draw is kept depends on the labels alone. So every report row of
+a task (same labels, same seed) is scored on one shared set of resamples, a
+paired bootstrap: ``build_report`` draws each task's four (B, n) index
+blocks once and scores every row against them as array operations, giving
+the same bits as calling the metric on each resample.
 
 Report output mirrors the benchmark table layout: one row per
 (task, model) with threshold, AUROC/AUPRC/sensitivity/specificity each
@@ -136,39 +144,129 @@ def sens_spec_at(scores, labels, threshold: float) -> tuple[float, float]:
     return tp / n_pos, tn / n_neg
 
 
-def bootstrap_ci(metric, scores, labels, B: int = DEFAULT_BOOTSTRAP,
-                 seed=0) -> tuple[float, float]:
-    """95% percentile interval from B seeded resamples with replacement.
-
-    Resamples on which ``metric`` raises OneClassOnly/NoPositives are
-    redrawn; after 10*B total draws the attempt is abandoned.
-    """
-    s, y = _as_arrays(scores, labels)
-    n = len(s)
+def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    children = root.spawn(B)
-    samples = []
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def _draw_resamples(n: int, B: int, seq: np.random.SeedSequence,
+                    accept) -> np.ndarray:
+    """(B, n) block of resample indices, drawn with replacement.
+
+    ``seq`` spawns B child streams; row k is the first draw of stream k
+    that ``accept(idx)`` takes. After 10*B draws in all the attempt is
+    abandoned with ResampleExhausted.
+    """
+    block = np.empty((B, n), dtype=np.int64)
     attempts = 0
-    for child in children:
+    for k, child in enumerate(seq.spawn(B)):
         rng = np.random.default_rng(child)
         while True:
             attempts += 1
             if attempts > 10 * B:
                 raise ResampleExhausted(
                     f"no valid resample after {attempts - 1} draws "
-                    f"({len(samples)} of {B} collected)")
+                    f"({k} of {B} collected)")
             idx = rng.integers(0, n, size=n)
-            try:
-                samples.append(float(metric(s[idx], y[idx])))
-            except (OneClassOnly, NoPositives):
-                continue
-            break
-    samples.sort()
+            if accept(idx):
+                break
+        block[k] = idx
+    return block
+
+
+def bootstrap_ci(metric, scores, labels, B: int = DEFAULT_BOOTSTRAP,
+                 seed=0) -> tuple[float, float]:
+    """95% percentile interval from B seeded resamples with replacement.
+
+    ``metric`` is called once per resample; resamples on which it raises
+    OneClassOnly/NoPositives are redrawn; after 10*B total draws the
+    attempt is abandoned.
+    """
+    s, y = _as_arrays(scores, labels)
+    samples = []
+
+    def accept(idx) -> bool:
+        try:
+            samples.append(float(metric(s[idx], y[idx])))
+        except (OneClassOnly, NoPositives):
+            return False
+        return True
+
+    _draw_resamples(len(s), B, _seed_sequence(seed), accept)
     low, high = np.percentile(samples, [2.5, 97.5])
     return float(low), float(high)
+
+
+def _resample_blocks(y: np.ndarray, B: int, streams) -> tuple[np.ndarray, ...]:
+    """Index blocks for the AUROC, AUPRC, sensitivity and specificity
+    intervals, one stream each. Validity depends on the labels alone: AUPRC
+    needs a positive, the others both classes."""
+    n = len(y)
+
+    def has_positive(idx) -> bool:
+        return y[idx].sum() > 0
+
+    def has_both(idx) -> bool:
+        return 0 < y[idx].sum() < n
+
+    return tuple(_draw_resamples(n, B, seq, accept) for seq, accept in
+                 zip(streams, (has_both, has_positive, has_both, has_both)))
+
+
+def _tie_group_counts(s: np.ndarray, y: np.ndarray, idx: np.ndarray):
+    """Negatives and positives that each resample row of ``idx`` draws from
+    each of the G distinct values of ``s``, in ascending order: two
+    (len(idx), G) arrays."""
+    values, group = np.unique(s, return_inverse=True)
+    width = 2 * len(values)
+    flat = (group + len(values) * (y == 1))[idx]
+    flat += width * np.arange(len(idx))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=width * len(idx))
+    return counts.reshape(len(idx), 2, len(values)).transpose(1, 0, 2)
+
+
+def _auroc_rows(s: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``auroc`` on every resample row of ``idx``, bit for bit: average ranks
+    are half-integers, so twice the rank sum is counted exactly in integers."""
+    neg, pos = _tie_group_counts(s, y, idx)
+    size = neg + pos
+    # twice a group's average rank: 2 * (draws below it) + size + 1
+    twice_rank = np.cumsum(size, axis=1)
+    twice_rank *= 2
+    twice_rank -= size
+    twice_rank += 1
+    twice_rank *= pos
+    rank_sum = twice_rank.sum(axis=1) / 2.0
+    n_pos = pos.sum(axis=1).astype(np.float64)
+    n_neg = idx.shape[1] - n_pos
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _auprc_rows(s: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``auprc`` on every resample row of ``idx``, bit for bit: the terms are
+    summed left to right along each row, and tie groups a resample did not
+    draw add 0.0."""
+    neg, pos = _tie_group_counts(-s, y, idx)    # descending scores
+    tp = np.cumsum(pos, axis=1)
+    seen = np.cumsum(neg, axis=1)
+    seen += tp
+    np.maximum(seen, 1, out=seen)    # 0 before the first group drawn
+    terms = tp / seen                # precision
+    terms *= pos / tp[:, -1:]        # recall gained
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+# resample rows are scored a slice of about this many cells at a time, so
+# the per-slice (rows, G) temporaries stay far below one (B, n) index block
+_SLICE_CELLS = 2**18
+
+
+def _by_slices(rows_metric, s: np.ndarray, y: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+    step = max(1, _SLICE_CELLS // idx.shape[1])
+    return np.concatenate([rows_metric(s, y, idx[i:i + step])
+                           for i in range(0, len(idx), step)])
 
 
 def evaluate_predictions(scores, labels, *, B: int = DEFAULT_BOOTSTRAP,
@@ -176,37 +274,54 @@ def evaluate_predictions(scores, labels, *, B: int = DEFAULT_BOOTSTRAP,
     """Point estimates plus bootstrap CIs for one (task, model) pair.
 
     The cutoff is chosen once on the full data; sensitivity/specificity
-    resamples hold that threshold fixed.
+    resamples hold that threshold fixed. Scores must not be NaN and
+    labels must be 0 or 1.
     """
+    return _evaluate(scores, labels, B, seed, {})
+
+
+def _evaluate(scores, labels, B: int, seed, draws: dict) -> dict:
+    """``evaluate_predictions``, reusing the index blocks in ``draws`` when
+    the labels and streams match and otherwise replacing them."""
     s, y = _as_arrays(scores, labels)
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
     curve = roc_curve(s, y)
     threshold = optimal_cutoff(curve)
     sens, spec = sens_spec_at(s, y, threshold)
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    seq_auroc, seq_auprc, seq_sens, seq_spec = root.spawn(4)
-    auroc_ci = bootstrap_ci(auroc, s, y, B=B, seed=seq_auroc)
-    auprc_ci = bootstrap_ci(auprc, s, y, B=B, seed=seq_auprc)
-    sens_ci = bootstrap_ci(lambda a, b: sens_spec_at(a, b, threshold)[0],
-                           s, y, B=B, seed=seq_sens)
-    spec_ci = bootstrap_ci(lambda a, b: sens_spec_at(a, b, threshold)[1],
-                           s, y, B=B, seed=seq_spec)
+    streams = _seed_sequence(seed).spawn(4)
+    key = (y.tobytes(), B, tuple(
+        (tuple(np.atleast_1d(q.entropy).tolist()), q.spawn_key, q.pool_size)
+        for q in streams))
+    if key not in draws:
+        draws.clear()
+        draws[key] = _resample_blocks(y, B, streams)
+    idx_auroc, idx_auprc, idx_sens, idx_spec = draws[key]
+    pos = y == 1
+    pred = s >= threshold
+    samples = np.stack([
+        _by_slices(_auroc_rows, s, y, idx_auroc),
+        _by_slices(_auprc_rows, s, y, idx_auprc),
+        (pred & pos)[idx_sens].sum(axis=1) / pos[idx_sens].sum(axis=1),
+        (~pred & ~pos)[idx_spec].sum(axis=1) / (~pos)[idx_spec].sum(axis=1),
+    ])
+    low, high = np.percentile(samples, [2.5, 97.5], axis=1).tolist()
     return {
         "threshold": threshold,
         "auroc": float(auroc(s, y)),
-        "auroc_low": auroc_ci[0],
-        "auroc_high": auroc_ci[1],
+        "auroc_low": low[0],
+        "auroc_high": high[0],
         "auprc": float(auprc(s, y)),
-        "auprc_low": auprc_ci[0],
-        "auprc_high": auprc_ci[1],
+        "auprc_low": low[1],
+        "auprc_high": high[1],
         "sensitivity": sens,
-        "sensitivity_low": sens_ci[0],
-        "sensitivity_high": sens_ci[1],
+        "sensitivity_low": low[2],
+        "sensitivity_high": high[2],
         "specificity": spec,
-        "specificity_low": spec_ci[0],
-        "specificity_high": spec_ci[1],
+        "specificity_low": low[3],
+        "specificity_high": high[3],
     }
 
 
@@ -307,10 +422,16 @@ class ModelResult:
 
 def build_report(results: list[ModelResult], *, B: int = DEFAULT_BOOTSTRAP,
                  seed=0) -> list[dict]:
-    """Evaluate every result into a report row; rows keep input order."""
+    """Evaluate every result into a report row; rows keep input order.
+
+    Consecutive rows with equal labels and equal resample streams (an
+    integer seed gives every row the same streams) share one set of index
+    blocks, dropped when either changes: list a task's rows together.
+    """
     rows = []
+    draws: dict = {}
     for res in results:
-        metrics = evaluate_predictions(res.scores, res.labels, B=B, seed=seed)
+        metrics = _evaluate(res.scores, res.labels, B, seed, draws)
         row = {"task": res.task, "model": res.model}
         row.update(metrics)
         row["runtime_seconds"] = res.runtime_seconds

@@ -199,6 +199,23 @@ def test_out_of_range_hyperparameter_is_a_config_error(run_all, tmp_path):
         assert not list((tmp_path / "out" / "models").glob("*"))
 
 
+def test_logistic_C_is_settable_from_ini(run_all, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(run_all / "out" / "train.csv", out)
+    ini = tmp_path / "cfg.ini"
+    head = f"[pipeline]\noutput_dir = {out}\n\n[models.logistic]\n"
+    train = ["train", "--config", str(ini), "--task", "critical",
+             "--model", "logistic"]
+    ini.write_text(head + "C = inf\n")
+    assert cli.main(train) == 2
+    assert [p.name for p in out.iterdir()] == ["train.csv"]
+    ini.write_text(head + "C = 0.5\n")
+    assert cli.main(train) == 0
+    saved = json.loads((out / "models" / "critical_triage_logistic.json").read_text())
+    assert saved["hyperparams"]["C"] == 0.5
+
+
 def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
     good = run_all / "out" / "models" / "critical_triage_logistic.json"
     text = good.read_text()
@@ -353,10 +370,31 @@ def test_predict_writes_manifest_beside_output(run_all, tmp_path, monkeypatch):
                    "--input", str(run_all / "out" / "test.csv"),
                    "--output", str(out_csv)])
     assert rc == 0
-    manifest = json.loads((out_csv.parent / "run_manifest.json").read_text())
+    assert sorted(p.name for p in out_csv.parent.iterdir()) == [
+        "preds.csv", "preds.csv.manifest.json"]
+    manifest = json.loads((out_csv.parent / "preds.csv.manifest.json").read_text())
     assert manifest["command"] == "predict"
     assert list(manifest["artifacts"]) == [str(out_csv)]
     assert not (tmp_path / "out").exists()
+
+
+def test_predict_runs_into_output_dir_keep_every_manifest(run_all, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("test.csv", "run_manifest.json"):
+        shutil.copy(run_all / "out" / name, out)
+    pipeline_manifest = (out / "run_manifest.json").read_bytes()
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[pipeline]\noutput_dir = {out}\n")
+    model = run_all / "out" / "models" / "critical_triage_logistic.json"
+    for name in ("a.csv", "b.csv"):
+        assert cli.main(["predict", "--config", str(ini),
+                         "--model-file", str(model), "--input", str(out / "test.csv"),
+                         "--output", str(out / name)]) == 0
+    for name in ("a.csv", "b.csv"):
+        manifest = json.loads((out / f"{name}.manifest.json").read_text())
+        assert list(manifest["artifacts"]) == [str(out / name)]
+    assert (out / "run_manifest.json").read_bytes() == pipeline_manifest
 
 
 def test_manifest_artifact_keys_are_absolute(tmp_path, monkeypatch):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edbench.errors import NoPositives, OneClassOnly, ResampleExhausted
-from edbench.evaluate import (REPORT_COLUMNS, ModelResult, auprc, auroc,
+from edbench.evaluate import (REPORT_COLUMNS, ModelResult, _auprc_rows,
+                              _auroc_rows, _resample_blocks, auprc, auroc,
                               bootstrap_ci, build_report,
                               evaluate_predictions, optimal_cutoff,
                               render_report, roc_curve, sens_spec_at,
@@ -164,6 +167,78 @@ def test_evaluate_predictions_keys_threshold_and_seeding():
     assert from_seq == out
     for name in ("auroc", "auprc", "sensitivity", "specificity"):
         assert out[f"{name}_low"] <= out[f"{name}_high"]
+
+
+def test_evaluate_predictions_rejects_nan_scores_and_nonbinary_labels():
+    s = np.array([0.1, 0.4, 0.35, 0.8])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        evaluate_predictions(np.r_[s[:3], np.nan], y, B=5)
+    with pytest.raises(ValueError, match="0 or 1"):
+        evaluate_predictions(s, np.array([0.0, 2.0, 1.0, 1.0]), B=5)
+
+
+@st.composite
+def _tie_heavy_task(draw):
+    """Labels with one to three of one class, three score columns that tie a
+    lot (an ESI-like 1-5 level, an early-warning-like 0-20 total and a
+    constant) and a model-like probability."""
+    n = draw(st.integers(4, 60))
+    positives = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                              max_size=min(3, n - 1), unique=True))
+    y = np.zeros(n)
+    y[positives] = 1.0
+    if draw(st.booleans()):     # few negatives instead
+        y = 1.0 - y
+    columns = [np.array(draw(st.lists(st.integers(lo, hi), min_size=n,
+                                      max_size=n)), dtype=np.float64)
+               for lo, hi in ((1, 5), (0, 20))]
+    columns.append(np.full(n, float(draw(st.integers(0, 20)))))
+    columns.append(np.array(draw(st.lists(st.floats(0, 1), min_size=n,
+                                          max_size=n))))
+    return y, columns
+
+
+@settings(max_examples=60)
+@given(task=_tie_heavy_task(), B=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_intervals_equal_per_resample_metrics(task, B, seed):
+    y, columns = task
+    rows = build_report([ModelResult("T", f"m{i}", s, y, 0.0, 1)
+                         for i, s in enumerate(columns)], B=B, seed=seed)
+    for row, s in zip(rows, columns):
+        thr = row["threshold"]
+        per_resample = {
+            "auroc": auroc,
+            "auprc": auprc,
+            "sensitivity": lambda a, b: sens_spec_at(a, b, thr)[0],
+            "specificity": lambda a, b: sens_spec_at(a, b, thr)[1],
+        }
+        streams = np.random.SeedSequence(seed).spawn(4)
+        for (name, metric), stream in zip(per_resample.items(), streams):
+            # bootstrap_ci calls the metric once per resample it draws
+            assert (row[f"{name}_low"], row[f"{name}_high"]) == bootstrap_ci(
+                metric, s, y, B=B, seed=stream), name
+    # each resample's value, not only the two order statistics above
+    blocks = _resample_blocks(y, B, np.random.SeedSequence(seed).spawn(4))
+    for s in columns:
+        assert _auroc_rows(s, y, blocks[0]).tolist() == [
+            auroc(s[idx], y[idx]) for idx in blocks[0]]
+        assert _auprc_rows(s, y, blocks[1]).tolist() == [
+            auprc(s[idx], y[idx]) for idx in blocks[1]]
+    with pytest.raises(ResampleExhausted):
+        _resample_blocks(np.ones(len(y)), B,
+                         np.random.SeedSequence(seed).spawn(4))
+
+
+def test_seed_sequence_rows_draw_their_own_resamples():
+    results = _two_results()
+    assert np.array_equal(results[0].labels, results[1].labels)
+    rows = build_report(results, B=20, seed=np.random.SeedSequence(5))
+    root = np.random.SeedSequence(5)
+    for row, res in zip(rows, results):
+        expected = evaluate_predictions(res.scores, res.labels, B=20, seed=root)
+        assert {key: row[key] for key in expected} == expected
 
 
 def test_metrics_invariant_to_row_order():
