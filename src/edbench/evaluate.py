@@ -1,20 +1,21 @@
 """Discrimination metrics, bootstrap intervals, and report rendering.
 
-AUROC is the Mann-Whitney statistic (ties credited 0.5), computed from
-average ranks in O(n log n); the test suite pins it against a brute-force
-pairwise count. AUPRC is average precision with equal scores grouped
-into a single step, so constant scores give exactly the prevalence.
-Confidence intervals come from seeded bootstrap resampling; resamples on
-which the metric is undefined are redrawn so every interval rests on the
-full number of effective samples. AUROC, sensitivity and specificity
-redraw a resample holding one class only, AUPRC one without a positive.
+Each metric has one implementation, a row kernel that scores every row of
+an index array: point estimates run it on the identity index, bootstrap
+intervals on (B, n) resample blocks. AUROC and AUPRC read the tie-group
+counts of the scores. AUROC is the Mann-Whitney statistic (ties credited
+0.5), pinned by the tests against a brute-force pairwise count. AUPRC is
+average precision with equal scores grouped into a single step, so
+constant scores give exactly the prevalence. Specificity is the recall of
+the negative calls on the negatives.
 
-Each metric draws its resamples from its own child stream of the seed, and
-whether a draw is kept depends on the labels alone. So every report row of
-a task (same labels, same seed) is scored on one shared set of resamples, a
-paired bootstrap: ``build_report`` draws each task's four (B, n) index
-blocks once and scores every row against them as array operations, giving
-the same bits as calling the metric on each resample.
+Resamples on which a metric is undefined are redrawn, so every interval
+rests on B effective samples: AUROC, sensitivity and specificity redraw
+one holding one class only, AUPRC one without a positive. Each metric
+draws from its own child stream of an integer seed, and whether a draw is
+kept depends on the labels alone. So all report rows of a task share one
+set of index blocks, a paired bootstrap, and ``build_report`` draws anew
+only when a row's labels differ from the previous row's.
 
 Report output mirrors the benchmark table layout: one row per
 (task, model) with threshold, AUROC/AUPRC/sensitivity/specificity each
@@ -39,6 +40,7 @@ from .errors import NoPositives, OneClassOnly, ResampleExhausted
 logger = logging.getLogger(__name__)
 
 DEFAULT_BOOTSTRAP = 100
+_METRICS = ("auroc", "auprc", "sensitivity", "specificity")
 
 
 def _as_arrays(scores, labels):
@@ -49,54 +51,78 @@ def _as_arrays(scores, labels):
     return s, y
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the group average."""
-    order = np.argsort(values, kind="mergesort")
-    v = values[order]
-    n = len(v)
-    grp = np.cumsum(np.r_[True, v[1:] != v[:-1]]) - 1
-    counts = np.bincount(grp)
-    ends = np.cumsum(counts).astype(np.float64)
-    starts = ends - counts + 1
-    avg = (starts + ends) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = avg[grp]
-    return ranks
+def _require_both_classes(y: np.ndarray, what: str) -> None:
+    n_pos = y.sum()
+    if n_pos == 0 or n_pos == len(y):
+        raise OneClassOnly(f"{what} needs both classes present")
+
+
+def _identity(n: int) -> np.ndarray:
+    return np.arange(n)[None]    # one index row: the whole sample
+
+
+def _tie_group_counts(s: np.ndarray, y: np.ndarray, idx: np.ndarray):
+    """The G distinct values of ``s`` in ascending order, and the negatives
+    and positives that each row of ``idx`` draws from each of them: two
+    (len(idx), G) arrays."""
+    values, group = np.unique(s, return_inverse=True)
+    width = 2 * len(values)
+    flat = (group + len(values) * (y == 1))[idx]
+    flat += width * np.arange(len(idx))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=width * len(idx))
+    neg, pos = counts.reshape(len(idx), 2, len(values)).transpose(1, 0, 2)
+    return values, neg, pos
+
+
+def _auroc_rows(s: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """AUROC of every row of ``idx``. Average ranks are half-integers, so
+    twice the rank sum is counted exactly in integers."""
+    _, neg, pos = _tie_group_counts(s, y, idx)
+    size = neg + pos
+    # twice a group's average rank: 2 * (draws below it) + size + 1
+    twice_rank = np.cumsum(size, axis=1)
+    twice_rank *= 2
+    twice_rank -= size
+    twice_rank += 1
+    twice_rank *= pos
+    rank_sum = twice_rank.sum(axis=1) / 2.0
+    n_pos = pos.sum(axis=1).astype(np.float64)
+    n_neg = idx.shape[1] - n_pos
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _auprc_rows(s: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """AUPRC of every row of ``idx``: precision times the recall gained,
+    summed left to right over the tie groups in descending score order, so
+    each row equals a plain prefix-enumeration loop bit for bit. Tie groups
+    a row did not draw add 0.0."""
+    _, neg, pos = _tie_group_counts(-s, y, idx)    # descending scores
+    tp = np.cumsum(pos, axis=1)
+    seen = np.cumsum(neg, axis=1)
+    seen += tp
+    np.maximum(seen, 1, out=seen)    # 0 before the first group drawn
+    terms = tp / seen                # precision
+    terms *= pos / tp[:, -1:]        # recall gained
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _recall_rows(pred: np.ndarray, pos: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Share of the ``pos`` cases that ``pred`` calls, on every row of
+    ``idx``; specificity is the recall of ``~pred`` on ``~pos``."""
+    return (pred & pos)[idx].sum(axis=1) / pos[idx].sum(axis=1)
 
 
 def auroc(scores, labels) -> float:
     s, y = _as_arrays(scores, labels)
-    n_pos = float(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("auroc needs both classes present")
-    ranks = _average_ranks(s)
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _descending_groups(s: np.ndarray, y: np.ndarray):
-    """Cumulative TP/FP after each distinct score, descending."""
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    last = np.r_[s_sorted[1:] != s_sorted[:-1], True]  # end of each tie group
-    tp = np.cumsum(y_sorted)[last]
-    fp = np.cumsum(1.0 - y_sorted)[last]
-    return s_sorted[last], tp, fp
+    _require_both_classes(y, "auroc")
+    return float(_auroc_rows(s, y, _identity(len(s)))[0])
 
 
 def auprc(scores, labels) -> float:
     s, y = _as_arrays(scores, labels)
-    n_pos = float(y.sum())
-    if n_pos == 0:
+    if y.sum() == 0:
         raise NoPositives("auprc needs at least one positive label")
-    _, tp, fp = _descending_groups(s, y)
-    precision = tp / (tp + fp)
-    step = np.diff(np.r_[0.0, tp]) / n_pos  # recall gained in each group
-    # sequential accumulation, so the result is bit-identical to a plain
-    # prefix-enumeration loop over tie groups
-    return float(sum((precision * step).tolist()))
+    return float(_auprc_rows(s, y, _identity(len(s)))[0])
 
 
 @dataclass
@@ -113,15 +139,14 @@ class RocCurve:
 def roc_curve(scores, labels) -> RocCurve:
     """One point per distinct threshold; positive iff score >= threshold."""
     s, y = _as_arrays(scores, labels)
-    n_pos = float(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("roc_curve needs both classes present")
-    thr, tp, fp = _descending_groups(s, y)
+    _require_both_classes(y, "roc_curve")
+    values, neg, pos = _tie_group_counts(-s, y, _identity(len(s)))
+    fp = np.cumsum(neg[0])
+    tp = np.cumsum(pos[0])
     return RocCurve(
-        fpr=np.r_[0.0, fp / n_neg],
-        tpr=np.r_[0.0, tp / n_pos],
-        thresholds=np.r_[np.inf, thr],
+        fpr=np.r_[0.0, fp / fp[-1]],
+        tpr=np.r_[0.0, tp / tp[-1]],
+        thresholds=np.r_[np.inf, -values],
     )
 
 
@@ -134,20 +159,12 @@ def optimal_cutoff(curve: RocCurve) -> float:
 
 def sens_spec_at(scores, labels, threshold: float) -> tuple[float, float]:
     s, y = _as_arrays(scores, labels)
-    n_pos = float(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("sens_spec_at needs both classes present")
+    _require_both_classes(y, "sens_spec_at")
     pred = s >= threshold
-    tp = float(np.sum(pred & (y == 1)))
-    tn = float(np.sum(~pred & (y == 0)))
-    return tp / n_pos, tn / n_neg
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+    pos = y == 1
+    whole = _identity(len(s))
+    return (float(_recall_rows(pred, pos, whole)[0]),
+            float(_recall_rows(~pred, ~pos, whole)[0]))
 
 
 def _draw_resamples(n: int, B: int, seq: np.random.SeedSequence,
@@ -181,7 +198,8 @@ def bootstrap_ci(metric, scores, labels, B: int = DEFAULT_BOOTSTRAP,
 
     ``metric`` is called once per resample; resamples on which it raises
     OneClassOnly/NoPositives are redrawn; after 10*B total draws the
-    attempt is abandoned.
+    attempt is abandoned. ``seed`` is an integer or a SeedSequence, such as
+    one of the four streams ``_resample_blocks`` spawns.
     """
     s, y = _as_arrays(scores, labels)
     samples = []
@@ -193,15 +211,17 @@ def bootstrap_ci(metric, scores, labels, B: int = DEFAULT_BOOTSTRAP,
             return False
         return True
 
-    _draw_resamples(len(s), B, _seed_sequence(seed), accept)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    _draw_resamples(len(s), B, seed, accept)
     low, high = np.percentile(samples, [2.5, 97.5])
     return float(low), float(high)
 
 
-def _resample_blocks(y: np.ndarray, B: int, streams) -> tuple[np.ndarray, ...]:
+def _resample_blocks(y: np.ndarray, B: int, seed: int) -> tuple[np.ndarray, ...]:
     """Index blocks for the AUROC, AUPRC, sensitivity and specificity
-    intervals, one stream each. Validity depends on the labels alone: AUPRC
-    needs a positive, the others both classes."""
+    intervals, from four child streams of ``seed``. Validity depends on the
+    labels alone: AUPRC needs a positive, the others both classes."""
     n = len(y)
 
     def has_positive(idx) -> bool:
@@ -210,51 +230,9 @@ def _resample_blocks(y: np.ndarray, B: int, streams) -> tuple[np.ndarray, ...]:
     def has_both(idx) -> bool:
         return 0 < y[idx].sum() < n
 
+    streams = np.random.SeedSequence(seed).spawn(4)
     return tuple(_draw_resamples(n, B, seq, accept) for seq, accept in
                  zip(streams, (has_both, has_positive, has_both, has_both)))
-
-
-def _tie_group_counts(s: np.ndarray, y: np.ndarray, idx: np.ndarray):
-    """Negatives and positives that each resample row of ``idx`` draws from
-    each of the G distinct values of ``s``, in ascending order: two
-    (len(idx), G) arrays."""
-    values, group = np.unique(s, return_inverse=True)
-    width = 2 * len(values)
-    flat = (group + len(values) * (y == 1))[idx]
-    flat += width * np.arange(len(idx))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=width * len(idx))
-    return counts.reshape(len(idx), 2, len(values)).transpose(1, 0, 2)
-
-
-def _auroc_rows(s: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``auroc`` on every resample row of ``idx``, bit for bit: average ranks
-    are half-integers, so twice the rank sum is counted exactly in integers."""
-    neg, pos = _tie_group_counts(s, y, idx)
-    size = neg + pos
-    # twice a group's average rank: 2 * (draws below it) + size + 1
-    twice_rank = np.cumsum(size, axis=1)
-    twice_rank *= 2
-    twice_rank -= size
-    twice_rank += 1
-    twice_rank *= pos
-    rank_sum = twice_rank.sum(axis=1) / 2.0
-    n_pos = pos.sum(axis=1).astype(np.float64)
-    n_neg = idx.shape[1] - n_pos
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _auprc_rows(s: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``auprc`` on every resample row of ``idx``, bit for bit: the terms are
-    summed left to right along each row, and tie groups a resample did not
-    draw add 0.0."""
-    neg, pos = _tie_group_counts(-s, y, idx)    # descending scores
-    tp = np.cumsum(pos, axis=1)
-    seen = np.cumsum(neg, axis=1)
-    seen += tp
-    np.maximum(seen, 1, out=seen)    # 0 before the first group drawn
-    terms = tp / seen                # precision
-    terms *= pos / tp[:, -1:]        # recall gained
-    return np.cumsum(terms, axis=1)[:, -1]
 
 
 # resample rows are scored a slice of about this many cells at a time, so
@@ -269,60 +247,47 @@ def _by_slices(rows_metric, s: np.ndarray, y: np.ndarray,
                            for i in range(0, len(idx), step)])
 
 
-def evaluate_predictions(scores, labels, *, B: int = DEFAULT_BOOTSTRAP,
-                         seed=0) -> dict:
-    """Point estimates plus bootstrap CIs for one (task, model) pair.
-
-    The cutoff is chosen once on the full data; sensitivity/specificity
-    resamples hold that threshold fixed. Scores must not be NaN and
-    labels must be 0 or 1.
-    """
-    return _evaluate(scores, labels, B, seed, {})
-
-
-def _evaluate(scores, labels, B: int, seed, draws: dict) -> dict:
-    """``evaluate_predictions``, reusing the index blocks in ``draws`` when
-    the labels and streams match and otherwise replacing them."""
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s, y = _as_arrays(scores, labels)
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
-    curve = roc_curve(s, y)
-    threshold = optimal_cutoff(curve)
-    sens, spec = sens_spec_at(s, y, threshold)
-    streams = _seed_sequence(seed).spawn(4)
-    key = (y.tobytes(), B, tuple(
-        (tuple(np.atleast_1d(q.entropy).tolist()), q.spawn_key, q.pool_size)
-        for q in streams))
-    if key not in draws:
-        draws.clear()
-        draws[key] = _resample_blocks(y, B, streams)
-    idx_auroc, idx_auprc, idx_sens, idx_spec = draws[key]
+    _require_both_classes(y, "evaluation")
+    return s, y
+
+
+def evaluate_predictions(scores, labels, *, B: int = DEFAULT_BOOTSTRAP,
+                         seed: int = 0) -> dict:
+    """Point estimates plus bootstrap CIs for one (task, model) pair.
+
+    The cutoff is chosen once on the full data; sensitivity/specificity
+    resamples hold that threshold fixed. Scores must not be NaN and
+    labels must be 0 or 1, both classes present.
+    """
+    s, y = _checked(scores, labels)
+    return _evaluate_row(s, y, _resample_blocks(y, B, seed))
+
+
+def _evaluate_row(s: np.ndarray, y: np.ndarray, blocks) -> dict:
+    """``evaluate_predictions`` on the index blocks ``_resample_blocks``
+    drew for the labels ``y``."""
+    threshold = optimal_cutoff(roc_curve(s, y))
     pos = y == 1
     pred = s >= threshold
+    idx_auroc, idx_auprc, idx_sens, idx_spec = blocks
     samples = np.stack([
         _by_slices(_auroc_rows, s, y, idx_auroc),
         _by_slices(_auprc_rows, s, y, idx_auprc),
-        (pred & pos)[idx_sens].sum(axis=1) / pos[idx_sens].sum(axis=1),
-        (~pred & ~pos)[idx_spec].sum(axis=1) / (~pos)[idx_spec].sum(axis=1),
+        _recall_rows(pred, pos, idx_sens),
+        _recall_rows(~pred, ~pos, idx_spec),
     ])
     low, high = np.percentile(samples, [2.5, 97.5], axis=1).tolist()
-    return {
-        "threshold": threshold,
-        "auroc": float(auroc(s, y)),
-        "auroc_low": low[0],
-        "auroc_high": high[0],
-        "auprc": float(auprc(s, y)),
-        "auprc_low": low[1],
-        "auprc_high": high[1],
-        "sensitivity": sens,
-        "sensitivity_low": low[2],
-        "sensitivity_high": high[2],
-        "specificity": spec,
-        "specificity_low": low[3],
-        "specificity_high": high[3],
-    }
+    points = (auroc(s, y), auprc(s, y), *sens_spec_at(s, y, threshold))
+    row = {"threshold": threshold}
+    for name, point, lo, hi in zip(_METRICS, points, low, high):
+        row.update({name: point, f"{name}_low": lo, f"{name}_high": hi})
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +386,21 @@ class ModelResult:
 
 
 def build_report(results: list[ModelResult], *, B: int = DEFAULT_BOOTSTRAP,
-                 seed=0) -> list[dict]:
+                 seed: int = 0) -> list[dict]:
     """Evaluate every result into a report row; rows keep input order.
 
-    Consecutive rows with equal labels and equal resample streams (an
-    integer seed gives every row the same streams) share one set of index
-    blocks, dropped when either changes: list a task's rows together.
+    Each row equals ``evaluate_predictions`` on its own with the same seed.
+    Consecutive rows with equal labels share one set of index blocks, which
+    are drawn again when the labels change: list a task's rows together.
     """
     rows = []
-    draws: dict = {}
+    labels = blocks = None
     for res in results:
-        metrics = _evaluate(res.scores, res.labels, B, seed, draws)
+        s, y = _checked(res.scores, res.labels)
+        if labels is None or not np.array_equal(y, labels):
+            labels, blocks = y, _resample_blocks(y, B, seed)
         row = {"task": res.task, "model": res.model}
-        row.update(metrics)
+        row.update(_evaluate_row(s, y, blocks))
         row["runtime_seconds"] = res.runtime_seconds
         row["n_variables"] = res.n_variables
         rows.append(row)

@@ -161,10 +161,6 @@ def test_evaluate_predictions_keys_threshold_and_seeding():
     assert set(out) == expected
     assert out["threshold"] == optimal_cutoff(roc_curve(s, y))
     assert out == evaluate_predictions(s, y, B=25, seed=7)
-    # an explicit SeedSequence reproduces the integer-seed path
-    from_seq = evaluate_predictions(s, y, B=25,
-                                    seed=np.random.SeedSequence(7))
-    assert from_seq == out
     for name in ("auroc", "auprc", "sensitivity", "specificity"):
         assert out[f"{name}_low"] <= out[f"{name}_high"]
 
@@ -220,25 +216,14 @@ def test_batched_intervals_equal_per_resample_metrics(task, B, seed):
             assert (row[f"{name}_low"], row[f"{name}_high"]) == bootstrap_ci(
                 metric, s, y, B=B, seed=stream), name
     # each resample's value, not only the two order statistics above
-    blocks = _resample_blocks(y, B, np.random.SeedSequence(seed).spawn(4))
+    blocks = _resample_blocks(y, B, seed)
     for s in columns:
         assert _auroc_rows(s, y, blocks[0]).tolist() == [
             auroc(s[idx], y[idx]) for idx in blocks[0]]
         assert _auprc_rows(s, y, blocks[1]).tolist() == [
             auprc(s[idx], y[idx]) for idx in blocks[1]]
     with pytest.raises(ResampleExhausted):
-        _resample_blocks(np.ones(len(y)), B,
-                         np.random.SeedSequence(seed).spawn(4))
-
-
-def test_seed_sequence_rows_draw_their_own_resamples():
-    results = _two_results()
-    assert np.array_equal(results[0].labels, results[1].labels)
-    rows = build_report(results, B=20, seed=np.random.SeedSequence(5))
-    root = np.random.SeedSequence(5)
-    for row, res in zip(rows, results):
-        expected = evaluate_predictions(res.scores, res.labels, B=20, seed=root)
-        assert {key: row[key] for key in expected} == expected
+        _resample_blocks(np.ones(len(y)), B, seed)
 
 
 def test_metrics_invariant_to_row_order():
@@ -247,6 +232,66 @@ def test_metrics_invariant_to_row_order():
     perm = rng.permutation(len(s))
     assert auprc(s[perm], y[perm]) == auprc(s, y)
     assert abs(auroc(s[perm], y[perm]) - auroc(s, y)) <= 1e-12
+
+
+@st.composite
+def _scored_labels(draw):
+    """Labels holding both classes, and scores that are either a few tied
+    levels or arbitrary finite floats."""
+    n = draw(st.integers(2, 60))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=np.float64)
+    y[0], y[1] = 0.0, 1.0
+    if draw(st.booleans()):
+        values = st.integers(0, 4).map(float)
+    else:
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+    s = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return s, y
+
+
+@settings(max_examples=200)
+@given(task=_scored_labels(), seed=st.integers(0, 2**32 - 1))
+def test_metrics_depend_only_on_the_score_order(task, seed):
+    s, y = task
+    dense = np.unique(s, return_inverse=True)[1].astype(np.float64)
+    assert auroc(dense, y) == auroc(s, y)
+    assert auprc(dense, y) == auprc(s, y)
+    perm = np.random.default_rng(seed).permutation(len(s))
+    assert auroc(s[perm], y[perm]) == auroc(s, y)
+    assert auprc(s[perm], y[perm]) == auprc(s, y)
+
+
+@settings(max_examples=200)
+@given(task=_scored_labels())
+def test_auroc_reverses_with_scores_or_labels(task):
+    s, y = task
+    flipped = 1.0 - auroc(s, y)
+    assert abs(auroc(-s, y) - flipped) <= 1e-12
+    assert abs(auroc(s, 1.0 - y) - flipped) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(task=_scored_labels(), level=st.floats(-1e6, 1e6, allow_nan=False))
+def test_constant_scores_give_chance_and_prevalence(task, level):
+    _, y = task
+    s = np.full(len(y), level)
+    assert auroc(s, y) == 0.5
+    assert auprc(s, y) == y.mean()
+
+
+def test_interleaved_tasks_match_evaluate_predictions():
+    first, second = _two_results()
+    rng = np.random.default_rng(10)
+    y = rng.integers(0, 2, size=90).astype(float)
+    other = ModelResult(task="Critical", model="GB",
+                        scores=y + rng.normal(size=90), labels=y,
+                        runtime_seconds=0.0, n_variables=72)
+    results = [first, other, second]    # tasks A, B, A
+    rows = build_report(results, B=20, seed=3)
+    for row, res in zip(rows, results):
+        expected = evaluate_predictions(res.scores, res.labels, B=20, seed=3)
+        assert {key: row[key] for key in expected} == expected
 
 
 # -- cohort summary ------------------------------------------------------------
