@@ -30,6 +30,14 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A @ v`` summed in an order fixed by the shapes alone. BLAS splits
+    a matrix-vector product across its threads and rounds some rows
+    differently for each thread count, so model bytes would depend on the
+    machine."""
+    return np.einsum("ij,j->i", A, v, optimize=False)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -47,7 +55,7 @@ def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
     check the analytic gradient against finite differences.
     """
     n = X.shape[0]
-    z = X @ w + b
+    z = matvec(X, w) + b
     loss = float(np.mean(_softplus(z) - y * z) + 0.5 * lam * np.dot(w, w))
     p = sigmoid(z)
     resid = p - y
@@ -120,4 +128,4 @@ def predict_logistic(params: dict, X: np.ndarray) -> np.ndarray:
     std = np.asarray(params["std"])
     w = np.asarray(params["weights"])
     b = params["bias"]
-    return sigmoid(((X - mean) / std) @ w + b)
+    return sigmoid(matvec((X - mean) / std, w) + b)

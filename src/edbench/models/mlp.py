@@ -19,7 +19,7 @@ import logging
 import numpy as np
 
 from ..errors import DataError, NonFiniteLoss
-from .linear import sigmoid, _softplus, standardize_fit
+from .linear import matvec, sigmoid, _softplus, standardize_fit
 
 logger = logging.getLogger(__name__)
 
@@ -129,4 +129,4 @@ def predict_mlp(params: dict, X: np.ndarray) -> np.ndarray:
     w2 = np.asarray(params["w2"])
     b2 = float(params["b2"])
     A1 = np.maximum((X - mean) / std @ W1 + b1, 0.0)
-    return sigmoid(A1 @ w2 + b2)
+    return sigmoid(matvec(A1, w2) + b2)

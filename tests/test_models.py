@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -686,6 +690,52 @@ def test_mlp_learns_and_is_seeded():
     assert ((p > 0.5) == (y > 0.5)).mean() > 0.85
     assert np.array_equal(p, predict_mlp(again, X))
     assert not np.array_equal(p, predict_mlp(other, X))
+
+
+# -- BLAS thread count ----------------------------------------------------------
+
+# Fits LR and a short MLP on a 12,345 x 72 matrix and prints the sha256 of
+# the LR model file and of both models' predictions. With matrix-vector
+# products left to BLAS, the LR file and both predictions at this size and
+# seed differ between one and two OpenBLAS threads.
+_FIT_AND_HASH = """
+import hashlib, os, sys, tempfile
+import numpy as np
+from edbench.models import FeatureMatrix, predict_proba, save_model, train_model
+rng = np.random.default_rng(0)
+X = rng.standard_normal((12345, 72))
+y = (X[:, 0] + rng.standard_normal(len(X)) > 1).astype(np.float64)
+m = FeatureMatrix(X=X, y=y, columns=[f"c{j}" for j in range(72)],
+                  task="hospitalization", time_point="triage", split="train",
+                  stay_ids=np.arange(len(X)))
+lr = train_model(m, "logistic")
+mlp = train_model(m, "mlp", seed=0, epochs=5)
+path = os.path.join(sys.argv[1], "lr.json")
+save_model(lr, path)
+with open(path, "rb") as fh:
+    blobs = [fh.read(), predict_proba(lr, m).tobytes(),
+             predict_proba(mlp, m).tobytes()]
+print(" ".join(hashlib.sha256(blob).hexdigest() for blob in blobs))
+"""
+
+
+def test_lr_and_mlp_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=pythonpath)
+        result = subprocess.run([sys.executable, "-c", _FIT_AND_HASH, str(out)],
+                                env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        digests.append(result.stdout.split())
+    for name, one, two in zip(("LR file", "LR predictions", "MLP predictions"),
+                              *digests):
+        assert one == two, name
 
 
 # -- feature assembly -----------------------------------------------------------
