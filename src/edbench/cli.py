@@ -55,10 +55,7 @@ from .synthdata import SynthConfig, generate_with_truth, write_synthetic
 
 logger = logging.getLogger(__name__)
 
-TASK_ORDER = ("hospitalization", "critical", "reattendance")
-TASK_DISPLAY = {"hospitalization": "Hospitalization", "critical": "Critical",
-                "reattendance": "Reattendance"}
-SCORE_DISPLAY = {name: name.upper() for name in SCORE_NAMES}
+TASK_ORDER = tuple(TASKS)    # the report's task order, and _model_seed's
 
 MASTER_NAME = "master_dataset.csv"
 TRAIN_NAME = "train.csv"
@@ -387,7 +384,7 @@ def _evaluate(cfg: PipelineConfig, train_records: list[dict],
     results: list[ModelResult] = []
     for task in tasks:
         tp = time_point or TASKS[task][1]  # else the task's default
-        display = TASK_DISPLAY[task]
+        display = task.capitalize()
         manifest = _load_task_manifest(cfg, tp)
         matrix = build_feature_matrix(test_records, task, time_point=tp,
                                       manifest=manifest, split="test")
@@ -415,7 +412,7 @@ def _evaluate(cfg: PipelineConfig, train_records: list[dict],
                     [compute_score(definition, rec, vitals_source=source).total
                      for rec in test_records], dtype=np.float64)
                 results.append(ModelResult(
-                    task=display, model=SCORE_DISPLAY[name], scores=totals,
+                    task=display, model=name.upper(), scores=totals,
                     labels=labels, runtime_seconds=0.0,
                     n_variables=len(definition.consumes)))
 

@@ -311,6 +311,9 @@ def test_report_rows_and_order(run_all):
     with open(run_all / "out" / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 26                       # header + 25 model rows
+    # models.TASKS orders the tasks, here and in each fit's seed
+    assert list(dict.fromkeys(r[0] for r in rows[1:])) == [
+        "Hospitalization", "Critical", "Reattendance"]
     hosp = [r[1] for r in rows[1:] if r[0] == "Hospitalization"]
     crit = [r[1] for r in rows[1:] if r[0] == "Critical"]
     reatt = [r[1] for r in rows[1:] if r[0] == "Reattendance"]

@@ -1,11 +1,15 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script, and the README's library snippet, runs
+to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from edbench.synthdata import SynthConfig, write_synthetic
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
@@ -25,3 +29,13 @@ def test_demo_exits_cleanly(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    readme = (REPO_ROOT / "README.md").read_text()
+    snippet = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                        re.S).group(1)
+    write_synthetic(SynthConfig(n_patients=300, seed=3), tmp_path / "data")
+    monkeypatch.chdir(tmp_path)     # the snippet reads ./data
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
