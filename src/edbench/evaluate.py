@@ -48,6 +48,8 @@ def _as_arrays(scores, labels):
     y = np.asarray(labels, dtype=np.float64)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-d sequences")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
     return s, y
 
 
@@ -249,8 +251,6 @@ def _by_slices(rows_metric, s: np.ndarray, y: np.ndarray,
 
 def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s, y = _as_arrays(scores, labels)
-    if np.isnan(s).any():
-        raise ValueError("scores must not be NaN")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     _require_both_classes(y, "evaluation")

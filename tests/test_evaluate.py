@@ -98,6 +98,15 @@ def test_degenerate_label_errors():
     assert auprc(s, np.array([1.0, 1.0])) == 1.0
 
 
+def test_nan_scores_are_rejected():
+    s = np.array([np.nan, np.nan, 0.1, 0.2])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    for metric in (auroc, auprc, roc_curve,
+                   lambda a, b: sens_spec_at(a, b, 0.15)):
+        with pytest.raises(ValueError, match="NaN"):
+            metric(s, y)
+
+
 def test_roc_curve_shape_and_direction():
     rng = np.random.default_rng(2)
     s, y = _random_fixture(rng)
