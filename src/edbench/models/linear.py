@@ -33,8 +33,8 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``A @ v`` summed in an order fixed by the shapes alone. BLAS splits
     a matrix-vector product across its threads and rounds some rows
-    differently for each thread count, so model bytes would depend on the
-    machine."""
+    differently for each thread count, so model bytes would change with
+    the thread count."""
     return np.einsum("ij,j->i", A, v, optimize=False)
 
 
