@@ -5,13 +5,16 @@ ED stays plus child tables keyed by stay, subject, or admission. This module
 parses them into typed records with explicit error semantics and links them
 into an in-memory cohort object the rest of the pipeline consumes.
 
-SCHEMAS is the one place column types live: for each table it lists the
-columns in header order, each with a cell kind. parse_table, write_table
-and REQUIRED_COLUMNS are all derived from it.
+SCHEMAS is the one place a table is declared: for each table it names the
+record type and lists the columns in header order, each with a cell kind.
+The record types (EdStayRecord ... PyxisRecord, one field per column, and
+RawTables), parse_table, write_table and REQUIRED_COLUMNS are all derived
+from it.
 
 Error semantics, applied uniformly:
 
 * a required header missing from a table aborts (MissingColumn);
+* a header that names a column twice aborts (MalformedRow);
 * a row with the wrong field count aborts (MalformedRow), as does a
   structural key cell that does not parse as an integer;
 * a non-empty, unparseable timestamp aborts only in the root table's time
@@ -36,7 +39,7 @@ import datetime as dt
 import logging
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, make_dataclass
 from operator import attrgetter
 
 from ._util import (
@@ -64,175 +67,45 @@ TEMPERATURE_UNITS = ("fahrenheit", "celsius")
 VITAL_FIELDS = ("temperature", "heartrate", "resprate", "o2sat", "sbp", "dbp")
 
 
-# -- record types -----------------------------------------------------------
-
-@dataclass
-class EdStayRecord:
-    subject_id: int
-    hadm_id: int | None
-    stay_id: int
-    intime: dt.datetime
-    outtime: dt.datetime | None
-    disposition: str
-
-
-@dataclass
-class TriageRecord:
-    subject_id: int
-    stay_id: int
-    temperature: float | None
-    heartrate: float | None
-    resprate: float | None
-    o2sat: float | None
-    sbp: float | None
-    dbp: float | None
-    pain: int | None
-    acuity: int | None
-    chiefcomplaint: str
-
-
-@dataclass
-class VitalSignRecord:
-    subject_id: int
-    stay_id: int
-    charttime: dt.datetime | None
-    temperature: float | None
-    heartrate: float | None
-    resprate: float | None
-    o2sat: float | None
-    sbp: float | None
-    dbp: float | None
-
-
-@dataclass
-class PatientRecord:
-    subject_id: int
-    gender: str | None
-    anchor_age: int
-    anchor_year: int
-    dod: dt.date | None
-
-
-@dataclass
-class AdmissionRecord:
-    subject_id: int
-    hadm_id: int
-    admittime: dt.datetime | None
-    dischtime: dt.datetime | None
-    deathtime: dt.datetime | None
-
-
-@dataclass
-class IcuStayRecord:
-    subject_id: int
-    hadm_id: int | None
-    icu_stay_id: int
-    intime: dt.datetime | None
-    outtime: dt.datetime | None
-
-
-@dataclass
-class DiagnosisRecord:
-    subject_id: int
-    hadm_id: int
-    seq_num: int
-    icd_code: str
-    icd_version: int
-
-
-@dataclass
-class MedreconRecord:
-    subject_id: int
-    stay_id: int
-    name: str
-
-
-@dataclass
-class PyxisRecord:
-    subject_id: int
-    stay_id: int
-    charttime: dt.datetime | None
-    name: str
-
-
-@dataclass
-class RawTables:
-    """The nine parsed tables, still unlinked."""
-
-    edstays: list[EdStayRecord] = field(default_factory=list)
-    triage: list[TriageRecord] = field(default_factory=list)
-    vitalsign: list[VitalSignRecord] = field(default_factory=list)
-    patients: list[PatientRecord] = field(default_factory=list)
-    admissions: list[AdmissionRecord] = field(default_factory=list)
-    icustays: list[IcuStayRecord] = field(default_factory=list)
-    diagnoses_icd: list[DiagnosisRecord] = field(default_factory=list)
-    medrecon: list[MedreconRecord] = field(default_factory=list)
-    pyxis: list[PyxisRecord] = field(default_factory=list)
-
-
-@dataclass
-class LinkedCohort:
-    """Root stays plus per-stay and per-subject attachment indices.
-
-    Attachment lists are sorted by their natural time field so downstream
-    window logic can rely on order. ``dropped_stays`` records (stay_id,
-    reason) pairs; ``orphan_counts`` counts dropped child rows per table.
-    """
-
-    stays: list[EdStayRecord]
-    patients: dict[int, PatientRecord]
-    triage_by_stay: dict[int, TriageRecord]
-    vitals_by_stay: dict[int, list[VitalSignRecord]]
-    medrecon_by_stay: dict[int, list[MedreconRecord]]
-    pyxis_by_stay: dict[int, list[PyxisRecord]]
-    stays_by_subject: dict[int, list[EdStayRecord]]
-    admissions_by_subject: dict[int, list[AdmissionRecord]]
-    admissions_by_hadm: dict[int, AdmissionRecord]
-    icustays_by_subject: dict[int, list[IcuStayRecord]]
-    diagnoses_by_hadm: dict[int, list[DiagnosisRecord]]
-    dropped_stays: list[tuple[int, str]]
-    orphan_counts: dict[str, int]
-
-
 # -- schema -----------------------------------------------------------------
 #
-# Each table's columns in header order, each with its cell kind: the name of
-# the _TableReader method that parses it (docs/data_dictionary.md tabulates
-# what each kind does with empty and unparseable cells). Record fields follow
-# header order, so records are built and written positionally; icustays'
-# stay_id column is the icu_stay_id field.
+# Each table's record type name and its columns in header order, each with
+# its cell kind: the name of the _TableReader method that parses it
+# (docs/data_dictionary.md tabulates what each kind does with empty and
+# unparseable cells). A record has one field per column, named and ordered
+# as the columns are.
 
-SCHEMAS: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
-    "edstays": (EdStayRecord, (
+SCHEMAS: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
+    "edstays": ("EdStayRecord", (
         ("subject_id", "key"), ("hadm_id", "opt_key"), ("stay_id", "key"),
         ("intime", "root_time"), ("outtime", "opt_root_time"),
         ("disposition", "text"))),
-    "triage": (TriageRecord, (
+    "triage": ("TriageRecord", (
         ("subject_id", "key"), ("stay_id", "key"),
         ("temperature", "temperature"), ("heartrate", "number"),
         ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
         ("dbp", "number"), ("pain", "pain"), ("acuity", "small_int"),
         ("chiefcomplaint", "text"))),
-    "vitalsign": (VitalSignRecord, (
+    "vitalsign": ("VitalSignRecord", (
         ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
         ("temperature", "temperature"), ("heartrate", "number"),
         ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
         ("dbp", "number"))),
-    "patients": (PatientRecord, (
+    "patients": ("PatientRecord", (
         ("subject_id", "key"), ("gender", "gender"), ("anchor_age", "key"),
         ("anchor_year", "key"), ("dod", "date"))),
-    "admissions": (AdmissionRecord, (
+    "admissions": ("AdmissionRecord", (
         ("subject_id", "key"), ("hadm_id", "key"), ("admittime", "child_time"),
         ("dischtime", "child_time"), ("deathtime", "child_time"))),
-    "icustays": (IcuStayRecord, (
+    "icustays": ("IcuStayRecord", (
         ("subject_id", "key"), ("hadm_id", "opt_key"), ("stay_id", "key"),
         ("intime", "child_time"), ("outtime", "child_time"))),
-    "diagnoses_icd": (DiagnosisRecord, (
+    "diagnoses_icd": ("DiagnosisRecord", (
         ("subject_id", "key"), ("hadm_id", "key"), ("seq_num", "key"),
         ("icd_code", "text"), ("icd_version", "icd_version"))),
-    "medrecon": (MedreconRecord, (
+    "medrecon": ("MedreconRecord", (
         ("subject_id", "key"), ("stay_id", "key"), ("name", "text"))),
-    "pyxis": (PyxisRecord, (
+    "pyxis": ("PyxisRecord", (
         ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
         ("name", "text"))),
 }
@@ -352,6 +225,56 @@ class _TableReader:
             return None
 
 
+# -- record types -----------------------------------------------------------
+
+
+def _make_type(name: str, fields: list, doc: str | None = None, **kwargs) -> type:
+    # make_dataclass takes module= only from Python 3.12 on
+    return make_dataclass(name, fields, **kwargs,
+                          namespace={"__module__": __name__, "__doc__": doc})
+
+
+# Slotted records: no per-instance __dict__, and still mutable. A field is
+# annotated with the return type of its cell kind's parser.
+RECORD_TYPES: dict[str, type] = {
+    kind: _make_type(
+        name, [(col, getattr(_TableReader, cell).__annotations__["return"])
+               for col, cell in spec], slots=True)
+    for kind, (name, spec) in SCHEMAS.items()}
+# EdStayRecord ... PyxisRecord, under the names SCHEMAS gives them
+globals().update({cls.__name__: cls for cls in RECORD_TYPES.values()})
+
+RawTables = _make_type(
+    "RawTables",
+    [(kind, list[cls], field(default_factory=list))
+     for kind, cls in RECORD_TYPES.items()],
+    "The nine parsed tables, still unlinked.")
+
+
+@dataclass
+class LinkedCohort:
+    """Root stays plus per-stay and per-subject attachment indices.
+
+    Attachment lists are sorted by their natural time field so downstream
+    window logic can rely on order. ``dropped_stays`` records (stay_id,
+    reason) pairs; ``orphan_counts`` counts dropped child rows per table.
+    """
+
+    stays: list[EdStayRecord]
+    patients: dict[int, PatientRecord]
+    triage_by_stay: dict[int, TriageRecord]
+    vitals_by_stay: dict[int, list[VitalSignRecord]]
+    medrecon_by_stay: dict[int, list[MedreconRecord]]
+    pyxis_by_stay: dict[int, list[PyxisRecord]]
+    stays_by_subject: dict[int, list[EdStayRecord]]
+    admissions_by_subject: dict[int, list[AdmissionRecord]]
+    admissions_by_hadm: dict[int, AdmissionRecord]
+    icustays_by_subject: dict[int, list[IcuStayRecord]]
+    diagnoses_by_hadm: dict[int, list[DiagnosisRecord]]
+    dropped_stays: list[tuple[int, str]]
+    orphan_counts: dict[str, int]
+
+
 def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
     """Parse one CSV table into a list of typed records.
 
@@ -362,7 +285,7 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
         raise ConfigError(f"unknown table kind {kind!r}")
     if temperature_unit not in TEMPERATURE_UNITS:
         raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
-    cls, spec = SCHEMAS[kind]
+    cls, spec = RECORD_TYPES[kind], SCHEMAS[kind][1]
 
     reader = _TableReader(path, temperature_unit)
     records: list = []
@@ -373,6 +296,9 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
         except StopIteration:
             raise MissingColumn(f"{path}: empty file, no header") from None
         index = {name.strip(): i for i, name in enumerate(header)}
+        if len(index) < len(header):
+            name = next(n.strip() for i, n in enumerate(header) if index[n.strip()] != i)
+            raise MalformedRow(f"{path}: header names column {name!r} twice")
         for col, _ in spec:
             if col not in index:
                 raise MissingColumn(f"{path}: table {kind!r} lacks column {col!r}")
@@ -403,9 +329,8 @@ def write_table(records, kind: str, path: str, temperature_unit: str = "fahrenhe
         raise ConfigError(f"unknown table kind {kind!r}")
     if temperature_unit not in TEMPERATURE_UNITS:
         raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
-    cls, spec = SCHEMAS[kind]
-    values = attrgetter(*(f.name for f in fields(cls)))
-    cells = [cell for _, cell in spec]
+    values = attrgetter(*REQUIRED_COLUMNS[kind])
+    cells = [cell for _, cell in SCHEMAS[kind][1]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS[kind])
@@ -480,9 +405,9 @@ def link_tables(tables: RawTables) -> LinkedCohort:
 
     seen_icu: set[int] = set()
     for rec in tables.icustays:
-        if rec.icu_stay_id in seen_icu:
-            raise DuplicateKey(f"icustays: duplicate stay_id {rec.icu_stay_id}")
-        seen_icu.add(rec.icu_stay_id)
+        if rec.stay_id in seen_icu:
+            raise DuplicateKey(f"icustays: duplicate stay_id {rec.stay_id}")
+        seen_icu.add(rec.stay_id)
 
     dropped: list[tuple[int, str]] = []
     orphans: dict[str, int] = {k: 0 for k in TABLE_KINDS if k != "edstays"}
@@ -526,7 +451,7 @@ def link_tables(tables: RawTables) -> LinkedCohort:
         lambda a: (a.admittime is None, a.admittime, a.hadm_id))
     icustays_by_subject = _group(
         tables.icustays, "subject_id", patients, orphans, "icustays",
-        lambda i: (i.intime is None, i.intime, i.icu_stay_id))
+        lambda i: (i.intime is None, i.intime, i.stay_id))
 
     diagnoses_by_hadm: dict[int, list[DiagnosisRecord]] = {}
     unresolved_diag = 0

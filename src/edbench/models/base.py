@@ -15,6 +15,7 @@ than a crash or an endless walk.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -27,15 +28,22 @@ from . import boosting, forest, linear, mlp
 from ._trees import tree_from_json, trees_json
 from .features import FeatureMatrix, manifest_fingerprint
 
-# kind -> (fitter, predictor, default hyperparameters, fitter takes the seed)
+
+def _kind(fitter, predictor) -> tuple:
+    """(fitter, predictor, default hyperparameters, fitter takes the seed):
+    the hyperparameters and their defaults are the fitter's keyword-only
+    parameters other than ``seed``."""
+    params = inspect.signature(fitter).parameters
+    defaults = {name: p.default for name, p in params.items()
+                if p.kind is p.KEYWORD_ONLY and name != "seed"}
+    return fitter, predictor, defaults, "seed" in params
+
+
 _KINDS = {
-    "logistic": (linear.fit_logistic, linear.predict_logistic,
-                 linear.DEFAULTS, False),
-    "random_forest": (forest.fit_forest, forest.predict_forest,
-                      forest.DEFAULTS, True),
-    "boosting": (boosting.fit_boosting, boosting.predict_boosting,
-                 boosting.DEFAULTS, False),
-    "mlp": (mlp.fit_mlp, mlp.predict_mlp, mlp.DEFAULTS, True),
+    "logistic": _kind(linear.fit_logistic, linear.predict_logistic),
+    "random_forest": _kind(forest.fit_forest, forest.predict_forest),
+    "boosting": _kind(boosting.fit_boosting, boosting.predict_boosting),
+    "mlp": _kind(mlp.fit_mlp, mlp.predict_mlp),
 }
 
 MODEL_KINDS = tuple(_KINDS)

@@ -23,13 +23,6 @@ from .linear import sigmoid, _softplus
 
 logger = logging.getLogger(__name__)
 
-DEFAULTS = {
-    "n_stages": 100,
-    "max_depth": 3,
-    "learning_rate": 0.1,
-    "min_leaf": 1,
-}
-
 
 def _deviance(F: np.ndarray, y: np.ndarray) -> float:
     # mean binomial deviance, computed in the stable softplus form

@@ -34,12 +34,6 @@ logger = logging.getLogger(__name__)
 # from 7,282 rows at that width, one tree
 PASS_CELLS = 2 ** 17
 
-DEFAULTS = {
-    "n_trees": 100,
-    "max_depth": 32,
-    "min_leaf": 1,
-}
-
 
 def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
                max_depth: int = 32, min_leaf: int = 1, seed: int = 0) -> dict:

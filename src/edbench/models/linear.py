@@ -23,8 +23,6 @@ from ..errors import DataError, NonFiniteLoss
 
 logger = logging.getLogger(__name__)
 
-DEFAULTS = {"C": 1.0, "max_iter": 100, "tol": 1e-6}
-
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)

@@ -23,16 +23,6 @@ from .linear import matvec, sigmoid, _softplus, standardize_fit
 
 logger = logging.getLogger(__name__)
 
-DEFAULTS = {
-    "hidden": 64,
-    "epochs": 20,
-    "batch_size": 200,
-    "learning_rate": 0.001,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-}
-
 
 def mlp_loss_and_grads(W1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                        b2: float, X: np.ndarray, y: np.ndarray):

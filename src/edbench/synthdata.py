@@ -401,7 +401,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
             icu_in = intimes[vi] + dt.timedelta(seconds=offset)
             icustays.append(IcuStayRecord(
                 subject_id=subject_id, hadm_id=hadm_ids[vi],
-                icu_stay_id=next_icu, intime=icu_in,
+                stay_id=next_icu, intime=icu_in,
                 outtime=icu_in + dt.timedelta(
                     seconds=int(rng.integers(1 * DAY, 5 * DAY)))))
             next_icu += 1
@@ -441,7 +441,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                 seconds=int(rng.integers(1 * HOUR, 24 * HOUR)))
             icustays.append(IcuStayRecord(
                 subject_id=subject_id, hadm_id=hist.hadm_id,
-                icu_stay_id=next_icu, intime=icu_in,
+                stay_id=next_icu, intime=icu_in,
                 outtime=icu_in + dt.timedelta(
                     seconds=int(rng.integers(1 * DAY, 4 * DAY)))))
             next_icu += 1
@@ -466,7 +466,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
             icu_in = last_out + dt.timedelta(
                 seconds=int(rng.integers(14 * HOUR, 60 * DAY)))
             icustays.append(IcuStayRecord(
-                subject_id=subject_id, hadm_id=None, icu_stay_id=next_icu,
+                subject_id=subject_id, hadm_id=None, stay_id=next_icu,
                 intime=icu_in,
                 outtime=icu_in + dt.timedelta(seconds=int(rng.integers(
                     12 * HOUR, 3 * DAY)))))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import io
 import logging
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from edbench.errors import (BadTimestamp, ConfigError, DataError, DuplicateKey,
                             MalformedRow, MissingColumn)
-from edbench.ingest import (SCHEMAS, TABLE_KINDS, TEMPERATURE_UNITS,
-                            link_tables, parse_table, read_raw_tables,
-                            write_table)
+from edbench.ingest import (RECORD_TYPES, REQUIRED_COLUMNS, SCHEMAS,
+                            TABLE_KINDS, TEMPERATURE_UNITS, link_tables,
+                            parse_table, read_raw_tables, write_table)
 
 
 def test_parse_edstays_types(raw_dir):
@@ -76,6 +77,15 @@ def test_wrong_field_count_aborts(tmp_path):
         parse_table(str(path), "medrecon")
 
 
+def test_duplicated_header_column_aborts(tmp_path):
+    # a dict index over the header used to read the last copy: stay_id=99
+    path = tmp_path / "medrecon.csv"
+    path.write_text("subject_id,stay_id,name,stay_id\n1,10,Aspirin,99\n")
+    with pytest.raises(MalformedRow, match="medrecon.csv.*'stay_id'") as err:
+        parse_table(str(path), "medrecon")
+    assert err.value.exit_code == 3
+
+
 def test_non_integer_key_aborts(tmp_path):
     path = tmp_path / "medrecon.csv"
     path.write_text("subject_id,stay_id,name\nabc,2,aspirin\n")
@@ -118,6 +128,15 @@ def test_unknown_kind_and_unit_are_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         write_table([], "triage", str(tmp_path / "out.csv"),
                     temperature_unit="kelvin")
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_record_fields_are_the_columns(kind, raw_dir):
+    cls = RECORD_TYPES[kind]
+    assert [f.name for f in dataclasses.fields(cls)] == list(REQUIRED_COLUMNS[kind])
+    assert cls.__name__ == SCHEMAS[kind][0] and cls.__module__ == "edbench.ingest"
+    record = parse_table(str(raw_dir / f"{kind}.csv"), kind)[0]
+    assert not hasattr(record, "__dict__")
 
 
 def test_round_trip_every_table(raw_dir, tmp_path):
@@ -224,9 +243,8 @@ CELL_VALUES = {
 
 
 def _records(kind):
-    cls, spec = SCHEMAS[kind]
-    row = st.tuples(*(CELL_VALUES[cell] for _, cell in spec))
-    return st.lists(row.map(lambda values: cls(*values)), max_size=4)
+    row = st.tuples(*(CELL_VALUES[cell] for _, cell in SCHEMAS[kind][1]))
+    return st.lists(row.map(lambda values: RECORD_TYPES[kind](*values)), max_size=4)
 
 
 @pytest.mark.parametrize("unit", TEMPERATURE_UNITS)

@@ -16,8 +16,8 @@ from hypothesis.extra.numpy import arrays
 from edbench.errors import (ConfigError, DataError, DegenerateLabels,
                             ManifestMismatch, WrongKind)
 from edbench.models import (build_feature_matrix, load_manifest, load_model,
-                            predict_proba, rf_variable_importance, save_model,
-                            train_model)
+                            predict_proba, resolve_hyperparams,
+                            rf_variable_importance, save_model, train_model)
 from edbench.models import _trees, boosting, forest
 from edbench.models._trees import (TREE_FIELDS, bin_features, grow_tree,
                                    predict_trees)
@@ -911,6 +911,21 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
 def test_train_model_rejects_out_of_range_hyperparams(kind, key, value):
     with pytest.raises(ConfigError, match=key):
         train_model(_matrix(), kind, **{key: value})
+
+
+def test_default_hyperparams_come_from_the_fitters():
+    expected = {
+        "logistic": {"C": 1.0, "max_iter": 100, "tol": 1e-6},
+        "random_forest": {"n_trees": 100, "max_depth": 32, "min_leaf": 1},
+        "boosting": {"n_stages": 100, "max_depth": 3, "learning_rate": 0.1,
+                     "min_leaf": 1},
+        "mlp": {"hidden": 64, "epochs": 20, "batch_size": 200,
+                "learning_rate": 0.001, "beta1": 0.9, "beta2": 0.999,
+                "eps": 1e-8},
+    }
+    for kind, defaults in expected.items():
+        # repr tells an int default from a float one
+        assert repr(resolve_hyperparams(kind, {})) == repr(defaults)
 
 
 def test_predict_proba_guards_manifest():
