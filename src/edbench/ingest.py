@@ -5,16 +5,15 @@ ED stays plus child tables keyed by stay, subject, or admission. This module
 parses them into typed records with explicit error semantics and links them
 into an in-memory cohort object the rest of the pipeline consumes.
 
-SCHEMAS is the one place a table is declared: for each table it names the
-record type and lists the columns in header order, each with a cell kind.
-The record types (EdStayRecord ... PyxisRecord, one field per column, and
-RawTables), parse_table, write_table and REQUIRED_COLUMNS are all derived
-from it.
+SCHEMAS is the one place a table is declared: for each table it lists the
+columns in header order, each with a cell kind. The record types
+(EdStayRecord ... PyxisRecord, one field per column, and RawTables),
+parse_table, write_table and REQUIRED_COLUMNS are all derived from it.
 
 Error semantics, applied uniformly:
 
 * a required header missing from a table aborts (MissingColumn);
-* a header that names a column twice aborts (MalformedRow);
+* a header that names a required column twice aborts (MalformedRow);
 * a row with the wrong field count aborts (MalformedRow), as does a
   structural key cell that does not parse as an integer;
 * a non-empty, unparseable timestamp aborts only in the root table's time
@@ -69,51 +68,50 @@ VITAL_FIELDS = ("temperature", "heartrate", "resprate", "o2sat", "sbp", "dbp")
 
 # -- schema -----------------------------------------------------------------
 #
-# Each table's record type name and its columns in header order, each with
-# its cell kind: the name of the _TableReader method that parses it
-# (docs/data_dictionary.md tabulates what each kind does with empty and
-# unparseable cells). A record has one field per column, named and ordered
-# as the columns are.
+# Each table's columns in header order, each with its cell kind: the name
+# of the _TableReader method that parses it (docs/data_dictionary.md
+# tabulates what each kind does with empty and unparseable cells). A record
+# has one field per column, named and ordered as the columns are.
 
-SCHEMAS: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
-    "edstays": ("EdStayRecord", (
+SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
+    "edstays": (
         ("subject_id", "key"), ("hadm_id", "opt_key"), ("stay_id", "key"),
         ("intime", "root_time"), ("outtime", "opt_root_time"),
-        ("disposition", "text"))),
-    "triage": ("TriageRecord", (
+        ("disposition", "text")),
+    "triage": (
         ("subject_id", "key"), ("stay_id", "key"),
         ("temperature", "temperature"), ("heartrate", "number"),
         ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
         ("dbp", "number"), ("pain", "pain"), ("acuity", "small_int"),
-        ("chiefcomplaint", "text"))),
-    "vitalsign": ("VitalSignRecord", (
+        ("chiefcomplaint", "text")),
+    "vitalsign": (
         ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
         ("temperature", "temperature"), ("heartrate", "number"),
         ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
-        ("dbp", "number"))),
-    "patients": ("PatientRecord", (
+        ("dbp", "number")),
+    "patients": (
         ("subject_id", "key"), ("gender", "gender"), ("anchor_age", "key"),
-        ("anchor_year", "key"), ("dod", "date"))),
-    "admissions": ("AdmissionRecord", (
+        ("anchor_year", "key"), ("dod", "date")),
+    "admissions": (
         ("subject_id", "key"), ("hadm_id", "key"), ("admittime", "child_time"),
-        ("dischtime", "child_time"), ("deathtime", "child_time"))),
-    "icustays": ("IcuStayRecord", (
+        ("dischtime", "child_time"), ("deathtime", "child_time")),
+    "icustays": (
         ("subject_id", "key"), ("hadm_id", "opt_key"), ("stay_id", "key"),
-        ("intime", "child_time"), ("outtime", "child_time"))),
-    "diagnoses_icd": ("DiagnosisRecord", (
+        ("intime", "child_time"), ("outtime", "child_time")),
+    "diagnoses_icd": (
         ("subject_id", "key"), ("hadm_id", "key"), ("seq_num", "key"),
-        ("icd_code", "text"), ("icd_version", "icd_version"))),
-    "medrecon": ("MedreconRecord", (
-        ("subject_id", "key"), ("stay_id", "key"), ("name", "text"))),
-    "pyxis": ("PyxisRecord", (
+        ("icd_code", "text"), ("icd_version", "icd_version")),
+    "medrecon": (
+        ("subject_id", "key"), ("stay_id", "key"), ("name", "text")),
+    "pyxis": (
         ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
-        ("name", "text"))),
+        ("name", "text")),
 }
 
 TABLE_KINDS = tuple(SCHEMAS)
 
 REQUIRED_COLUMNS: dict[str, tuple[str, ...]] = {
-    kind: tuple(col for col, _ in spec) for kind, (_, spec) in SCHEMAS.items()}
+    kind: tuple(col for col, _ in spec) for kind, spec in SCHEMAS.items()}
 
 _TIME_KINDS = frozenset({"root_time", "opt_root_time", "child_time"})
 
@@ -234,20 +232,33 @@ def _make_type(name: str, fields: list, doc: str | None = None, **kwargs) -> typ
                           namespace={"__module__": __name__, "__doc__": doc})
 
 
-# Slotted records: no per-instance __dict__, and still mutable. A field is
-# annotated with the return type of its cell kind's parser.
-RECORD_TYPES: dict[str, type] = {
-    kind: _make_type(
+RECORD_TYPES: dict[str, type] = {}
+
+
+def _record_type(name: str, kind: str) -> type:
+    """The slotted record type of one table: no per-instance __dict__, and
+    still mutable. A field is annotated with the return type of its cell
+    kind's parser."""
+    RECORD_TYPES[kind] = cls = _make_type(
         name, [(col, getattr(_TableReader, cell).__annotations__["return"])
-               for col, cell in spec], slots=True)
-    for kind, (name, spec) in SCHEMAS.items()}
-# EdStayRecord ... PyxisRecord, under the names SCHEMAS gives them
-globals().update({cls.__name__: cls for cls in RECORD_TYPES.values()})
+               for col, cell in SCHEMAS[kind]], slots=True)
+    return cls
+
+
+EdStayRecord = _record_type("EdStayRecord", "edstays")
+TriageRecord = _record_type("TriageRecord", "triage")
+VitalSignRecord = _record_type("VitalSignRecord", "vitalsign")
+PatientRecord = _record_type("PatientRecord", "patients")
+AdmissionRecord = _record_type("AdmissionRecord", "admissions")
+IcuStayRecord = _record_type("IcuStayRecord", "icustays")
+DiagnosisRecord = _record_type("DiagnosisRecord", "diagnoses_icd")
+MedreconRecord = _record_type("MedreconRecord", "medrecon")
+PyxisRecord = _record_type("PyxisRecord", "pyxis")
 
 RawTables = _make_type(
     "RawTables",
-    [(kind, list[cls], field(default_factory=list))
-     for kind, cls in RECORD_TYPES.items()],
+    [(kind, list[RECORD_TYPES[kind]], field(default_factory=list))
+     for kind in SCHEMAS],
     "The nine parsed tables, still unlinked.")
 
 
@@ -285,7 +296,7 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
         raise ConfigError(f"unknown table kind {kind!r}")
     if temperature_unit not in TEMPERATURE_UNITS:
         raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
-    cls, spec = RECORD_TYPES[kind], SCHEMAS[kind][1]
+    cls, spec = RECORD_TYPES[kind], SCHEMAS[kind]
 
     reader = _TableReader(path, temperature_unit)
     records: list = []
@@ -295,14 +306,13 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
             header = next(rows)
         except StopIteration:
             raise MissingColumn(f"{path}: empty file, no header") from None
-        index = {name.strip(): i for i, name in enumerate(header)}
-        if len(index) < len(header):
-            name = next(n.strip() for i, n in enumerate(header) if index[n.strip()] != i)
-            raise MalformedRow(f"{path}: header names column {name!r} twice")
+        names = [name.strip() for name in header]
         for col, _ in spec:
-            if col not in index:
+            if col not in names:
                 raise MissingColumn(f"{path}: table {kind!r} lacks column {col!r}")
-        plan = [(index[col], getattr(reader, cell), col) for col, cell in spec]
+            if names.count(col) > 1:
+                raise MalformedRow(f"{path}: header names column {col!r} twice")
+        plan = [(names.index(col), getattr(reader, cell), col) for col, cell in spec]
         width = len(header)
         for row_num, row in enumerate(rows, start=2):
             if len(row) != width:
@@ -330,7 +340,7 @@ def write_table(records, kind: str, path: str, temperature_unit: str = "fahrenhe
     if temperature_unit not in TEMPERATURE_UNITS:
         raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
     values = attrgetter(*REQUIRED_COLUMNS[kind])
-    cells = [cell for _, cell in SCHEMAS[kind][1]]
+    cells = [cell for _, cell in SCHEMAS[kind]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS[kind])

@@ -3,14 +3,11 @@
 Every value below was chosen by hand so tests can assert exact ages,
 window counts, and outcome labels without re-deriving them in code.
 
-The session also guards the checkout: no test may add or modify a file
-under the repository root, and in a git checkout `git status` must read
-the same after the session as before it, which also catches a deletion.
+The session also guards the checkout: no test may add, modify or delete a
+file under the repository root.
 """
 
 import os
-import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -48,28 +45,10 @@ def repository_is_left_untouched():
     before = _repo_mtimes()
     yield
     after = _repo_mtimes()
-    touched = sorted(path for path, mtime in after.items()
-                     if before.get(path) != mtime)
+    touched = sorted(path for path in before.keys() | after.keys()
+                     if before.get(path) != after.get(path))
     if touched:
-        pytest.fail(f"the test session wrote into the repository: {touched}")
-
-
-def _git_status() -> list[str] | None:
-    """The checkout's `git status` lines, or None outside a git checkout."""
-    if not (REPO_ROOT / ".git").exists() or shutil.which("git") is None:
-        return None
-    return subprocess.run(
-        ["git", "status", "--porcelain", "--untracked-files=all"], cwd=REPO_ROOT,
-        capture_output=True, text=True, check=True).stdout.splitlines()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def git_status_is_unchanged():
-    before = _git_status()
-    yield
-    if before is not None and (after := _git_status()) != before:
-        changed = sorted(set(after).symmetric_difference(before))
-        pytest.fail(f"the test session changed `git status`: {changed}")
+        pytest.fail(f"the test session changed files in the repository: {touched}")
 
 
 # Raw CSV text per table. Notable rows:

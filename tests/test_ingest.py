@@ -9,6 +9,7 @@ from conftest import RAW_TABLES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edbench import ingest
 from edbench.errors import (BadTimestamp, ConfigError, DataError, DuplicateKey,
                             MalformedRow, MissingColumn)
 from edbench.ingest import (RECORD_TYPES, REQUIRED_COLUMNS, SCHEMAS,
@@ -86,6 +87,15 @@ def test_duplicated_header_column_aborts(tmp_path):
     assert err.value.exit_code == 3
 
 
+def test_repeated_extra_column_is_ignored(tmp_path):
+    # only a required column read twice is ambiguous; extra columns, empty
+    # names included, are ignored however often they repeat
+    path = tmp_path / "medrecon.csv"
+    path.write_text("subject_id,note,stay_id,note,name,,\n1,a,10,b,Aspirin,,\n")
+    [rec] = parse_table(str(path), "medrecon")
+    assert (rec.subject_id, rec.stay_id, rec.name) == (1, 10, "Aspirin")
+
+
 def test_non_integer_key_aborts(tmp_path):
     path = tmp_path / "medrecon.csv"
     path.write_text("subject_id,stay_id,name\nabc,2,aspirin\n")
@@ -134,7 +144,7 @@ def test_unknown_kind_and_unit_are_config_errors(tmp_path):
 def test_record_fields_are_the_columns(kind, raw_dir):
     cls = RECORD_TYPES[kind]
     assert [f.name for f in dataclasses.fields(cls)] == list(REQUIRED_COLUMNS[kind])
-    assert cls.__name__ == SCHEMAS[kind][0] and cls.__module__ == "edbench.ingest"
+    assert getattr(ingest, cls.__name__) is cls and cls.__module__ == "edbench.ingest"
     record = parse_table(str(raw_dir / f"{kind}.csv"), kind)[0]
     assert not hasattr(record, "__dict__")
 
@@ -243,7 +253,7 @@ CELL_VALUES = {
 
 
 def _records(kind):
-    row = st.tuples(*(CELL_VALUES[cell] for _, cell in SCHEMAS[kind][1]))
+    row = st.tuples(*(CELL_VALUES[cell] for _, cell in SCHEMAS[kind]))
     return st.lists(row.map(lambda values: RECORD_TYPES[kind](*values)), max_size=4)
 
 
