@@ -173,7 +173,10 @@ class PipelineConfig:
                             overrides[key] = int(raw)
                         except ValueError:
                             overrides[key] = _coerce(section, key, raw, float)
-                    cfg.model_overrides[kind] = overrides
+                    # each value with the type of its default: C = 1 is 1.0
+                    typed = resolve_hyperparams(kind, overrides)
+                    cfg.model_overrides[kind] = {key: typed[key]
+                                                 for key in overrides}
                 else:
                     raise ConfigError(f"unknown config section [{section}]")
         cfg.validate()

@@ -300,11 +300,13 @@ def _int_if_integral(s: str):
     return int(value) if value == int(value) else value
 
 
-# kind -> parser of one CSV cell
+_FLAGS = {"0": False, "1": True, "": None}
+
+# kind -> parser of one CSV cell; only a flag cell can fail, with KeyError
 _PARSERS = {
     "id": _int_if_integral,
     "sex": lambda s: s if s else None,
-    "flag": lambda s: None if not s else bool(int(s)),
+    "flag": _FLAGS.__getitem__,
     "index": _int_if_integral,
     "count": _int_if_integral,
     "number": parse_float,
@@ -324,7 +326,8 @@ def write_master_csv(records: list[dict], path: str,
 
 
 def read_master_csv(path: str) -> tuple[list[dict], list[str]]:
-    """Read a master (or benchmark) CSV back into typed record dicts."""
+    """Read a master (or benchmark) CSV back into typed record dicts. A
+    ragged row or a malformed flag cell raises DataError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -336,5 +339,12 @@ def read_master_csv(path: str) -> tuple[list[dict], list[str]]:
         for row in reader:
             if len(row) != len(columns):
                 raise DataError(f"{path}: ragged row with {len(row)} fields")
-            records.append({c: p(v) for c, p, v in zip(columns, parsers, row)})
+            try:
+                records.append({c: p(v) for c, p, v in zip(columns, parsers, row)})
+            except KeyError as exc:
+                column = next(c for c, v in zip(columns, row)
+                              if column_kind(c) == "flag" and v not in _FLAGS)
+                raise DataError(
+                    f"{path}: line {reader.line_num}, column {column!r}: a "
+                    f"flag is 0, 1 or empty, got {exc.args[0]!r}") from None
     return records, columns

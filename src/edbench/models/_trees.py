@@ -41,30 +41,33 @@ and buffers for the keys, the weights and the padded float ``cumsum`` that
 every level and stage reuses. The level-0 layout is served again only for
 rows equal to those it was built on.
 
-Without feature subsampling the result is bit-identical to growing the
-same tree depth-first, one node at a time (the reference builder in the
-tests), because every float is produced by the same operations in the same
-order: per-bin sums accumulate rows in ``idx`` order; counts and 0/1 label
-sums are integers, exact in any order, so they take one flat running sum
-rebased at each segment start, while Newton residual sums run per
-segment in bin order; ties go to the first maximum over (feature in
-sorted order, bin); classification leaves are integer sum / count, Newton
-leaves sum their gradient per node with numpy's pairwise ``sum``, and
-Newton gains take ``np.var`` per split node. For the same reasons a tree
-grown in a pass equals the tree grown alone: no float of one tree meets a
-value of another, except in the running sums of 0/1 labels, which are
-exact.
+Without feature subsampling the result is bit-identical, up to the order
+of its nodes, to growing the same tree depth-first, one node at a time
+(the reference builder in the tests), because every float is produced by
+the same operations in the same order: per-bin sums accumulate rows in
+``idx`` order; counts and 0/1 label sums are integers, exact in any order,
+so they take one flat running sum rebased at each segment start, while
+Newton residual sums run per segment in bin order; ties go to the first
+maximum over (feature in sorted order, bin); classification leaves are
+integer sum / count, Newton leaves sum their gradient per node with
+numpy's pairwise ``sum``, and Newton gains take ``np.var`` per split node.
+For the same reasons a tree grown in a pass equals the tree grown alone:
+no float of one tree meets a value of another, except in the running sums
+of 0/1 labels, which are exact.
 
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
 TREE_FIELDS, the one place the tree format is declared, in the manner of
 scikit-learn's parallel-array ``Tree`` (Pedregosa et al., 2011). Node 0 is
 the root and ``feature == -1`` marks a leaf (whose ``left`` is -1). Nodes
-are numbered in depth-first creation order: a split appends its left
-child, then its right child, and the left subtree is expanded first; so
-the right child is always ``left + 1`` and is not stored, and children
+are stored in level order, as they are grown: the root, then each level's
+nodes, a split's two children side by side in the order of their parents;
+so the right child is always ``left + 1`` and is not stored, and children
 always come after their parent. Model files hold the same fields as JSON
 lists: ``trees_json`` writes them, and ``tree_from_json`` turns them back
-into arrays and rejects a tree that breaks any of these rules.
+into arrays and rejects a tree that breaks any of these rules. Those rules
+hold for any order that keeps siblings adjacent and after their parent,
+so a file whose trees are in depth-first order, as earlier versions wrote
+them, loads and predicts the same.
 
 ``predict_trees`` walks every tree of an ensemble at once, as QuickScorer
 does (Lucchese et al., 2015): the trees are concatenated with per-tree
@@ -273,7 +276,8 @@ def grow_trees(
     pure nodes stay leaves and whose gains are Gini decreases.
     ``features_per_node`` activates random feature subsampling, tree t
     drawing from ``rngs[t]`` once per level as the module docstring
-    describes. Each tree comes out as ``grow_tree`` alone would grow it.
+    describes. Each tree comes out as ``grow_tree`` alone would grow it,
+    its nodes in level order.
     """
     classification = leaf_grad is None
     codes = binned.codes
@@ -368,7 +372,7 @@ def grow_trees(
         label = np.stack((s_l, s_r), axis=1).ravel()
         value = leaf_values(groups, count, label)
 
-    return _depth_first(levels)
+    return _level_order(levels)
 
 
 def _groups(rows: np.ndarray, node: np.ndarray, m: int) -> list[np.ndarray]:
@@ -534,49 +538,24 @@ def _best_splits(hist, weights, feats, count, min_leaf, work, *, exact):
             hist.occ[cell] - hist.start[seg[cell]], n_l[cell], s_l[cell])
 
 
-def _depth_first(levels: list[dict]) -> list[dict]:
-    """Join the per-level node arrays of a pass into its trees, each
-    numbered in depth-first creation order: a split appends its left child,
-    then its right child, and the left subtree is expanded first. So a split
-    whose children are numbered from c puts them at c and c + 1; the left
-    child's children are numbered from c + 2, and the right child's from
-    just past the left child's subtree. Subtree sizes, taken bottom-up, give
-    every number top-down, a level at a time for all trees at once."""
-    sizes = []                              # subtree size per node
-    below = np.zeros(0, dtype=np.intp)      # the last level only has leaves
-    for level in reversed(levels):
-        left = level["left"]
-        size = np.ones(left.size, dtype=np.intp)
-        split = left >= 0
-        first = left[split]
-        size[split] += below[first] + below[first + 1]
-        sizes.append(size)
-        below = size
-    sizes.reverse()
-    # each node's number within its tree, and where its children start
-    places = [np.zeros(sizes[0].size, dtype=np.intp)]
-    kids = np.ones(sizes[0].size, dtype=np.intp)
-    for level, size in zip(levels, sizes[1:]):
-        split = level["left"] >= 0
-        first, c = level["left"][split], kids[split]
-        place = np.empty(size.size, dtype=np.intp)
-        kids = np.empty(size.size, dtype=np.intp)
-        place[first], place[first + 1] = c, c + 1
-        kids[first], kids[first + 1] = c + 2, c + 1 + size[first]
-        places.append(place)
-    places.append(np.zeros(0, dtype=np.intp))
-
-    tree_size = sizes[0]
-    tree_start = np.cumsum(tree_size) - tree_size
-    flat = {name: np.empty(int(tree_size.sum()), dtype=levels[0][name].dtype)
-            for name in TREE_FIELDS}
-    for level, place, below in zip(levels, places, places[1:]):
-        at = tree_start[level["tree"]] + place
-        split = level["left"] >= 0
-        left = np.full(split.size, -1)
-        left[split] = below[level["left"][split]]
-        for name in TREE_FIELDS:
-            flat[name][at] = left if name == "left" else level[name]
+def _level_order(levels: list[dict]) -> list[dict]:
+    """Join the per-level node arrays of a pass into its trees, each tree's
+    nodes level by level. A level lists its nodes tree by tree, and each
+    split's two children side by side in the next level, so a stable sort
+    of all nodes by tree keeps both orders, and a split's ``left``, an
+    index into the next level, becomes its child's place in the tree."""
+    flat = {name: np.concatenate([level[name] for level in levels])
+            for name in (*TREE_FIELDS, "tree")}
+    sizes = [level["tree"].size for level in levels]
+    left = flat["left"]
+    split = left >= 0
+    left[split] += np.repeat(np.cumsum(sizes), sizes)[split]
+    order = np.argsort(flat["tree"], kind="stable")
+    tree_size = np.bincount(flat["tree"])
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size) - np.repeat(
+        np.cumsum(tree_size) - tree_size, tree_size)
+    left[split] = place[left[split]]
     ends = np.cumsum(tree_size)[:-1]
-    parts = [np.split(flat[name], ends) for name in TREE_FIELDS]
+    parts = [np.split(flat[name][order], ends) for name in TREE_FIELDS]
     return [dict(zip(TREE_FIELDS, columns)) for columns in zip(*parts)]

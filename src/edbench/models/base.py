@@ -94,9 +94,10 @@ class TrainedModel:
 
 
 def resolve_hyperparams(kind: str, overrides: dict) -> dict:
-    """The defaults of ``kind`` updated by ``overrides``. An unknown kind,
-    an unknown name or an out-of-range value (a non-finite float among
-    them) raises ConfigError."""
+    """The defaults of ``kind`` updated by ``overrides``, each given the
+    type of its default, so that ``C=1`` is ``C=1.0``. An unknown kind, an
+    unknown name, a non-integer for an integer default or an out-of-range
+    value (a non-finite float among them) raises ConfigError."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
     hyper = dict(_KINDS[kind][2])
@@ -105,6 +106,7 @@ def resolve_hyperparams(kind: str, overrides: dict) -> dict:
             raise ConfigError(f"{kind}: unknown hyperparameter {key!r}")
         if isinstance(hyper[key], int) and not isinstance(value, int):
             raise ConfigError(f"{kind}: {key} must be an integer, got {value!r}")
+        value = type(hyper[key])(value)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{kind}: {key} must be finite, got {value!r}")
         if key in _COUNTS and not value >= 1:

@@ -12,8 +12,8 @@ features per node; see ``_trees``), in seed order; since each tree draws
 only from its own generator, a tree comes out the same whatever pass it
 is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
-whole ensemble. ``params["trees"]`` holds one dict of node arrays per tree
-(see ``_trees``).
+whole ensemble. ``params["trees"]`` holds one dict of node arrays per tree,
+its nodes in level order (see ``_trees``).
 """
 
 from __future__ import annotations

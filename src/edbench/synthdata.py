@@ -40,7 +40,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,7 @@ logger = logging.getLogger(__name__)
 
 HOUR = 3600
 DAY = 24 * HOUR
+START_YEAR = 2140       # first year of the shifted visit calendar
 
 # per-variable (mean, sd) for triage and in-stay measurements
 TRIAGE_MOMENTS = {
@@ -170,9 +171,6 @@ class SynthConfig:
     decoy_icu_fraction: float = 0.03
     decoy_dod_fraction: float = 0.03
     signal_scale: float = 1.5
-    start_year: int = 2140
-    triage_moments: dict = field(default_factory=lambda: dict(TRIAGE_MOMENTS))
-    ed_moments: dict = field(default_factory=lambda: dict(ED_MOMENTS))
 
     def __post_init__(self):
         if self.n_patients < 1:
@@ -291,7 +289,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
     next_hist_hadm = 25_000_000
     next_icu = 38_000_000
 
-    base_start = dt.datetime(cfg.start_year, 1, 1)
+    base_start = dt.datetime(START_YEAR, 1, 1)
     visit_cursor = 0
 
     for pi in range(n_pat):
@@ -490,7 +488,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
 
             # triage row
             vitals = {}
-            for name, (mean, sd) in cfg.triage_moments.items():
+            for name, (mean, sd) in TRIAGE_MOMENTS.items():
                 shift = (HOSP_SHIFT[name] * hosp + CRIT_SHIFT[name] * crit) * s
                 if name == "pain":
                     vitals[name] = _draw_pain(rng, mean + shift, sd, cfg)
@@ -518,7 +516,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
             offsets = sorted(int(rng.integers(lo, hi)) for _ in range(n_rows))
             for off in offsets:
                 row = {}
-                for name, (mean, sd) in cfg.ed_moments.items():
+                for name, (mean, sd) in ED_MOMENTS.items():
                     shift = (HOSP_SHIFT[name] * hosp + CRIT_SHIFT[name] * crit) * s
                     row[name] = _draw_vital(rng, name, mean + shift, sd, cfg)
                 tables.vitalsign.append(VitalSignRecord(

@@ -103,6 +103,8 @@ def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
     "[pipeline]\nthreads = 2\n",
     "[synth]\nnope = 1\n",
     "[synth]\ntriage_moments = 1\n",
+    "[synth]\nstart_year = 0\n",
+    "[models.boosting]\nn_stages = 100.0\n",
     "[mystery]\nx = 1\n",
     "[models.svm]\nc = 1\n",
     "[models.mlp]\nepochs = 0\n",
@@ -210,10 +212,16 @@ def test_logistic_C_is_settable_from_ini(run_all, tmp_path):
     ini.write_text(head + "C = inf\n")
     assert cli.main(train) == 2
     assert [p.name for p in out.iterdir()] == ["train.csv"]
-    ini.write_text(head + "C = 0.5\n")
-    assert cli.main(train) == 0
-    saved = json.loads((out / "models" / "critical_triage_logistic.json").read_text())
-    assert saved["hyperparams"]["C"] == 0.5
+    saved, hashes = {}, {}
+    # an integer C is the float of the same value, in the hash and the bytes
+    for value in ("0.5", "1", "1.0"):
+        ini.write_text(head + f"C = {value}\n")
+        assert cli.main(train) == 0
+        hashes[value] = cli.PipelineConfig.from_ini(str(ini)).config_hash()
+        saved[value] = (out / "models" / "critical_triage_logistic.json").read_bytes()
+    assert json.loads(saved["0.5"])["hyperparams"]["C"] == 0.5
+    assert hashes["1"] == hashes["1.0"] != hashes["0.5"]
+    assert saved["1"] == saved["1.0"] != saved["0.5"]
 
 
 def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
@@ -363,6 +371,22 @@ def test_predict_scores_new_visits(run_all, tmp_path):
     assert len(rows) == len(test_rows)
     assert [r["stay_id"] for r in rows] == [r["stay_id"] for r in test_rows]
     assert all(0.0 <= float(r["probability"]) <= 1.0 for r in rows)
+
+
+def test_predict_rejects_malformed_flag_cell(run_all, tmp_path, caplog):
+    rows = (run_all / "out" / "test.csv").read_text().splitlines(keepends=True)
+    at = rows[0].split(",").index("chiefcom_chest_pain")
+    cells = rows[1].split(",")
+    cells[at] = "yes"
+    rows[1] = ",".join(cells)
+    bad = tmp_path / "test.csv"
+    bad.write_text("".join(rows))
+    model = run_all / "out" / "models" / "critical_triage_logistic.json"
+    rc = cli.main(["predict", "--model-file", str(model), "--input", str(bad),
+                   "--output", str(tmp_path / "preds.csv")])
+    assert rc == 3
+    assert f"{bad}: line 2, column 'chiefcom_chest_pain'" in caplog.text
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_predict_writes_manifest_beside_output(run_all, tmp_path, monkeypatch):

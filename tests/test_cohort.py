@@ -1,8 +1,10 @@
 import copy
 import datetime as dt
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from edbench.clean_split import (apply_cleaning, apply_imputer, fit_imputer,
 from edbench.cohort import (column_kind, compute_age, count_prior_events,
                             load_complaint_matcher, master_columns,
                             read_master_csv, write_master_csv)
+from edbench.errors import DataError
 from edbench.ingest import PatientRecord
 
 
@@ -231,3 +234,20 @@ def test_master_csv_round_trips_every_kind(records):
         back, columns = read_master_csv(path)
     assert columns == _HEADER
     assert _typed(back) == _typed(records)
+
+
+@pytest.mark.parametrize("cell", ["yes", "2", "-1", "1.0", " 1", "true"])
+def test_malformed_flag_cell_names_its_place(master, tmp_path, cell):
+    path = tmp_path / "master.csv"
+    write_master_csv(master, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    columns = lines[0].rstrip("\n").split(",")
+    at = columns.index("chiefcom_chest_pain")
+    row = lines[2].split(",")
+    row[at] = cell
+    lines[2] = ",".join(row)
+    path.write_text("".join(lines))
+    message = f"{path}: line 3, column 'chiefcom_chest_pain': "
+    with pytest.raises(DataError, match=re.escape(message) + ".*"
+                       + re.escape(repr(cell))):
+        read_master_csv(str(path))

@@ -306,13 +306,23 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
 
 
 def _oracle_arrays(tree):
-    """The oracle's lists as arrays, without ``right``, which must be
-    ``left + 1`` at every split and -1 at every leaf."""
+    """The oracle's lists as arrays, renumbered breadth first from the root,
+    without ``right``, which must be ``left + 1`` at every split and -1 at
+    every leaf."""
     left, right = np.array(tree["left"]), np.array(tree["right"])
     split = left >= 0
     assert np.array_equal(right[split], left[split] + 1)
     assert np.all(right[~split] == -1)
-    return {name: np.array(tree[name]) for name in tree if name != "right"}
+    order = [0]                         # old numbers, in breadth-first order
+    for node in order:
+        if left[node] >= 0:
+            order += [left[node], right[node]]
+    place = np.empty(len(order), dtype=np.int64)
+    place[order] = np.arange(len(order))
+    arrays = {name: np.array(tree[name])[order]
+              for name in tree if name != "right"}
+    arrays["left"] = np.where(arrays["left"] >= 0, place[arrays["left"]], -1)
+    return arrays
 
 
 def _assert_equal_to_oracle(new, old):
@@ -812,6 +822,31 @@ def test_train_save_load_round_trip(kind, tmp_path):
     assert payload["kind"] == kind and payload["seed"] == 1
 
 
+def test_depth_first_model_files_load_and_predict_as_before(monkeypatch,
+                                                            tmp_path):
+    # files written while trees were stored in depth-first creation order
+    # need no migration: they load and predict as their level-order twins
+    matrix = build_feature_matrix(_fake_records(60), "hospitalization",
+                                  manifest=["age", "gender"])
+    model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
+
+    def depth_first(*args, **kwargs):
+        tree = _depth_first_grow_tree(*args, **kwargs)
+        return {name: np.array(tree[name]) for name in TREE_FIELDS}
+
+    monkeypatch.setattr(boosting, "grow_tree", depth_first)
+    twin = train_model(matrix, "boosting", n_stages=5, max_depth=4)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    save_model(twin, old)
+    save_model(model, new)
+    assert old.read_bytes() != new.read_bytes()
+    X = np.column_stack((np.linspace(0.0, 100.0, 401),
+                         np.tile([0.0, 1.0], 201)[:401]))
+    for data in (matrix, X):
+        assert np.array_equal(predict_proba(load_model(old), data),
+                              predict_proba(load_model(new), data))
+
+
 def test_trees_json_is_json_dumps_of_the_lists():
     rng = np.random.default_rng(4)
     special = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5]
@@ -926,6 +961,8 @@ def test_default_hyperparams_come_from_the_fitters():
     for kind, defaults in expected.items():
         # repr tells an int default from a float one
         assert repr(resolve_hyperparams(kind, {})) == repr(defaults)
+    # an override takes the type of its default
+    assert repr(resolve_hyperparams("logistic", {"C": 1})["C"]) == "1.0"
 
 
 def test_predict_proba_guards_manifest():

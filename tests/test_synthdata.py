@@ -142,4 +142,4 @@ def test_config_is_a_plain_dataclass():
     # round-trips through asdict so the CLI can echo it into the manifest
     cfg = SynthConfig(n_patients=10)
     d = dataclasses.asdict(cfg)
-    assert d["n_patients"] == 10 and "triage_moments" in d
+    assert d["n_patients"] == 10 and d["signal_scale"] == 1.5
