@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import read_data_file
+from .cohort import ED_VITAL_COLUMNS, TRIAGE_VITAL_COLUMNS
 from .errors import AllMissingColumn, ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -32,13 +33,9 @@ DEFAULT_TEST_FRACTION = 0.2
 
 # numeric columns the imputer covers by default; everything else in the
 # master schema is computed and cannot be missing
-DEFAULT_IMPUTE_COLUMNS = (
-    "triage_temperature", "triage_heartrate", "triage_resprate",
-    "triage_o2sat", "triage_sbp", "triage_dbp", "triage_pain",
-    "ed_temperature", "ed_heartrate", "ed_resprate",
-    "ed_o2sat", "ed_sbp", "ed_dbp",
-)
-DEFAULT_MODE_COLUMNS = ("gender",)
+DEFAULT_IMPUTE_COLUMNS = (*TRIAGE_VITAL_COLUMNS, "triage_pain",
+                          *ED_VITAL_COLUMNS)
+MODE_COLUMNS = ("gender",)
 
 IMPUTE_STRATEGIES = ("median", "mean", "constant")
 
@@ -242,7 +239,6 @@ def fit_imputer(
     columns: tuple[str, ...] = DEFAULT_IMPUTE_COLUMNS,
     strategy: str = "median",
     constant_value: float = 0.0,
-    mode_columns: tuple[str, ...] = DEFAULT_MODE_COLUMNS,
 ) -> Imputer:
     """Fit per-column fill values on training rows.
 
@@ -266,7 +262,7 @@ def fit_imputer(
         fills[col] = float(np.median(arr) if strategy == "median" else np.mean(arr))
 
     modes: dict[str, str] = {}
-    for col in mode_columns:
+    for col in MODE_COLUMNS:
         counts: dict[str, int] = {}
         for rec in train_records:
             value = rec.get(col)

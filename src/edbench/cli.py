@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from ._util import format_cell
 from .errors import ConfigError, EdBenchError
-from .ingest import TABLE_KINDS, link_tables, read_raw_tables
+from .ingest import TABLE_KINDS, TEMPERATURE_UNITS, link_tables, read_raw_tables
 from .cohort import (OUTCOME_COLUMNS, build_master, load_complaint_matcher,
                      master_columns, read_master_csv, write_master_csv)
 from .comorbidity import load_map
@@ -46,9 +46,10 @@ from .clean_split import (IMPUTE_STRATEGIES, apply_cleaning, apply_exclusions,
                           split_records, write_split_csv)
 from .scores import (SCORE_NAMES, compute_score, esi_risk,
                      load_score_definition)
-from .models import (DISPLAY_NAMES, MODEL_KINDS, TASKS, build_feature_matrix,
-                     load_manifest, load_model, predict_proba,
-                     resolve_hyperparams, save_model, train_model)
+from .models import (DISPLAY_NAMES, MODEL_KINDS, TASKS, TIME_POINTS,
+                     build_feature_matrix, load_manifest, load_model,
+                     predict_proba, resolve_hyperparams, save_model,
+                     train_model)
 from .evaluate import (ModelResult, build_report, render_report,
                        summarize_cohort, write_cohort_summary)
 from .synthdata import SynthConfig, generate_with_truth, write_synthetic
@@ -117,8 +118,8 @@ class PipelineConfig:
         if self.imputation not in IMPUTE_STRATEGIES:
             raise ConfigError(f"imputation must be one of {IMPUTE_STRATEGIES}, "
                               f"got {self.imputation!r}")
-        if self.temperature_unit not in ("fahrenheit", "celsius"):
-            raise ConfigError(f"temperature_unit must be 'fahrenheit' or 'celsius', "
+        if self.temperature_unit not in TEMPERATURE_UNITS:
+            raise ConfigError(f"temperature_unit must be one of {TEMPERATURE_UNITS}, "
                               f"got {self.temperature_unit!r}")
         if self.bootstrap_b < 1:
             raise ConfigError(f"bootstrap_b must be >= 1, got {self.bootstrap_b}")
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model", default="all",
                          choices=("all",) + MODEL_KINDS)
     p_train.add_argument("--time-point", default=None,
-                         choices=("triage", "disposition"),
+                         choices=TIME_POINTS,
                          help="feature manifest; default is per-task")
 
     p_eval = sub.add_parser("evaluate", parents=[common],
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--task", default="all",
                         choices=("all",) + TASK_ORDER)
     p_eval.add_argument("--time-point", default=None,
-                        choices=("triage", "disposition"),
+                        choices=TIME_POINTS,
                         help="feature manifest; default is per-task")
 
     p_pred = sub.add_parser("predict", parents=[common],

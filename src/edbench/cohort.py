@@ -27,11 +27,11 @@ import configparser
 import csv
 import datetime as dt
 import logging
+import math
 import re
 from bisect import bisect_left
-from sys import intern
 
-from ._util import format_cell, parse_float, read_data_file
+from ._util import format_cell, read_data_file
 from .comorbidity import (
     DEFAULT_LOOKBACK_DAYS,
     ComorbidityMap,
@@ -49,6 +49,12 @@ HISTORY_WINDOWS_DAYS = (30, 90, 365)
 ICU_TRANSFER_HORIZON = dt.timedelta(hours=12)
 REATTENDANCE_HORIZON = dt.timedelta(hours=72)
 
+# the history-count and vital-sign column names, formatted once for all rows
+HISTORY_COLUMNS = tuple(f"n_{kind}_{w}d" for kind in ("ed", "hosp", "icu")
+                        for w in HISTORY_WINDOWS_DAYS)
+TRIAGE_VITAL_COLUMNS = tuple(f"triage_{f}" for f in VITAL_FIELDS)
+ED_VITAL_COLUMNS = tuple(f"ed_{f}" for f in VITAL_FIELDS)
+
 OUTCOME_COLUMNS = (
     "outcome_hospitalization",
     "outcome_inpatient_mortality",
@@ -65,6 +71,7 @@ class ComplaintMatcher:
 
     def __init__(self, categories: list[tuple[str, list[str]]]):
         self.categories = [name for name, _ in categories]
+        self.columns = tuple(f"chiefcom_{name}" for name in self.categories)
         self._patterns: list[tuple[str, re.Pattern]] = []
         for name, keywords in categories:
             parts = []
@@ -185,15 +192,13 @@ def master_columns(cmap: ComorbidityMap | None = None,
     cmap = cmap or default_map()
     matcher = matcher or load_complaint_matcher()
     cols = ["subject_id", "stay_id", "hadm_id", "age", "gender"]
-    for kind in ("ed", "hosp", "icu"):
-        for w in HISTORY_WINDOWS_DAYS:
-            cols.append(f"n_{kind}_{w}d")
-    cols += [f"triage_{f}" for f in VITAL_FIELDS]
+    cols += HISTORY_COLUMNS
+    cols += TRIAGE_VITAL_COLUMNS
     cols += ["triage_pain", "triage_acuity"]
-    cols += [f"chiefcom_{name}" for name in matcher.categories]
+    cols += matcher.columns
     cols += cmap.cci_fields
     cols += cmap.eci_fields
-    cols += [f"ed_{f}" for f in VITAL_FIELDS]
+    cols += ED_VITAL_COLUMNS
     cols += ["ed_los_hours", "n_med", "n_medrecon"]
     cols += list(OUTCOME_COLUMNS)
     return cols
@@ -239,7 +244,6 @@ def build_master(
     for sid, icus in cohort.icustays_by_subject.items():
         icu_times[sid] = sorted(i.intime for i in icus if i.intime is not None)
 
-    # formatted keys are interned, so every record shares one string per column
     records: list[dict] = []
     for stay in cohort.stays:
         patient = cohort.patients[stay.subject_id]
@@ -250,27 +254,27 @@ def build_master(
             "age": compute_age(patient, stay.intime),
             "gender": patient.gender,
         }
-        for kind, times in (("ed", ed_times), ("hosp", adm_times), ("icu", icu_times)):
+        columns = iter(HISTORY_COLUMNS)
+        for times in (ed_times, adm_times, icu_times):
             series = times.get(stay.subject_id, [])
             for w in HISTORY_WINDOWS_DAYS:
-                rec[intern(f"n_{kind}_{w}d")] = count_prior_events(series, stay.intime, w)
+                rec[next(columns)] = count_prior_events(series, stay.intime, w)
 
         triage = cohort.triage_by_stay.get(stay.stay_id)
-        for f in VITAL_FIELDS:
-            rec[intern(f"triage_{f}")] = getattr(triage, f) if triage else None
+        for column, f in zip(TRIAGE_VITAL_COLUMNS, VITAL_FIELDS):
+            rec[column] = getattr(triage, f) if triage else None
         rec["triage_pain"] = triage.pain if triage else None
         rec["triage_acuity"] = triage.acuity if triage else None
 
         complaint = triage.chiefcomplaint if triage else ""
-        for name, hit in matcher.match(complaint).items():
-            rec[intern(f"chiefcom_{name}")] = hit
+        rec.update(zip(matcher.columns, matcher.match(complaint).values()))
 
         codes = collect_codes_in_lookback(cohort, stay, lookback_days)
         rec.update(map_to_cci(codes, cmap))
         rec.update(map_to_eci(codes, cmap))
 
-        for f, value in extract_ed_vitals(cohort.vitals_by_stay.get(stay.stay_id, [])).items():
-            rec[intern(f"ed_{f}")] = value
+        ed_vitals = extract_ed_vitals(cohort.vitals_by_stay.get(stay.stay_id, []))
+        rec.update(zip(ED_VITAL_COLUMNS, ed_vitals.values()))
         los = (stay.outtime - stay.intime).total_seconds() / 3600.0
         rec["ed_los_hours"] = max(los, 0.0)
         rec["n_med"] = len(cohort.pyxis_by_stay.get(stay.stay_id, ()))
@@ -291,26 +295,37 @@ def build_master(
 
 # -- master CSV i/o -----------------------------------------------------------
 
+def _number(s: str) -> float | None:
+    value = float(s) if s else None
+    if value is not None and not math.isfinite(value):
+        raise ValueError(s)
+    return value
+
+
 def _int_if_integral(s: str):
     # int-ish columns may hold fractional values after imputation (a median
     # of an even count can fall between integers); keep those as floats
-    value = parse_float(s)
+    value = _number(s)
     if value is None:
         return None
     return int(value) if value == int(value) else value
 
 
 _FLAGS = {"0": False, "1": True, "": None}
+_SEXES = {"M": "M", "F": "F", "": None}
 
-# kind -> parser of one CSV cell; only a flag cell can fail, with KeyError
+# kind -> parser of one CSV cell, which raises KeyError or ValueError on a
+# malformed one, and what a flag, a sex or any other cell holds
 _PARSERS = {
     "id": _int_if_integral,
-    "sex": lambda s: s if s else None,
+    "sex": _SEXES.__getitem__,
     "flag": _FLAGS.__getitem__,
     "index": _int_if_integral,
     "count": _int_if_integral,
-    "number": parse_float,
+    "number": _number,
 }
+_RULES = {"flag": "a flag is 0, 1 or empty", "sex": "a sex is M, F or empty"}
+_NUMBER_RULE = "a number is finite or empty"
 
 
 def write_master_csv(records: list[dict], path: str,
@@ -327,7 +342,9 @@ def write_master_csv(records: list[dict], path: str,
 
 def read_master_csv(path: str) -> tuple[list[dict], list[str]]:
     """Read a master (or benchmark) CSV back into typed record dicts. A
-    ragged row or a malformed flag cell raises DataError."""
+    ragged row or a malformed cell (a number that is not finite, a flag
+    other than 0 or 1, a sex other than M or F) raises DataError, naming
+    its line and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -341,10 +358,12 @@ def read_master_csv(path: str) -> tuple[list[dict], list[str]]:
                 raise DataError(f"{path}: ragged row with {len(row)} fields")
             try:
                 records.append({c: p(v) for c, p, v in zip(columns, parsers, row)})
-            except KeyError as exc:
-                column = next(c for c, v in zip(columns, row)
-                              if column_kind(c) == "flag" and v not in _FLAGS)
-                raise DataError(
-                    f"{path}: line {reader.line_num}, column {column!r}: a "
-                    f"flag is 0, 1 or empty, got {exc.args[0]!r}") from None
+            except (KeyError, ValueError):
+                for c, p, v in zip(columns, parsers, row):
+                    try:
+                        p(v)
+                    except (KeyError, ValueError):
+                        rule = _RULES.get(column_kind(c), _NUMBER_RULE)
+                        raise DataError(f"{path}: line {reader.line_num}, "
+                                        f"column {c!r}: {rule}, got {v!r}") from None
     return records, columns

@@ -393,6 +393,19 @@ def _group(records, key: str, known=None, orphans=None, kind=None, sort_key=None
     return groups
 
 
+def _by_key(records, key: str, table: str) -> dict:
+    """Records by their ``key`` field, in record order; the first key that
+    repeats raises DuplicateKey."""
+    get = attrgetter(key)
+    by_key: dict = {}
+    for rec in records:
+        k = get(rec)
+        if k in by_key:
+            raise DuplicateKey(f"{table}: duplicate {key} {k}")
+        by_key[k] = rec
+    return by_key
+
+
 def link_tables(tables: RawTables) -> LinkedCohort:
     """Join the nine tables around the root stays.
 
@@ -401,33 +414,17 @@ def link_tables(tables: RawTables) -> LinkedCohort:
     root are dropped and tallied in orphan_counts. Duplicate primary keys
     abort. Attachment lists come out time-sorted.
     """
-    patients: dict[int, PatientRecord] = {}
-    for rec in tables.patients:
-        if rec.subject_id in patients:
-            raise DuplicateKey(f"patients: duplicate subject_id {rec.subject_id}")
-        patients[rec.subject_id] = rec
-
-    admissions_by_hadm: dict[int, AdmissionRecord] = {}
-    for rec in tables.admissions:
-        if rec.hadm_id in admissions_by_hadm:
-            raise DuplicateKey(f"admissions: duplicate hadm_id {rec.hadm_id}")
-        admissions_by_hadm[rec.hadm_id] = rec
-
-    seen_icu: set[int] = set()
-    for rec in tables.icustays:
-        if rec.stay_id in seen_icu:
-            raise DuplicateKey(f"icustays: duplicate stay_id {rec.stay_id}")
-        seen_icu.add(rec.stay_id)
+    patients: dict[int, PatientRecord] = _by_key(
+        tables.patients, "subject_id", "patients")
+    admissions_by_hadm: dict[int, AdmissionRecord] = _by_key(
+        tables.admissions, "hadm_id", "admissions")
+    _by_key(tables.icustays, "stay_id", "icustays")
 
     dropped: list[tuple[int, str]] = []
     orphans: dict[str, int] = {k: 0 for k in TABLE_KINDS if k != "edstays"}
 
     stays: list[EdStayRecord] = []
-    seen_stays: set[int] = set()
-    for rec in tables.edstays:
-        if rec.stay_id in seen_stays:
-            raise DuplicateKey(f"edstays: duplicate stay_id {rec.stay_id}")
-        seen_stays.add(rec.stay_id)
+    for rec in _by_key(tables.edstays, "stay_id", "edstays").values():
         if rec.outtime is None:
             dropped.append((rec.stay_id, "missing_outtime"))
             logger.warning("stay %d dropped: missing outtime", rec.stay_id)
@@ -441,14 +438,11 @@ def link_tables(tables: RawTables) -> LinkedCohort:
     stays.sort(key=lambda s: s.stay_id)
     kept_ids = {s.stay_id for s in stays}
 
-    triage_by_stay: dict[int, TriageRecord] = {}
-    for trec in tables.triage:
-        if trec.stay_id not in kept_ids:
-            orphans["triage"] += 1
-            continue
-        if trec.stay_id in triage_by_stay:
-            raise DuplicateKey(f"triage: duplicate stay_id {trec.stay_id}")
-        triage_by_stay[trec.stay_id] = trec
+    # a triage row of a dropped or unknown stay is an orphan, even repeated
+    triage = [t for t in tables.triage if t.stay_id in kept_ids]
+    orphans["triage"] = len(tables.triage) - len(triage)
+    triage_by_stay: dict[int, TriageRecord] = _by_key(
+        triage, "stay_id", "triage")
 
     vitals_by_stay = _group(tables.vitalsign, "stay_id", kept_ids, orphans, "vitalsign",
                             lambda v: (v.charttime is None, v.charttime))

@@ -33,13 +33,13 @@ leave as nodes close, so the root level's cells bound a pass's working
 set; a training set that fills the budget alone grows one tree per pass.
 
 Boosting grows every stage's tree over every feature on the same rows, so
-its histogram layout is kept per fit, on ``BinnedFeatures``
-(``_Workspace``): where each feature's bins start in a node's block of
-cells, the whole level-0 layout (keys, occupied bins, segments and running
-row counts), which only the residual weights change from stage to stage,
-and buffers for the keys, the weights and the padded float ``cumsum`` that
-every level and stage reuses. The level-0 layout is served again only for
-rows equal to those it was built on.
+its histogram layout is kept per fit, on ``BinnedFeatures``: where each
+feature's bins start in a node's block of cells, the whole level-0 layout
+(keys, occupied bins, segments and running row counts), which only the
+residual weights change from stage to stage, and buffers for the keys, the
+weights and the padded float ``cumsum`` that every level and stage reuses.
+The level-0 layout is served again only for rows equal to those it was
+built on.
 
 Without feature subsampling the result is bit-identical, up to the order
 of its nodes, to growing the same tree depth-first, one node at a time
@@ -90,6 +90,9 @@ MAX_BINS = 256
 
 @dataclass
 class BinnedFeatures:
+    """One fit's bin codes, and the split-search state all its trees share:
+    bin starts, the kept level-0 histogram and reused buffers."""
+
     codes: np.ndarray        # (n, d) uint16 bin codes
     thresholds: list[np.ndarray]  # per feature, edge values; code<=k iff x<=edges[k]
 
@@ -98,13 +101,115 @@ class BinnedFeatures:
                                dtype=np.int64)
         self.edges = np.concatenate(self.thresholds)   # all features' edges
         self.edge_start = np.cumsum(self.n_bins - 1) - (self.n_bins - 1)
-        self._workspace = None
+        self.bin_start = np.cumsum(self.n_bins) - self.n_bins
+        self.block = int(self.n_bins.sum())
+        self.root_rows: np.ndarray | None = None
+        self.root: _Histogram | None = None
+        self.buffers: dict[str, np.ndarray] = {}
 
-    def workspace(self) -> _Workspace:
-        """The split-search state of this fit, made on first use."""
-        if self._workspace is None:
-            self._workspace = _Workspace(self.n_bins)
-        return self._workspace
+    def buffer(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` cells of a buffer kept for the fit. It is
+        zeroed when made, and after that holds only earlier contents."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.zeros(size, dtype)
+        return buf[:size]
+
+    def weights(self, y_rows: np.ndarray, k: int) -> np.ndarray:
+        """``np.repeat(y_rows, k)``, each row's label once per cell, in the
+        weights buffer."""
+        w = self.buffer("weights", y_rows.size * k)
+        w.reshape(y_rows.size, k)[...] = y_rows[:, None]
+        return w
+
+    def subset_histogram(self, rows, node, feats) -> _Histogram:
+        """The histogram of a level whose open nodes take the candidate
+        features ``feats`` (m, k), each segment as long as its feature has
+        bins."""
+        m, k = feats.shape
+        size = self.n_bins[feats].ravel()
+        start = np.cumsum(size) - size
+        keys = self.buffer("keys", rows.size * k, np.int64)
+        grid = keys.reshape(rows.size, k)
+        # flat gathers by np.take, which beat fancy indexing on a 2-D array
+        np.multiply(rows[:, None], self.codes.shape[1], out=grid)
+        grid += np.take(feats, node, axis=0)
+        sub = np.take(self.codes.ravel(), grid)
+        np.take(start.reshape(m, k), node, axis=0, out=grid)
+        grid += sub
+        return _Histogram(keys, start, int(size.sum()))
+
+    def full_histogram(self, rows, node, m, *, root) -> _Histogram:
+        """The histogram of a level whose m open nodes take every feature,
+        each node one block of cells laid out as ``bin_start`` says. A
+        one-node root level is kept and served again for the same rows."""
+        keep = root and m == 1
+        if keep and self.root_rows is not None \
+                and np.array_equal(self.root_rows, rows):
+            return self.root
+        d = self.codes.shape[1]
+        start = (np.arange(m)[:, None] * self.block + self.bin_start).ravel()
+        keys = (np.empty(rows.size * d, dtype=np.int64) if keep
+                else self.buffer("keys", rows.size * d, np.int64))
+        grid = keys.reshape(rows.size, d)
+        np.add(self.codes[rows], self.bin_start, out=grid)
+        grid += (node * self.block)[:, None]
+        hist = _Histogram(keys, start, m * self.block)
+        if keep:
+            self.root_rows, self.root = rows, hist
+        return hist
+
+    def best_splits(self, hist, weights, feats, count, min_leaf, *, exact):
+        """Best split of each open node of a level, from one histogram pass.
+
+        ``hist`` lays out the level's cells, ``weights`` is the label of
+        each (active row, candidate feature) cell, ``feats`` (m, k) holds
+        each open node's candidate features and ``count`` each node's row
+        count. Returns per node whether it splits, the feature, the last
+        bin that goes left, and the left child's row count and label sum.
+        """
+        m, k = feats.shape
+        seg, head, tail, n_l = hist.seg, hist.head, hist.tail, hist.n_l
+        w = np.bincount(hist.keys, weights=weights,
+                        minlength=hist.n_cells)[hist.occ]
+        if exact:
+            # integer label sums: one flat running sum, rebased per segment
+            s_l = np.cumsum(w)
+            s_l -= (s_l - w)[head][seg]
+        else:
+            # float sums: each segment cumulates on its own, in bin order,
+            # in a padded (segments, width) block; the cumsum of a cell
+            # reads only the cells before it, so what a reused block holds
+            # past a segment's end is never read
+            shape = (m * k, hist.width)
+            pad = self.buffer("pad", m * k * hist.width)
+            pad[hist.padded] = w
+            total = self.buffer("cumsum", pad.size)
+            np.cumsum(pad.reshape(shape), axis=1, out=total.reshape(shape))
+            s_l = total[hist.padded]
+        owner = seg // k
+        n_r = count[owner] - n_l
+        s_r = s_l[tail][seg] - s_l
+        valid = (n_l >= min_leaf) & (n_r >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(valid, s_l * s_l / n_l + s_r * s_r / n_r, -np.inf)
+
+        # first maximum per node, over (feature in sorted order, bin)
+        best = np.maximum.reduceat(score, head[::k])
+        hit = np.flatnonzero(score == best[owner])
+        cell = hit[np.searchsorted(owner[hit], np.arange(m))]
+        # the parent's own score, from its first feature's total
+        sums = s_l[tail[::k]]
+        if exact:
+            # integer sums below 2**26, whose square t * t is exact
+            squares = sums * sums
+        else:
+            # a Python float's ** is libm pow, which can differ from t * t
+            # in the last bit
+            squares = np.array([t ** 2 for t in sums.tolist()])
+        split = best > squares / count + 1e-12
+        return (split, feats.ravel()[seg[cell]],
+                hist.occ[cell] - hist.start[seg[cell]], n_l[cell], s_l[cell])
 
 
 def bin_features(X: np.ndarray) -> BinnedFeatures:
@@ -283,7 +388,6 @@ def grow_trees(
     codes = binned.codes
     d = codes.shape[1]
     subsample = features_per_node is not None and features_per_node < d
-    work = binned.workspace()
 
     def leaf_values(groups, count, label):
         if classification:
@@ -326,14 +430,14 @@ def grow_trees(
                                    for t, c in enumerate(opened) if c])
             feats = np.sort(np.argsort(draw, axis=1)[:, :features_per_node],
                             axis=1)
-            hist = work.subset_histogram(codes, rows, node, feats)
+            hist = binned.subset_histogram(rows, node, feats)
         else:
             feats = np.broadcast_to(np.arange(d), (ids.size, d))
-            hist = work.full_histogram(codes, rows, node, ids.size,
-                                       root=depth == 0)
-        split, feat, cut, n_l, s_l = _best_splits(
-            hist, work.weights(y[rows], feats.shape[1]), feats, count[ids],
-            min_leaf, work, exact=classification)
+            hist = binned.full_histogram(rows, node, ids.size,
+                                         root=depth == 0)
+        split, feat, cut, n_l, s_l = binned.best_splits(
+            hist, binned.weights(y[rows], feats.shape[1]), feats, count[ids],
+            min_leaf, exact=classification)
         if not split.any():
             break
         ids, feat, cut, n_l, s_l = (a[split] for a in (ids, feat, cut, n_l, s_l))
@@ -414,128 +518,6 @@ class _Histogram:
         """Each occupied cell's place in a (segments, width) block."""
         return (self.seg * self.width + np.arange(self.occ.size)
                 - self.head[self.seg])
-
-
-class _Workspace:
-    """Per-fit state of split search, held on BinnedFeatures: where each
-    feature's bins start in a node's block of cells when a node takes every
-    feature, the level-0 histogram of the last rows grown on that way (a
-    boosting stage grows every tree on the same rows, and only the residual
-    weights change), and buffers reused from level to level and tree to
-    tree."""
-
-    def __init__(self, n_bins: np.ndarray):
-        self.n_bins = n_bins
-        self.bin_start = np.cumsum(n_bins) - n_bins
-        self.block = int(n_bins.sum())
-        self.root_rows: np.ndarray | None = None
-        self.root: _Histogram | None = None
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def buffer(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """The first ``size`` cells of a buffer kept for the fit. It is
-        zeroed when made, and after that holds only earlier contents."""
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self.buffers[name] = np.zeros(size, dtype)
-        return buf[:size]
-
-    def weights(self, y_rows: np.ndarray, k: int) -> np.ndarray:
-        """``np.repeat(y_rows, k)``, each row's label once per cell, in the
-        weights buffer."""
-        w = self.buffer("weights", y_rows.size * k)
-        w.reshape(y_rows.size, k)[...] = y_rows[:, None]
-        return w
-
-    def subset_histogram(self, codes, rows, node, feats) -> _Histogram:
-        """The histogram of a level whose open nodes take the candidate
-        features ``feats`` (m, k), each segment as long as its feature has
-        bins."""
-        m, k = feats.shape
-        size = self.n_bins[feats].ravel()
-        start = np.cumsum(size) - size
-        keys = self.buffer("keys", rows.size * k, np.int64)
-        grid = keys.reshape(rows.size, k)
-        # flat gathers by np.take, which beat fancy indexing on a 2-D array
-        np.multiply(rows[:, None], codes.shape[1], out=grid)
-        grid += np.take(feats, node, axis=0)
-        sub = np.take(codes.ravel(), grid)
-        np.take(start.reshape(m, k), node, axis=0, out=grid)
-        grid += sub
-        return _Histogram(keys, start, int(size.sum()))
-
-    def full_histogram(self, codes, rows, node, m, *, root) -> _Histogram:
-        """The histogram of a level whose m open nodes take every feature,
-        each node one block of cells laid out as ``bin_start`` says. A
-        one-node root level is kept and served again for the same rows."""
-        keep = root and m == 1
-        if keep and self.root_rows is not None \
-                and np.array_equal(self.root_rows, rows):
-            return self.root
-        d = codes.shape[1]
-        start = (np.arange(m)[:, None] * self.block + self.bin_start).ravel()
-        keys = (np.empty(rows.size * d, dtype=np.int64) if keep
-                else self.buffer("keys", rows.size * d, np.int64))
-        grid = keys.reshape(rows.size, d)
-        np.add(codes[rows], self.bin_start, out=grid)
-        grid += (node * self.block)[:, None]
-        hist = _Histogram(keys, start, m * self.block)
-        if keep:
-            self.root_rows, self.root = rows, hist
-        return hist
-
-
-def _best_splits(hist, weights, feats, count, min_leaf, work, *, exact):
-    """Best split of each open node of one level, from one histogram pass.
-
-    ``hist`` lays out the level's cells, ``weights`` is the label of each
-    (active row, candidate feature) cell, ``feats`` (m, k) holds each open
-    node's candidate features and ``count`` each node's row count. Returns
-    per node whether it splits, the feature, the last bin that goes left,
-    and the left child's row count and label sum.
-    """
-    m, k = feats.shape
-    seg, head, tail, n_l = hist.seg, hist.head, hist.tail, hist.n_l
-    w = np.bincount(hist.keys, weights=weights,
-                    minlength=hist.n_cells)[hist.occ]
-    if exact:
-        # integer label sums: one flat running sum, rebased per segment
-        s_l = np.cumsum(w)
-        s_l -= (s_l - w)[head][seg]
-    else:
-        # float sums: each segment cumulates on its own, in bin order, in a
-        # padded (segments, width) block; the cumsum of a cell reads only
-        # the cells before it, so what a reused block holds past a
-        # segment's end is never read
-        shape = (m * k, hist.width)
-        pad = work.buffer("pad", m * k * hist.width)
-        pad[hist.padded] = w
-        total = work.buffer("cumsum", pad.size)
-        np.cumsum(pad.reshape(shape), axis=1, out=total.reshape(shape))
-        s_l = total[hist.padded]
-    owner = seg // k
-    n_r = count[owner] - n_l
-    s_r = s_l[tail][seg] - s_l
-    valid = (n_l >= min_leaf) & (n_r >= min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.where(valid, s_l * s_l / n_l + s_r * s_r / n_r, -np.inf)
-
-    # first maximum per node, over (feature in sorted order, bin)
-    best = np.maximum.reduceat(score, head[::k])
-    hit = np.flatnonzero(score == best[owner])
-    cell = hit[np.searchsorted(owner[hit], np.arange(m))]
-    # the parent's own score, from its first feature's total
-    sums = s_l[tail[::k]]
-    if exact:
-        # integer sums below 2**26, whose square t * t is exact
-        squares = sums * sums
-    else:
-        # a Python float's ** is libm pow, which can differ from t * t in
-        # the last bit
-        squares = np.array([t ** 2 for t in sums.tolist()])
-    split = best > squares / count + 1e-12
-    return (split, feats.ravel()[seg[cell]],
-            hist.occ[cell] - hist.start[seg[cell]], n_l[cell], s_l[cell])
 
 
 def _level_order(levels: list[dict]) -> list[dict]:

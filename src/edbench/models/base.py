@@ -53,7 +53,6 @@ MODEL_KINDS = tuple(_KINDS)
 _COUNTS = ("n_trees", "n_stages", "max_depth", "min_leaf", "hidden", "epochs",
            "batch_size")
 _POSITIVE = ("C", "learning_rate")
-_MOMENTS = ("beta1", "beta2")      # Adam divides by 1 - beta**t
 
 # the arrays of the logistic and MLP params, by shape: "d" is the number of
 # feature columns, "h" the MLP's hidden width (the columns of W1); the
@@ -113,8 +112,6 @@ def resolve_hyperparams(kind: str, overrides: dict) -> dict:
             raise ConfigError(f"{kind}: {key} must be >= 1, got {value!r}")
         if key in _POSITIVE and not value > 0:
             raise ConfigError(f"{kind}: {key} must be > 0, got {value!r}")
-        if key in _MOMENTS and not 0 <= value < 1:
-            raise ConfigError(f"{kind}: {key} must be in [0, 1), got {value!r}")
         hyper[key] = value
     return hyper
 

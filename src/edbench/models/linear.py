@@ -7,10 +7,10 @@ count, matching the usual C-parameterized convention at the optimum:
     J(w, b) = mean_i [softplus(z_i) - y_i z_i] + ||w||^2 / (2 C n)
 
 Optimization is full-batch gradient descent with a backtracking
-(step-halving) line search from a zero start, capped at ``max_iter``
-iterations or an infinity-norm gradient tolerance. The line search only
-ever accepts descent steps, so the final loss cannot exceed the zero-
-parameter loss (a convexity witness checked by tests).
+(step-halving) line search from a zero start, capped at ``MAX_ITER``
+iterations or an infinity-norm gradient tolerance ``TOL``. The line
+search only ever accepts descent steps, so the final loss cannot exceed
+the zero-parameter loss (a convexity witness checked by tests).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import numpy as np
 from ..errors import DataError, NonFiniteLoss
 
 logger = logging.getLogger(__name__)
+
+MAX_ITER = 100
+TOL = 1e-6
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -70,8 +73,7 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0,
-                 max_iter: int = 100, tol: float = 1e-6) -> dict:
+def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0) -> dict:
     """Train and return kind-specific parameters (standardized scale)."""
     if not np.isfinite(X).all():
         raise DataError("logistic regression: non-finite feature values")
@@ -86,9 +88,9 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0,
     loss, grad_w, grad_b = logistic_objective(w, b, Xs, y, lam)
     step = 1.0
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         gnorm = max(np.abs(grad_w).max() if d else 0.0, abs(grad_b))
-        if gnorm < tol:
+        if gnorm < TOL:
             n_iter -= 1
             break
         gsq = float(np.dot(grad_w, grad_w) + grad_b * grad_b)

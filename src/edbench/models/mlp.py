@@ -23,6 +23,11 @@ from .linear import matvec, sigmoid, _softplus, standardize_fit
 
 logger = logging.getLogger(__name__)
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def mlp_loss_and_grads(W1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                        b2: float, X: np.ndarray, y: np.ndarray):
@@ -43,23 +48,22 @@ def mlp_loss_and_grads(W1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
 
 
 class _Adam:
-    def __init__(self, shape, lr, beta1, beta2, eps):
+    def __init__(self, shape, lr):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
 
     def update(self, param, grad, t):
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** t)
-        v_hat = self.v / (1 - self.beta2 ** t)
-        return param - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = BETA1 * self.m + (1 - BETA1) * grad
+        self.v = BETA2 * self.v + (1 - BETA2) * grad * grad
+        m_hat = self.m / (1 - BETA1 ** t)
+        v_hat = self.v / (1 - BETA2 ** t)
+        return param - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def fit_mlp(X: np.ndarray, y: np.ndarray, *, hidden: int = 64,
             epochs: int = 20, batch_size: int = 200,
-            learning_rate: float = 0.001, beta1: float = 0.9,
-            beta2: float = 0.999, eps: float = 1e-8, seed: int = 0) -> dict:
+            learning_rate: float = 0.001, seed: int = 0) -> dict:
     if not np.isfinite(X).all():
         raise DataError("mlp: non-finite feature values")
     y = y.astype(np.float64)
@@ -75,10 +79,10 @@ def fit_mlp(X: np.ndarray, y: np.ndarray, *, hidden: int = 64,
     w2 = rng.uniform(-lim2, lim2, size=hidden)
     b2 = 0.0
 
-    opt_W1 = _Adam((d, hidden), learning_rate, beta1, beta2, eps)
-    opt_b1 = _Adam(hidden, learning_rate, beta1, beta2, eps)
-    opt_w2 = _Adam(hidden, learning_rate, beta1, beta2, eps)
-    opt_b2 = _Adam((), learning_rate, beta1, beta2, eps)
+    opt_W1 = _Adam((d, hidden), learning_rate)
+    opt_b1 = _Adam(hidden, learning_rate)
+    opt_w2 = _Adam(hidden, learning_rate)
+    opt_b2 = _Adam((), learning_rate)
 
     step = 0
     epoch_loss = []

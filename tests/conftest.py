@@ -25,8 +25,7 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "edbench-hypothesis")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # tool caches, plus the log a run's own output is conventionally piped into
-_UNGUARDED = {".git", ".pytest_cache", "__pycache__",
-              ".bench_work", "test_output.txt"}
+_UNGUARDED = {".git", "__pycache__", ".bench_work", "test_output.txt"}
 
 
 def _repo_mtimes() -> dict[str, int]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from edbench import cli
+from edbench._util import read_data_file
 from edbench.errors import ConfigError
 from edbench.synthdata import SynthConfig
 
@@ -297,7 +298,86 @@ def test_threads_flag_is_not_accepted():
     assert exc.value.code == 2
 
 
-# -- end-to-end artifacts ----------------------------------------------------------
+# -- [paths] overrides ---------------------------------------------------------------
+
+
+def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=()):
+    """Run ``command`` on copies of ``inputs`` from the ``all`` run, with
+    the table ``key`` of [paths] replaced by ``text``; the output dir."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in inputs:
+        source = run_all / "out" / name
+        if source.is_dir():
+            shutil.copytree(source, out / name)
+        else:
+            shutil.copy(source, out)
+    table = tmp_path / f"{key}.table"
+    table.write_text(text)
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[pipeline]\ninput_dir = {run_all / 'data'}\n"
+                   f"output_dir = {out}\nseed = 7\ntest_fraction = 0.25\n"
+                   f"bootstrap_b = 5\n\n[paths]\n{key} = {table}\n")
+    assert cli.main([command, "--config", str(ini), *extra]) == 0
+    return out
+
+
+def _header(path):
+    return path.read_text().splitlines()[0].split(",")
+
+
+def test_paths_cleaning_bounds_override(run_all, tmp_path):
+    text = read_data_file("cleaning_bounds.ini")
+    narrow = text.replace("[triage_heartrate]\nouter: 0 350\ninner: 13 250",
+                          "[triage_heartrate]\nouter: 0 350\ninner: 80 90")
+    assert narrow != text
+    out = _run_with_paths(run_all, tmp_path, "build-benchmark",
+                          "cleaning_bounds", narrow, "master_dataset.csv")
+    clamped = {
+        run: json.loads((root / "run_manifest.json").read_text())
+        ["stages"]["build_benchmark"]["cleaning_clamped"]
+        for run, root in (("default", run_all / "out"), ("narrow", out))}
+    assert clamped["narrow"] > clamped["default"]
+
+
+def test_paths_comorbidity_map_override(run_all, tmp_path):
+    out = _run_with_paths(run_all, tmp_path, "extract-master",
+                          "comorbidity_map",
+                          "[cci.heart]\nicd9: 410\nicd10: I21\n\n"
+                          "[eci.lung]\nicd9: 490\nicd10: J44\n")
+    header = _header(out / "master_dataset.csv")
+    assert [c for c in header if c.startswith(("cci_", "eci_"))] == [
+        "cci_heart", "eci_lung"]
+
+
+def test_paths_chief_complaints_override(run_all, tmp_path):
+    out = _run_with_paths(run_all, tmp_path, "extract-master",
+                          "chief_complaints", "[cough]\nkeywords: cough\n")
+    header = _header(out / "master_dataset.csv")
+    assert [c for c in header if c.startswith("chiefcom_")] == [
+        "chiefcom_cough"]
+
+
+def test_paths_feature_manifest_override(run_all, tmp_path):
+    out = _run_with_paths(run_all, tmp_path, "train", "manifest_triage",
+                          "age\ntriage_heartrate\ntriage_sbp\n", "train.csv",
+                          extra=("--task", "critical", "--model", "logistic"))
+    model = json.loads(
+        (out / "models" / "critical_triage_logistic.json").read_text())
+    assert model["columns"] == ["age", "triage_heartrate", "triage_sbp"]
+
+
+def test_paths_score_override(run_all, tmp_path):
+    text = ("[score]\nname: cart\nconsumes: age\n\n[component.age]\n"
+            "variable: age\nbands: -inf 55 0\n       55 inf 9\n")
+    out = _run_with_paths(run_all, tmp_path, "evaluate", "score_cart", text,
+                          "train.csv", "test.csv", "models",
+                          extra=("--task", "critical"))
+    rows = json.loads((out / "report.json").read_text())
+    assert [r["n_variables"] for r in rows if r["model"] == "CART"] == [1]
+
+
+# -- end-to-end artifacts ----------------------------------------------------------# -- end-to-end artifacts ----------------------------------------------------------
 
 
 def test_all_writes_expected_artifacts(run_all):
@@ -387,6 +467,25 @@ def test_predict_rejects_malformed_flag_cell(run_all, tmp_path, caplog):
     assert rc == 3
     assert f"{bad}: line 2, column 'chiefcom_chest_pain'" in caplog.text
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_build_benchmark_rejects_malformed_number_cell(run_all, tmp_path,
+                                                      caplog):
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = (run_all / "out" / "master_dataset.csv").read_text().splitlines(
+        keepends=True)
+    at = rows[0].split(",").index("triage_heartrate")
+    cells = rows[1].split(",")
+    cells[at] = "abc"
+    rows[1] = ",".join(cells)
+    (out / "master_dataset.csv").write_text("".join(rows))
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[pipeline]\noutput_dir = {out}\n")
+    assert cli.main(["build-benchmark", "--config", str(ini)]) == 3
+    assert (f"{out / 'master_dataset.csv'}: line 2, column 'triage_heartrate'"
+            in caplog.text)
+    assert [p.name for p in out.iterdir()] == ["master_dataset.csv"]
 
 
 def test_predict_writes_manifest_beside_output(run_all, tmp_path, monkeypatch):

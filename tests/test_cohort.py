@@ -236,18 +236,29 @@ def test_master_csv_round_trips_every_kind(records):
     assert _typed(back) == _typed(records)
 
 
-@pytest.mark.parametrize("cell", ["yes", "2", "-1", "1.0", " 1", "true"])
-def test_malformed_flag_cell_names_its_place(master, tmp_path, cell):
+# flag cells keep their bare ids; other kinds say their column
+_MALFORMED = [("chiefcom_chest_pain", cell)
+              for cell in ["yes", "2", "-1", "1.0", " 1", "true"]] + [
+    ("triage_heartrate", "abc"), ("triage_heartrate", "nan"),
+    ("ed_sbp", "inf"), ("ed_los_hours", " "), ("age", "forty"),
+    ("n_ed_30d", "1e999"), ("stay_id", "-"), ("cci_myocardial_infarction", "x"),
+    ("gender", "X"), ("gender", "f")]
+
+
+@pytest.mark.parametrize("column, cell", _MALFORMED, ids=[
+    cell if column == "chiefcom_chest_pain" else f"{column}-{cell}"
+    for column, cell in _MALFORMED])
+def test_malformed_flag_cell_names_its_place(master, tmp_path, column, cell):
     path = tmp_path / "master.csv"
     write_master_csv(master, str(path))
     lines = path.read_text().splitlines(keepends=True)
     columns = lines[0].rstrip("\n").split(",")
-    at = columns.index("chiefcom_chest_pain")
+    at = columns.index(column)
     row = lines[2].split(",")
     row[at] = cell
     lines[2] = ",".join(row)
     path.write_text("".join(lines))
-    message = f"{path}: line 3, column 'chiefcom_chest_pain': "
+    message = f"{path}: line 3, column {column!r}: "
     with pytest.raises(DataError, match=re.escape(message) + ".*"
                        + re.escape(repr(cell))):
         read_master_csv(str(path))
