@@ -1,9 +1,13 @@
-"""Small shared helpers: packaged data files, timestamps, CSV cell formatting."""
+"""Small shared helpers: packaged data files, INI tables, timestamps, CSV
+cell formatting."""
 
 from __future__ import annotations
 
+import configparser
 import datetime as dt
 from importlib import resources
+
+from .errors import ConfigError
 
 TIMESTAMP_FMT = "%Y-%m-%d %H:%M:%S"
 DATE_FMT = "%Y-%m-%d"
@@ -15,6 +19,20 @@ def read_data_file(packaged: str, path: str | None = None) -> str:
         return resources.files("edbench.data").joinpath(packaged).read_text()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def read_ini(path: str | None,
+             packaged: str = "") -> configparser.ConfigParser:
+    """The INI file ``path``, or the packaged edbench.data file ``packaged``
+    when ``path`` is None. Values are read as written: a ``%`` is a plain
+    character. A file configparser cannot read, such as one with a section
+    twice, raises ConfigError naming the file."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(read_data_file(packaged, path))
+    except configparser.Error as exc:
+        raise ConfigError(f"{path or packaged}: {exc}") from exc
+    return parser
 
 
 def parse_timestamp(text: str) -> dt.datetime | None:

@@ -14,7 +14,6 @@ quantity.
 
 from __future__ import annotations
 
-import configparser
 import json
 import logging
 import math
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import read_data_file
+from ._util import read_ini
 from .cohort import ED_VITAL_COLUMNS, TRIAGE_VITAL_COLUMNS
 from .errors import AllMissingColumn, ConfigError, DataError
 
@@ -57,8 +56,7 @@ class CleaningBounds:
 
 def load_cleaning_config(path: str | None = None) -> dict[str, CleaningBounds]:
     """Per-column bounds from ``path`` or the packaged defaults."""
-    parser = configparser.ConfigParser()
-    parser.read_string(read_data_file("cleaning_bounds.ini", path))
+    parser = read_ini(path, "cleaning_bounds.ini")
     config: dict[str, CleaningBounds] = {}
     for section in parser.sections():
         try:

@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 integrity error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import hashlib
 import json
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import format_cell
+from ._util import format_cell, read_ini
 from .errors import ConfigError, EdBenchError
 from .ingest import TABLE_KINDS, TEMPERATURE_UNITS, link_tables, read_raw_tables
 from .cohort import (OUTCOME_COLUMNS, build_master, load_complaint_matcher,
@@ -134,14 +133,11 @@ class PipelineConfig:
         """Load an INI file with sections [pipeline], [synth], [paths],
         and [models.<kind>]; omitted keys keep their defaults."""
         cfg = cls()
+        synth = None
         if path is not None:
             if not os.path.isfile(path):
                 raise ConfigError(f"config file not found: {path}")
-            parser = configparser.ConfigParser()
-            try:
-                parser.read(path)
-            except configparser.Error as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+            parser = read_ini(path)
             for section in parser.sections():
                 if section == "pipeline":
                     for key, raw in parser["pipeline"].items():
@@ -154,14 +150,11 @@ class PipelineConfig:
                             raise ConfigError(f"[paths] unknown key {key!r}")
                         cfg.paths[key] = raw
                 elif section == "synth":
-                    kwargs = {}
+                    synth = {}
                     for key, raw in parser["synth"].items():
                         if key not in _SYNTH_KEYS:
                             raise ConfigError(f"[synth] unknown key {key!r}")
-                        kwargs[key] = _coerce(section, key, raw, _SYNTH_KEYS[key])
-                    # the generator follows the pipeline seed unless pinned
-                    kwargs.setdefault("seed", cfg.seed)
-                    cfg.synth = SynthConfig(**kwargs)
+                        synth[key] = _coerce(section, key, raw, _SYNTH_KEYS[key])
                 elif section.startswith("models."):
                     kind = section.partition(".")[2]
                     # configparser lowercases keys; hyperparameters like C are not
@@ -180,6 +173,11 @@ class PipelineConfig:
                                                  for key in overrides}
                 else:
                     raise ConfigError(f"unknown config section [{section}]")
+        if synth is not None:
+            # the generator follows the pipeline seed, wherever [pipeline]
+            # stands in the file, unless pinned
+            synth.setdefault("seed", cfg.seed)
+            cfg.synth = SynthConfig(**synth)
         cfg.validate()
         return cfg
 

@@ -23,7 +23,6 @@ row order. ``column_kind`` is the one place a column's kind is named.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import datetime as dt
 import logging
@@ -31,7 +30,7 @@ import math
 import re
 from bisect import bisect_left
 
-from ._util import format_cell, read_data_file
+from ._util import format_cell, read_ini
 from .comorbidity import (
     DEFAULT_LOOKBACK_DAYS,
     ComorbidityMap,
@@ -94,8 +93,7 @@ class ComplaintMatcher:
 
 
 def load_complaint_matcher(path: str | None = None) -> ComplaintMatcher:
-    parser = configparser.ConfigParser()
-    parser.read_string(read_data_file("chief_complaints.ini", path))
+    parser = read_ini(path, "chief_complaints.ini")
     categories = []
     for section in parser.sections():
         raw = parser[section].get("keywords", "")

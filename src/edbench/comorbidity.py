@@ -16,12 +16,11 @@ timestamps say, so same-encounter diagnoses cannot leak into features.
 
 from __future__ import annotations
 
-import configparser
 import datetime as dt
 import logging
 from dataclasses import dataclass
 
-from ._util import read_data_file
+from ._util import read_ini
 from .errors import ConfigError, UnknownVersion
 from .ingest import EdStayRecord, LinkedCohort
 
@@ -51,8 +50,7 @@ def normalize_code(code: str) -> str:
 
 def load_map(path: str | None = None) -> ComorbidityMap:
     """Load the prefix map from ``path`` or the packaged default."""
-    parser = configparser.ConfigParser()
-    parser.read_string(read_data_file("comorbidity_map.ini", path))
+    parser = read_ini(path, "comorbidity_map.ini")
 
     cci_fields: list[str] = []
     eci_fields: list[str] = []

@@ -9,8 +9,13 @@ induced partition (and therefore predictions) unchanged.
 For 0/1 targets, minimizing the Gini-weighted child impurity and
 maximizing sum((sum y_c)^2 / n_c) over children select the same split, so
 one criterion serves both classification (Gini) and squared-error
-regression on residuals. Gini impurity decrease is still computed
-explicitly for the importance accounting.
+regression on residuals. The same sums give each split's gain, the
+importance accounting's impurity decrease (Breiman et al., 1984): the
+winning score's margin over the parent's (sum y)^2 / n, divided by n, is
+the decrease in label variance, and for 0/1 labels, whose Gini impurity is
+twice their variance, twice that is the Gini decrease. A Newton leaf
+(Friedman, 2001) needs only its node's sums of gradient and hessian, which
+one ``bincount`` per level gives.
 
 Trees grow one depth level at a time, in the manner of LightGBM (Ke et
 al., 2017) and XGBoost ``hist`` (Chen & Guestrin, 2016), and several trees
@@ -48,12 +53,14 @@ the same operations in the same order: per-bin sums accumulate rows in
 ``idx`` order; counts and 0/1 label sums are integers, exact in any order,
 so they take one flat running sum rebased at each segment start, while
 Newton residual sums run per segment in bin order; ties go to the first
-maximum over (feature in sorted order, bin); classification leaves are
-integer sum / count, Newton leaves sum their gradient per node with
-numpy's pairwise ``sum``, and Newton gains take ``np.var`` per split node.
-For the same reasons a tree grown in a pass equals the tree grown alone:
-no float of one tree meets a value of another, except in the running sums
-of 0/1 labels, which are exact.
+maximum over (feature in sorted order, bin); the parent's score squares
+its first feature's total as ``t * t``, and a gain is the best score's
+margin over it, divided by n and doubled for 0/1 labels; classification
+leaves are integer sum / count, and Newton leaves sum their gradient and
+hessian over the node's rows in ``idx`` order. For the same reasons a tree
+grown in a pass equals the tree grown alone: no float of one tree meets a
+value of another, except in the running sums of 0/1 labels, which are
+exact.
 
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
 TREE_FIELDS, the one place the tree format is declared, in the manner of
@@ -166,7 +173,9 @@ class BinnedFeatures:
         each (active row, candidate feature) cell, ``feats`` (m, k) holds
         each open node's candidate features and ``count`` each node's row
         count. Returns per node whether it splits, the feature, the last
-        bin that goes left, and the left child's row count and label sum.
+        bin that goes left, the left child's row count and label sum, and
+        the split's gain: the decrease in Gini impurity (``exact``, 0/1
+        labels) or in label variance, from the parent to its children.
         """
         m, k = feats.shape
         seg, head, tail, n_l = hist.seg, hist.head, hist.tail, hist.n_l
@@ -200,16 +209,16 @@ class BinnedFeatures:
         cell = hit[np.searchsorted(owner[hit], np.arange(m))]
         # the parent's own score, from its first feature's total
         sums = s_l[tail[::k]]
+        parent = sums * sums / count
+        split = best > parent + 1e-12
+        # the score's margin over the parent, over n, is the decrease in
+        # variance; a 0/1 label's Gini impurity is twice its variance
+        gain = (best - parent) / count
         if exact:
-            # integer sums below 2**26, whose square t * t is exact
-            squares = sums * sums
-        else:
-            # a Python float's ** is libm pow, which can differ from t * t
-            # in the last bit
-            squares = np.array([t ** 2 for t in sums.tolist()])
-        split = best > squares / count + 1e-12
+            gain *= 2
         return (split, feats.ravel()[seg[cell]],
-                hist.occ[cell] - hist.start[seg[cell]], n_l[cell], s_l[cell])
+                hist.occ[cell] - hist.start[seg[cell]], n_l[cell], s_l[cell],
+                gain)
 
 
 def bin_features(X: np.ndarray) -> BinnedFeatures:
@@ -389,12 +398,14 @@ def grow_trees(
     d = codes.shape[1]
     subsample = features_per_node is not None and features_per_node < d
 
-    def leaf_values(groups, count, label):
+    def leaf_values(rows, node, count, label):
         if classification:
             return label / count            # integer sum / count == mean
-        return np.array([
-            float(leaf_grad[g].sum()) / max(float(leaf_hess[g].sum()), 1e-12)
-            for g in groups])
+        # Newton step: each node's gradient over its hessian, summed in
+        # row order
+        grad = np.bincount(node, leaf_grad[rows], minlength=count.size)
+        hess = np.bincount(node, leaf_hess[rows], minlength=count.size)
+        return grad / np.maximum(hess, 1e-12)
 
     # the current level: its active rows (tree by tree, each in idx order),
     # the level node each row sits in, and per node its tree, row count and
@@ -404,10 +415,8 @@ def grow_trees(
     node = np.repeat(np.arange(len(idxs)), sizes)
     tree = np.arange(len(idxs))
     count = np.array(sizes)
-    label = np.array([y[idx].sum() for idx in idxs])
-    # Newton statistics need each node's rows, in order
-    groups = None if classification else _groups(rows, node, count.size)
-    value = leaf_values(groups, count, label)
+    label = np.bincount(node, y[rows], minlength=count.size)
+    value = leaf_values(rows, node, count, label)
     levels = []
     for depth in itertools.count():
         m = count.size
@@ -435,12 +444,13 @@ def grow_trees(
             feats = np.broadcast_to(np.arange(d), (ids.size, d))
             hist = binned.full_histogram(rows, node, ids.size,
                                          root=depth == 0)
-        split, feat, cut, n_l, s_l = binned.best_splits(
+        split, feat, cut, n_l, s_l, gain = binned.best_splits(
             hist, binned.weights(y[rows], feats.shape[1]), feats, count[ids],
             min_leaf, exact=classification)
         if not split.any():
             break
-        ids, feat, cut, n_l, s_l = (a[split] for a in (ids, feat, cut, n_l, s_l))
+        ids, feat, cut, n_l, s_l, gain = (
+            a[split] for a in (ids, feat, cut, n_l, s_l, gain))
         n_split = ids.size
 
         # route the rows of split nodes; rows of nodes that stay leaves drop out
@@ -450,44 +460,18 @@ def grow_trees(
         rows, r = rows[r >= 0], r[r >= 0]
         child = 2 * r + (codes[rows, feat[r]] > cut[r])
 
-        # impurity decrease, Gini for 0/1 targets and variance otherwise
-        n, s = count[ids], label[ids]
-        n_r, s_r = n - n_l, s - s_l
-        if classification:
-            dec = (_gini(s, n) - (n_l / n) * _gini(s_l, n_l)
-                   - (n_r / n) * _gini(s_r, n_r))
-        else:
-            parents = [groups[i] for i in ids.tolist()]
-            groups = _groups(rows, child, 2 * n_split)
-            dec = np.array([
-                float(np.var(y[p])) - (nl / nn) * float(np.var(y[kl]))
-                - (nr / nn) * float(np.var(y[kr]))
-                for p, kl, kr, nl, nn, nr in zip(
-                    parents, groups[0::2], groups[1::2],
-                    n_l.tolist(), n.tolist(), n_r.tolist())])
-
         level["feature"][ids] = feat
         level["threshold"][ids] = binned.edges[binned.edge_start[feat] + cut]
-        level["gain"][ids] = np.where(dec < 0.0, 0.0, dec)   # max(dec, 0.0)
+        level["gain"][ids] = gain
         level["left"][ids] = 2 * np.arange(n_split)
         tree = np.repeat(tree[ids], 2)
         node = child
-        count = np.stack((n_l, n_r), axis=1).ravel()    # left, right per split
-        label = np.stack((s_l, s_r), axis=1).ravel()
-        value = leaf_values(groups, count, label)
+        # left, right per split
+        count = np.stack((n_l, count[ids] - n_l), axis=1).ravel()
+        label = np.stack((s_l, label[ids] - s_l), axis=1).ravel()
+        value = leaf_values(rows, node, count, label)
 
     return _level_order(levels)
-
-
-def _groups(rows: np.ndarray, node: np.ndarray, m: int) -> list[np.ndarray]:
-    """The rows of each of m nodes, keeping their order."""
-    order = np.argsort(node, kind="stable")
-    return np.split(rows[order], np.cumsum(np.bincount(node, minlength=m))[:-1])
-
-
-def _gini(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    p = pos / n
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
 class _Histogram:

@@ -16,12 +16,11 @@ that, like the other scores, larger means sicker.
 
 from __future__ import annotations
 
-import configparser
 import logging
 import math
 from dataclasses import dataclass, field
 
-from ._util import read_data_file
+from ._util import read_ini
 from .errors import BadAcuity, ConfigError, NoBand
 
 logger = logging.getLogger(__name__)
@@ -96,10 +95,8 @@ def _validate_bands(score: str, comp: str, bands: list[Band]) -> None:
 
 def load_score_definition(path_or_name: str) -> ScoreDefinition:
     """Load a score table from a file path or a packaged score name."""
-    parser = configparser.ConfigParser()
-    parser.read_string(read_data_file(
-        f"score_{path_or_name}.ini",
-        None if path_or_name in SCORE_NAMES else path_or_name))
+    parser = read_ini(None if path_or_name in SCORE_NAMES else path_or_name,
+                      f"score_{path_or_name}.ini")
 
     if "score" not in parser:
         raise ConfigError(f"{path_or_name}: missing [score] section")

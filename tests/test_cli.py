@@ -74,6 +74,26 @@ def test_synth_seed_can_be_pinned(tmp_path):
     assert cfg.seed == 9 and cfg.synth.seed == 3
 
 
+def test_synth_seed_follows_the_pipeline_seed_in_either_section_order(
+        tmp_path):
+    pipeline, synth = "[pipeline]\nseed = 7\n\n", "[synth]\nn_patients = 5\n\n"
+    hashes = set()
+    for body in (pipeline + synth, synth + pipeline):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(body)
+        cfg = cli.PipelineConfig.from_ini(str(ini))
+        assert cfg.synth.seed == 7
+        hashes.add(cfg.config_hash())
+    assert len(hashes) == 1
+
+
+def test_percent_signs_in_config_values_are_read_as_written(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[pipeline]\noutput_dir = {tmp_path}/out%x\n")
+    assert cli.PipelineConfig.from_ini(str(ini)).output_dir == \
+        f"{tmp_path}/out%x"
+
+
 # settable str fields need a valid non-default value; numbers are doubled
 _NON_DEFAULT_STR = {"input_dir": "elsewhere", "output_dir": "elsewhere",
                     "imputation": "mean", "temperature_unit": "celsius"}
@@ -301,9 +321,11 @@ def test_threads_flag_is_not_accepted():
 # -- [paths] overrides ---------------------------------------------------------------
 
 
-def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=()):
+def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=(),
+                    status=0):
     """Run ``command`` on copies of ``inputs`` from the ``all`` run, with
-    the table ``key`` of [paths] replaced by ``text``; the output dir."""
+    the table ``key`` of [paths] replaced by ``text``, and check that it
+    exits with ``status``; the output dir."""
     out = tmp_path / "out"
     out.mkdir()
     for name in inputs:
@@ -318,7 +340,7 @@ def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=()):
     ini.write_text(f"[pipeline]\ninput_dir = {run_all / 'data'}\n"
                    f"output_dir = {out}\nseed = 7\ntest_fraction = 0.25\n"
                    f"bootstrap_b = 5\n\n[paths]\n{key} = {table}\n")
-    assert cli.main([command, "--config", str(ini), *extra]) == 0
+    assert cli.main([command, "--config", str(ini), *extra]) == status
     return out
 
 
@@ -356,6 +378,42 @@ def test_paths_chief_complaints_override(run_all, tmp_path):
     header = _header(out / "master_dataset.csv")
     assert [c for c in header if c.startswith("chiefcom_")] == [
         "chiefcom_cough"]
+
+
+def test_percent_signs_in_complaint_keywords_are_read_as_written(run_all,
+                                                                tmp_path):
+    out = _run_with_paths(run_all, tmp_path, "extract-master",
+                          "chief_complaints",
+                          "[pain]\nkeywords: 100% pain, pain\n")
+    header = _header(out / "master_dataset.csv")
+    assert [c for c in header if c.startswith("chiefcom_")] == [
+        "chiefcom_pain"]
+
+
+# a section twice, which configparser refuses to read
+_SECTION_TWICE = "[score]\nname: a\n\n[score]\nname: b\n"
+
+
+@pytest.mark.parametrize("command, key, inputs", [
+    ("synth", None, ()),                    # the config file itself
+    ("build-benchmark", "cleaning_bounds", ("master_dataset.csv",)),
+    ("extract-master", "comorbidity_map", ()),
+    ("extract-master", "chief_complaints", ()),
+    ("evaluate", "score_cart", ("train.csv", "test.csv", "models")),
+], ids=["config", "cleaning_bounds", "comorbidity_map", "chief_complaints",
+        "score"])
+def test_unreadable_ini_file_is_a_config_error(run_all, tmp_path, caplog,
+                                               command, key, inputs):
+    if key is None:
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(_SECTION_TWICE)
+        assert cli.main([command, "--config", str(ini)]) == 2
+        name = str(ini)
+    else:
+        _run_with_paths(run_all, tmp_path, command, key, _SECTION_TWICE,
+                        *inputs, status=2)
+        name = str(tmp_path / f"{key}.table")
+    assert f"ConfigError: {name}: " in caplog.text
 
 
 def test_paths_feature_manifest_override(run_all, tmp_path):

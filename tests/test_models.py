@@ -124,6 +124,18 @@ def _brute_best_split(X, y):
     return best
 
 
+def _node_rows(tree, X):
+    """The indices of the rows of X that reach each node."""
+    reach = [None] * len(tree["feature"])
+    reach[0] = np.arange(len(X))
+    for i, left in enumerate(tree["left"].tolist()):
+        if left >= 0:
+            rows = reach[i]
+            go_left = X[rows, tree["feature"][i]] <= tree["threshold"][i]
+            reach[left], reach[left + 1] = rows[go_left], rows[~go_left]
+    return reach
+
+
 def test_single_split_matches_exhaustive_search():
     rng = np.random.default_rng(3)
     for trial in range(10):
@@ -135,6 +147,22 @@ def test_single_split_matches_exhaustive_search():
         assert tree["feature"][0] == feat
         assert tree["threshold"][0] == pytest.approx(thr)
         assert tree["gain"][0] == pytest.approx(dec / 60.0, abs=1e-12)
+
+        # a Newton tree's gain at each split is the decrease in residual
+        # variance from the parent to its children
+        resid = y - rng.uniform(0.2, 0.8, size=60)
+        tree = grow_tree(binned, np.arange(60), resid, max_depth=3,
+                         leaf_grad=resid, leaf_hess=np.full(60, 0.25))
+        reach = _node_rows(tree, X)
+        splits = np.flatnonzero(tree["feature"] >= 0)
+        assert splits.size >= 3
+        for i in splits.tolist():
+            left = tree["left"][i]
+            parent, kids = resid[reach[i]], (resid[reach[left]],
+                                             resid[reach[left + 1]])
+            expected = np.var(parent) - sum(
+                len(kid) / len(parent) * np.var(kid) for kid in kids)
+            assert tree["gain"][i] == pytest.approx(expected, abs=1e-9)
 
 
 def test_tree_routes_at_threshold_inclusive_left():
@@ -238,14 +266,10 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
 
     def leaf_value(rows):
         if leaf_grad is not None:
-            g = float(leaf_grad[rows].sum())
-            h = float(leaf_hess[rows].sum())
+            g = float(np.cumsum(leaf_grad[rows])[-1])
+            h = float(np.cumsum(leaf_hess[rows])[-1])
             return g / max(h, 1e-12)
         return float(y[rows].mean())
-
-    def gini(pos, n):
-        p = pos / n
-        return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
     stack = [(idx, 0, add_leaf(leaf_value(idx), len(idx)))]
     while stack:
@@ -276,7 +300,7 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
         if score.size == 0 or not np.isfinite(score).any():
             continue
         best_flat = int(np.argmax(score))
-        base = tot_s[0, 0] ** 2 / tot_n[0, 0]
+        base = tot_s[0, 0] * tot_s[0, 0] / tot_n[0, 0]
         if score.ravel()[best_flat] <= base + 1e-12:
             continue
         feat, split_bin = divmod(best_flat, nb - 1)
@@ -288,13 +312,8 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
         if len(rows_l) < min_leaf or len(rows_r) < min_leaf:
             continue
         n_l, n_r = len(rows_l), len(rows_r)
-        s_l = float(y[rows_l].sum())
-        s_r = ysum - s_l
-        if classification:
-            dec = gini(ysum, n) - (n_l / n) * gini(s_l, n_l) - (n_r / n) * gini(s_r, n_r)
-        else:
-            dec = (float(np.var(y[rows])) - (n_l / n) * float(np.var(y[rows_l]))
-                   - (n_r / n) * float(np.var(y[rows_r])))
+        # Gini impurity of 0/1 labels is twice their variance
+        dec = (score.ravel()[best_flat] - base) / n * (2 if classification else 1)
         tree["feature"][slot] = feat
         tree["threshold"][slot] = float(binned.thresholds[feat][split_bin])
         tree["gain"][slot] = max(dec, 0.0)
@@ -914,6 +933,9 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
         train_model(matrix, "svm")
     with pytest.raises(ConfigError):
         train_model(matrix, "boosting", depth=3)
+    # a fixed constant of its fitter, not a hyperparameter
+    with pytest.raises(ConfigError, match="tol"):
+        train_model(matrix, "logistic", tol=1e-6)
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -936,13 +958,6 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
     ("mlp", "epochs", 2.5),
     ("boosting", "learning_rate", float("inf")),
     ("logistic", "C", float("inf")),
-    # fixed constants of the fitters now, so rejected as unknown names
-    ("logistic", "tol", float("nan")),
-    ("mlp", "eps", float("inf")),
-    ("mlp", "beta1", 1.0),
-    ("mlp", "beta2", 1.0),
-    ("mlp", "beta1", -0.1),
-    ("mlp", "beta2", float("nan")),
 ])
 def test_train_model_rejects_out_of_range_hyperparams(kind, key, value):
     with pytest.raises(ConfigError, match=key):
