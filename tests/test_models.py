@@ -952,6 +952,8 @@ def test_train_model_rejects_unknown_kind_and_hyperparam():
     ("mlp", "hidden", 0),
     ("logistic", "C", 0.0),
     ("logistic", "C", float("nan")),
+    # a fixed constant of its fitter is rejected as an unknown name
+    ("logistic", "tol", float("nan")),
     ("mlp", "learning_rate", 0.0),
     ("boosting", "learning_rate", -1.0),
     ("boosting", "n_stages", 2.5),
