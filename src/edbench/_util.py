@@ -17,8 +17,11 @@ def read_data_file(packaged: str, path: str | None = None) -> str:
     """Text of ``path``, or of the packaged edbench.data file ``packaged``."""
     if path is None:
         return resources.files("edbench.data").joinpath(packaged).read_text()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def read_ini(path: str | None,

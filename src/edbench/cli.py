@@ -66,10 +66,13 @@ MODELS_DIR = "models"
 RUNTIMES_NAME = "runtimes.json"
 MANIFEST_NAME = "run_manifest.json"
 
-# [paths] keys: overrides for packaged declarative tables
-_PATH_KEYS = ("cleaning_bounds", "comorbidity_map", "chief_complaints",
-              "manifest_triage", "manifest_disposition",
-              *(f"score_{name}" for name in SCORE_NAMES))
+# [paths] keys, overrides for packaged declarative tables, by their loaders
+_PATH_LOADERS = {"cleaning_bounds": load_cleaning_config,
+                 "comorbidity_map": load_map,
+                 "chief_complaints": load_complaint_matcher,
+                 "manifest_triage": load_manifest,
+                 "manifest_disposition": load_manifest,
+                 **{f"score_{n}": load_score_definition for n in SCORE_NAMES}}
 
 
 def _scalar_fields(cls) -> dict:
@@ -122,9 +125,8 @@ class PipelineConfig:
                               f"got {self.temperature_unit!r}")
         if self.bootstrap_b < 1:
             raise ConfigError(f"bootstrap_b must be >= 1, got {self.bootstrap_b}")
-        for key, path in self.paths.items():
-            if not os.path.isfile(path):
-                raise ConfigError(f"[paths] {key}: no such file {path!r}")
+        for key, path in self.paths.items():     # before any stage writes
+            _PATH_LOADERS[key](path)
         for kind, overrides in self.model_overrides.items():
             resolve_hyperparams(kind, overrides)
 
@@ -135,8 +137,6 @@ class PipelineConfig:
         cfg = cls()
         synth = None
         if path is not None:
-            if not os.path.isfile(path):
-                raise ConfigError(f"config file not found: {path}")
             parser = read_ini(path)
             for section in parser.sections():
                 if section == "pipeline":
@@ -146,7 +146,7 @@ class PipelineConfig:
                         setattr(cfg, key, _coerce(section, key, raw, _PIPELINE_KEYS[key]))
                 elif section == "paths":
                     for key, raw in parser["paths"].items():
-                        if key not in _PATH_KEYS:
+                        if key not in _PATH_LOADERS:
                             raise ConfigError(f"[paths] unknown key {key!r}")
                         cfg.paths[key] = raw
                 elif section == "synth":

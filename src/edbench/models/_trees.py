@@ -65,16 +65,14 @@ exact.
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
 TREE_FIELDS, the one place the tree format is declared, in the manner of
 scikit-learn's parallel-array ``Tree`` (Pedregosa et al., 2011). Node 0 is
-the root and ``feature == -1`` marks a leaf (whose ``left`` is -1). Nodes
-are stored in level order, as they are grown: the root, then each level's
-nodes, a split's two children side by side in the order of their parents;
-so the right child is always ``left + 1`` and is not stored, and children
-always come after their parent. Model files hold the same fields as JSON
-lists: ``trees_json`` writes them, and ``tree_from_json`` turns them back
-into arrays and rejects a tree that breaks any of these rules. Those rules
-hold for any order that keeps siblings adjacent and after their parent,
-so a file whose trees are in depth-first order, as earlier versions wrote
-them, loads and predicts the same.
+the root and ``feature == -1`` marks a leaf. Nodes are stored in level
+order, as they are grown: the root, then each level's nodes, a split's two
+children side by side in the order of their parents. So a tree of s splits
+has 2s + 1 nodes, and its k-th split's (0-based) children are nodes 1 + 2k
+and 2 + 2k: they follow from ``feature`` and are not stored. A model file
+holds an ensemble as one table (TABLE_FIELDS), each field concatenated over
+the trees plus ``n_nodes``, each tree's node count, which ``trees_json``
+writes and ``trees_from_json`` reads.
 
 ``predict_trees`` walks every tree of an ensemble at once, as QuickScorer
 does (Lucchese et al., 2015): the trees are concatenated with per-tree
@@ -238,8 +236,8 @@ def bin_features(X: np.ndarray) -> BinnedFeatures:
     return BinnedFeatures(codes=codes, thresholds=thresholds)
 
 
-TREE_FIELDS = ("feature", "threshold", "left", "value", "n_samples", "gain")
-_INT_FIELDS = ("feature", "left", "n_samples")
+TREE_FIELDS = ("feature", "threshold", "value", "n_samples", "gain")
+TABLE_FIELDS = (*TREE_FIELDS, "n_nodes")
 
 PREDICT_BLOCK = 2048    # rows per block in predict_trees
 
@@ -253,8 +251,9 @@ def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
     feature, threshold, value = (
         np.concatenate([tree[name] for tree in trees])
         for name in ("feature", "threshold", "value"))
-    left = np.concatenate([tree["left"] + off
-                           for tree, off in zip(trees, offset)])
+    # the ensemble's k-th split, in tree t, has its left child at 2k + 1 + t
+    left = 2 * np.cumsum(feature >= 0) - 1 + np.repeat(np.arange(len(trees)),
+                                                       sizes)
     n, d = X.shape
     out = np.empty((len(trees), n))
     for start in range(0, n, PREDICT_BLOCK):
@@ -277,30 +276,27 @@ def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
 
 
 def trees_json(trees: list[dict]) -> Iterator[str]:
-    """The JSON text of a non-empty list of trees, in one piece per tree;
-    joined, byte for byte what ``json.dumps`` writes for the list with
-    sorted keys, no whitespace and the arrays as lists. Each distinct value
-    of a field is formatted once per ensemble: formatting numbers is most
-    of the cost of writing a forest, and thresholds, leaf fractions, gains
-    and child indices repeat across nodes and trees."""
-    ends = np.cumsum([len(tree["feature"]) for tree in trees])[:-1]
-    texts = {}
-    for name in sorted(TREE_FIELDS):
-        distinct, inverse = _distinct(
-            np.concatenate([tree[name] for tree in trees]))
+    """The table of ``trees`` in pieces; joined, what ``json.dumps`` writes
+    for it with sorted keys, no whitespace and its arrays as lists. Each
+    distinct value of a column is formatted once: formatting numbers costs
+    most in writing a forest, and thresholds, leaves and gains repeat."""
+    # no trees give empty float columns, which _distinct takes
+    table = {name: np.concatenate([tree[name] for tree in trees]
+                                  or [np.empty(0)]) for name in TREE_FIELDS}
+    table["n_nodes"] = np.array([len(tree["feature"]) for tree in trees])
+    for i, name in enumerate(sorted(table)):
+        distinct, inverse = _distinct(table[name])
         cells = json.dumps(distinct, separators=(",", ":"))
         cells = np.array(cells[1:-1].split(","), dtype=object)[inverse]
-        texts[name] = ["[" + ",".join(part.tolist()) + "]"
-                       for part in np.split(cells, ends)]
-    for t in range(len(trees)):
-        yield ("[{" if t == 0 else ",{") + ",".join(
-            f'"{name}":{texts[name][t]}' for name in texts) + "}"
-    yield "]"
+        yield ("," if i else "{") + f'"{name}":['
+        yield ",".join(cells.tolist())
+        yield "]"
+    yield "}"
 
 
 def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct values of an int64 or float64 column, and the index
-    into them of each cell."""
+    """The distinct values of an int64 or float64 column, non-empty if
+    int64, and the index into them of each cell."""
     if column.dtype.kind == "i":
         low, high = int(column.min()), int(column.max())
         if high - low < column.size:    # a table of the range needs no sort
@@ -310,42 +306,55 @@ def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
     return bits.view(column.dtype).tolist(), inverse
 
 
-def tree_from_json(tree, n_features: int) -> dict:
-    """The arrays of one tree read from a model file. Raises ValueError,
-    saying what is wrong, unless the fields are exactly TREE_FIELDS, of equal
-    length, integers where they must be, each ``feature`` is -1 or below
-    ``n_features``, leaves and only leaves have ``left == -1``, and each
-    split's children both come after it. That last rule makes every walk
-    from the root end at a leaf."""
-    if not isinstance(tree, dict) or sorted(tree) != sorted(TREE_FIELDS):
-        raise ValueError(f"tree fields must be {', '.join(TREE_FIELDS)}")
-    arrays = {}
-    for name in TREE_FIELDS:
-        integer = name in _INT_FIELDS
+def trees_from_json(table, n_features: int) -> list[dict]:
+    """The trees of a model file's table. Raises ValueError, saying what is
+    wrong, unless its fields are TABLE_FIELDS, each a list of numbers, of
+    integers where they must be, the node fields of equal length, each
+    ``feature`` in [-1, n_features), the ``n_nodes`` positive and summing to
+    that length, each tree of s splits 2s + 1 nodes, and each split before
+    its children, so that every walk ends at a leaf."""
+    if isinstance(table, list):
+        raise ValueError("'trees' is a list of per-tree objects, the format "
+                         "of earlier versions; re-run `edbench train`")
+    if not isinstance(table, dict) or sorted(table) != sorted(TABLE_FIELDS):
+        raise ValueError(f"tree fields must be {', '.join(TABLE_FIELDS)}")
+    columns = {}
+    for name in TABLE_FIELDS:
+        integer = name in ("feature", "n_samples", "n_nodes")
+        kinds = "i" if integer else "if"
         try:
-            column = np.asarray(tree[name])
+            column = np.asarray(table[name])
         except ValueError:                  # ragged nesting
             column = np.empty((0, 0))
-        if column.ndim != 1 or column.dtype.kind not in ("i" if integer
-                                                         else "if"):
+        if column.ndim != 1 or (column.size and column.dtype.kind not in kinds):
             raise ValueError(f"{name!r} must be a list of "
                              + ("integers" if integer else "numbers"))
-        arrays[name] = column.astype(np.int64 if integer else np.float64,
-                                     copy=False)
-    size = len(arrays["feature"])
-    if size == 0 or any(len(column) != size for column in arrays.values()):
-        raise ValueError("tree fields must be non-empty and of equal length")
-    feature, left = arrays["feature"], arrays["left"]
+        columns[name] = column.astype(np.int64 if integer else np.float64,
+                                      copy=False)
+    feature, n_nodes = columns["feature"], columns["n_nodes"]
+    size = feature.size
+    if any(columns[name].size != size for name in TREE_FIELDS):
+        raise ValueError("node fields must be of equal length")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"'feature' must lie in [-1, {n_features})")
+    if ((n_nodes < 1) | (n_nodes > size)).any() or n_nodes.sum() != size:
+        raise ValueError(f"'n_nodes' must be positive and sum to {size}")
     split = feature >= 0
-    if ((left == -1) == split).any():
-        raise ValueError("'left' must be -1 exactly at leaves")
-    where = np.arange(size)
-    if ((left[split] <= where[split]) | (left[split] >= size - 1)).any():
-        raise ValueError("a split's children must come after it, inside "
-                         "the tree")
-    return arrays
+    tree = np.repeat(np.arange(n_nodes.size), n_nodes)
+    n_splits = np.bincount(tree[split], minlength=n_nodes.size)
+    bad = n_nodes != 2 * n_splits + 1
+    if bad.any():
+        raise ValueError(f"tree {bad.argmax()} does not have 2s + 1 nodes for "
+                         "its s splits")
+    # each split's left child, as predict_trees derives it
+    bad = split & (2 * np.cumsum(split) - 1 + tree <= np.arange(size))
+    if bad.any():
+        raise ValueError(f"tree {tree[bad.argmax()]}: a split is not before "
+                         "its children")
+    # one part per tree, and an empty one past the last
+    parts = [np.split(columns[name], np.cumsum(n_nodes))[:-1]
+             for name in TREE_FIELDS]
+    return [dict(zip(TREE_FIELDS, arrays)) for arrays in zip(*parts)]
 
 
 def grow_tree(
@@ -420,10 +429,9 @@ def grow_trees(
     levels = []
     for depth in itertools.count():
         m = count.size
-        # "left" is the index of a split's left child in the next level
         level = {"feature": np.full(m, -1), "threshold": np.zeros(m),
-                 "left": np.full(m, -1), "value": value, "n_samples": count,
-                 "gain": np.zeros(m), "tree": tree}
+                 "value": value, "n_samples": count, "gain": np.zeros(m),
+                 "tree": tree}
         levels.append(level)
         is_open = count >= 2 * min_leaf
         if classification:
@@ -451,21 +459,16 @@ def grow_trees(
             break
         ids, feat, cut, n_l, s_l, gain = (
             a[split] for a in (ids, feat, cut, n_l, s_l, gain))
-        n_split = ids.size
 
         # route the rows of split nodes; rows of nodes that stay leaves drop out
-        rank = np.full(split.size, -1)
-        rank[split] = np.arange(n_split)
-        r = rank[node]
+        r = np.where(split, np.cumsum(split) - 1, -1)[node]
         rows, r = rows[r >= 0], r[r >= 0]
-        child = 2 * r + (codes[rows, feat[r]] > cut[r])
+        node = 2 * r + (codes[rows, feat[r]] > cut[r])
 
         level["feature"][ids] = feat
         level["threshold"][ids] = binned.edges[binned.edge_start[feat] + cut]
         level["gain"][ids] = gain
-        level["left"][ids] = 2 * np.arange(n_split)
         tree = np.repeat(tree[ids], 2)
-        node = child
         # left, right per split
         count = np.stack((n_l, count[ids] - n_l), axis=1).ravel()
         label = np.stack((s_l, label[ids] - s_l), axis=1).ravel()
@@ -508,20 +511,10 @@ def _level_order(levels: list[dict]) -> list[dict]:
     """Join the per-level node arrays of a pass into its trees, each tree's
     nodes level by level. A level lists its nodes tree by tree, and each
     split's two children side by side in the next level, so a stable sort
-    of all nodes by tree keeps both orders, and a split's ``left``, an
-    index into the next level, becomes its child's place in the tree."""
-    flat = {name: np.concatenate([level[name] for level in levels])
-            for name in (*TREE_FIELDS, "tree")}
-    sizes = [level["tree"].size for level in levels]
-    left = flat["left"]
-    split = left >= 0
-    left[split] += np.repeat(np.cumsum(sizes), sizes)[split]
-    order = np.argsort(flat["tree"], kind="stable")
-    tree_size = np.bincount(flat["tree"])
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size) - np.repeat(
-        np.cumsum(tree_size) - tree_size, tree_size)
-    left[split] = place[left[split]]
-    ends = np.cumsum(tree_size)[:-1]
-    parts = [np.split(flat[name][order], ends) for name in TREE_FIELDS]
+    of all nodes by tree keeps both orders."""
+    tree = np.concatenate([level["tree"] for level in levels])
+    order = np.argsort(tree, kind="stable")
+    ends = np.cumsum(np.bincount(tree))[:-1]
+    parts = [np.split(np.concatenate([level[name] for level in levels])[order],
+                      ends) for name in TREE_FIELDS]
     return [dict(zip(TREE_FIELDS, columns)) for columns in zip(*parts)]

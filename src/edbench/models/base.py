@@ -7,10 +7,10 @@ mistake of scoring disposition-time features with a triage-time model.
 
 Model files are compact JSON (sorted keys, no whitespace) and hold no
 wall-clock data, so repeated runs with the same seed produce byte-identical
-files. Tree models keep their nodes as numpy arrays in memory and as JSON
-lists on disk; ``load_model`` turns them back into arrays and checks each
-tree (``_trees.tree_from_json``), so a tampered file is a DataError rather
-than a crash or an endless walk.
+files. Tree models keep each tree's node arrays in memory, and each
+ensemble as one table on disk (``_trees``). ``load_model`` checks every key
+a predictor reads, so a tampered file is a DataError rather than a crash
+or an endless walk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, ManifestMismatch, WrongKind
 from . import boosting, forest, linear, mlp
-from ._trees import tree_from_json, trees_json
+from ._trees import trees_from_json, trees_json
 from .features import FeatureMatrix, manifest_fingerprint
 
 
@@ -54,12 +54,14 @@ _COUNTS = ("n_trees", "n_stages", "max_depth", "min_leaf", "hidden", "epochs",
            "batch_size")
 _POSITIVE = ("C", "learning_rate")
 
-# the arrays of the logistic and MLP params, by shape: "d" is the number of
-# feature columns, "h" the MLP's hidden width (the columns of W1); the
-# scalars are the bias terms
-_DENSE_PARAMS = {
+# the params load_model checks besides the trees, per kind: arrays by shape
+# ("d" is the number of feature columns, "h" the MLP's hidden width, the
+# columns of W1), and the scalars that must be finite numbers
+_PARAMS = {
     "logistic": ({"weights": ("d",), "mean": ("d",), "std": ("d",)},
                  ("bias",)),
+    "random_forest": ({}, ()),
+    "boosting": ({}, ("base_score", "learning_rate")),
     "mlp": ({"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "mean": ("d",),
              "std": ("d",)}, ("b2",)),
 }
@@ -167,18 +169,17 @@ def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write ``model`` as compact JSON with sorted keys. A tree model's
-    trees are streamed from ``_trees.trees_json`` into the place where
-    ``json.dumps`` wrote an empty list; the key ``"trees"`` occurs once, as
-    any quote inside a string value is escaped. The file is byte for byte
-    ``json.dumps`` of the whole model with its arrays as lists."""
+    """Write ``model`` as ``json.dumps`` of it with sorted keys, no
+    whitespace, and a tree model's trees as the table ``_trees.trees_json``
+    streams, put where ``json.dumps`` wrote an empty list: the key
+    ``"trees"`` occurs once, as any quote inside a string is escaped."""
+    trees = model.params.get("trees")
     fields = vars(model)
-    trees = fields["params"].get("trees")
-    if trees:
-        fields = {**fields, "params": {**fields["params"], "trees": []}}
+    if trees is not None:
+        fields = {**fields, "params": {**model.params, "trees": []}}
     text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        if trees:
+        if trees is not None:
             head, _, text = text.partition('"trees":[]')
             fh.write(head + '"trees":')
             fh.writelines(trees_json(trees))
@@ -187,8 +188,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     """Read a file written by save_model; a file that is not one raises
-    DataError, naming the key that is missing or unknown, the tree that is
-    malformed, or the logistic or MLP parameter of the wrong shape."""
+    DataError naming the key that is missing, unknown or malformed."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -202,31 +202,28 @@ def load_model(path) -> TrainedModel:
     for key in obj:
         if key not in names:
             raise DataError(f"{path}: model file has unknown key {key!r}")
-    if obj["kind"] not in _KINDS:
-        raise ConfigError(f"unknown model kind in file: {obj['kind']!r}")
-    if obj["kind"] in ("random_forest", "boosting"):
-        params = obj["params"]
-        trees = params.get("trees") if isinstance(params, dict) else None
-        if not isinstance(trees, list) or not (trees or "constant" in params):
-            raise DataError(f"{path}: model file holds no trees")
-        for i, tree in enumerate(trees):
-            try:
-                trees[i] = tree_from_json(tree, len(obj["columns"]))
-            except ValueError as exc:
-                raise DataError(f"{path}: tree {i}: {exc}") from None
-    else:
-        try:
-            _check_dense_params(obj["kind"], obj["params"], len(obj["columns"]))
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
+    kind, columns = obj["kind"], obj["columns"]
+    if not isinstance(kind, str):
+        raise DataError(f"{path}: 'kind' must be a string")
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown model kind in file: {kind!r}")
+    if not (isinstance(columns, list)
+            and all(isinstance(c, str) for c in columns)):
+        raise DataError(f"{path}: 'columns' must be a list of strings")
+    if obj["fingerprint"] != manifest_fingerprint(columns):
+        raise DataError(f"{path}: 'fingerprint' does not match 'columns'")
+    try:
+        _check_params(kind, obj["params"], len(columns))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return TrainedModel(**obj)
 
 
-def _check_dense_params(kind: str, params, n_columns: int) -> None:
-    """Raise ValueError, naming the parameter, unless the logistic or MLP
-    ``params`` hold numeric arrays of the shapes ``n_columns`` inputs need
-    (``_DENSE_PARAMS``) and a finite number for each bias term."""
-    arrays, scalars = _DENSE_PARAMS[kind]
+def _check_params(kind: str, params, n_columns: int) -> None:
+    """Raise ValueError, naming the parameter, unless ``params`` hold what
+    ``_PARAMS`` asks for ``n_columns`` inputs, a tree model's a valid table
+    (made its trees in place) and a forest's ``n_features == n_columns``."""
+    arrays, scalars = _PARAMS[kind]
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
     sizes = {"d": n_columns}
@@ -249,3 +246,9 @@ def _check_dense_params(kind: str, params, n_columns: int) -> None:
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
             raise ValueError(f"param {name!r} must be a finite number")
+    if kind in ("random_forest", "boosting"):
+        params["trees"] = trees_from_json(params.get("trees"), n_columns)
+        if not (params["trees"] or "constant" in params):
+            raise ValueError("model file holds no trees")
+    if kind == "random_forest" and params.get("n_features") != n_columns:
+        raise ValueError(f"param 'n_features' must be {n_columns}")

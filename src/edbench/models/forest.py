@@ -13,7 +13,7 @@ only from its own generator, a tree comes out the same whatever pass it
 is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
 whole ensemble. ``params["trees"]`` holds one dict of node arrays per tree,
-its nodes in level order (see ``_trees``).
+its nodes in level order, and a model file one table of them (``_trees``).
 """
 
 from __future__ import annotations

@@ -143,10 +143,11 @@ def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
     "[pipeline]\nimputation = constant\nimpute_constant = inf\n",
     "[synth]\nmean_visits = nan\n",
     "[synth]\nsignal_scale = inf\n",
+    b"[pipeline]\noutput_dir = \xe9\n",       # not UTF-8
 ])
 def test_bad_configs_are_rejected(tmp_path, body):
     ini = tmp_path / "bad.ini"
-    ini.write_text(body)
+    ini.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(ConfigError):
         cli.PipelineConfig.from_ini(str(ini))
 
@@ -254,17 +255,23 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
              "no_params.json": (json.dumps(payload), 3, "'params'"),
              "extra.json": (text.replace("{", '{"note": 1,', 1), 3, "'note'"),
              "svm.json": (text.replace('"logistic"', '"svm"'), 2, "'svm'")}
-    # tampered trees: a cycle at the root, a child far outside the tree, and
-    # a node array one entry short
+    # tampered trees: tree 0's root made a leaf and its last leaf a split,
+    # so its first split sits after its children (a walk would cycle); a
+    # leaf made a split, so its children would lie past the end of the
+    # tree; and a node column one entry short
     boosting = run_all / "out" / "models" / "critical_triage_boosting.json"
-    for name, field, change in (
-            ("cycle.json", "left", lambda c: [0] + c[1:]),
-            ("far_child.json", "left", lambda c: [10 ** 6] + c[1:]),
-            ("short.json", "value", lambda c: c[:-1])):
+    for name, field, change, message in (
+            ("cycle.json", "feature",
+             lambda c, n: [-1] + c[1:n - 1] + [c[0]] + c[n:],
+             "tree 0: a split is not before"),
+            ("far_child.json", "feature", lambda c, n: c[:n - 1] + [0] + c[n:],
+             "tree 0 does not have 2s + 1 nodes"),
+            ("short.json", "value", lambda c, n: c[:-1],
+             "node fields must be of equal length")):
         payload = json.loads(boosting.read_text())
-        tree = payload["params"]["trees"][0]
-        tree[field] = change(tree[field])
-        cases[name] = (json.dumps(payload), 3, f"{name}: tree 0: ")
+        table = payload["params"]["trees"]
+        table[field] = change(table[field], table["n_nodes"][0])
+        cases[name] = (json.dumps(payload), 3, f"{name}: {message}")
     for name, (body, code, message) in cases.items():
         (tmp_path / name).write_text(body)
         caplog.clear()
@@ -414,6 +421,12 @@ def test_unreadable_ini_file_is_a_config_error(run_all, tmp_path, caplog,
                         *inputs, status=2)
         name = str(tmp_path / f"{key}.table")
     assert f"ConfigError: {name}: " in caplog.text
+
+
+def test_all_reads_every_paths_table_before_any_stage(run_all, tmp_path):
+    out = _run_with_paths(run_all, tmp_path, "all", "score_cart",
+                          _SECTION_TWICE, status=2)
+    assert list(out.iterdir()) == []
 
 
 def test_paths_feature_manifest_override(run_all, tmp_path):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,12 +17,12 @@ from hypothesis.extra.numpy import arrays
 
 from edbench.errors import (ConfigError, DataError, DegenerateLabels,
                             ManifestMismatch, WrongKind)
-from edbench.models import (build_feature_matrix, load_manifest, load_model,
-                            predict_proba, resolve_hyperparams,
+from edbench.models import (FeatureMatrix, build_feature_matrix, load_manifest,
+                            load_model, predict_proba, resolve_hyperparams,
                             rf_variable_importance, save_model, train_model)
 from edbench.models import _trees, boosting, forest
-from edbench.models._trees import (TREE_FIELDS, bin_features, grow_tree,
-                                   predict_trees)
+from edbench.models._trees import (TABLE_FIELDS, TREE_FIELDS, bin_features,
+                                   grow_tree, predict_trees, trees_from_json)
 from edbench.models.boosting import fit_boosting, predict_boosting
 from edbench.models.forest import fit_forest, forest_importance, predict_forest
 from edbench.models.linear import (fit_logistic, logistic_objective,
@@ -124,11 +126,18 @@ def _brute_best_split(X, y):
     return best
 
 
+def _left_children(tree):
+    """Each node's left child, -1 at a leaf. In level order the k-th split
+    (0-based) has its children at 1 + 2k and 2 + 2k."""
+    split = np.asarray(tree["feature"]) >= 0
+    return np.where(split, 2 * np.cumsum(split) - 1, -1)
+
+
 def _node_rows(tree, X):
     """The indices of the rows of X that reach each node."""
     reach = [None] * len(tree["feature"])
     reach[0] = np.arange(len(X))
-    for i, left in enumerate(tree["left"].tolist()):
+    for i, left in enumerate(_left_children(tree).tolist()):
         if left >= 0:
             rows = reach[i]
             go_left = X[rows, tree["feature"][i]] <= tree["threshold"][i]
@@ -157,7 +166,7 @@ def test_single_split_matches_exhaustive_search():
         splits = np.flatnonzero(tree["feature"] >= 0)
         assert splits.size >= 3
         for i in splits.tolist():
-            left = tree["left"][i]
+            left = _left_children(tree)[i]
             parent, kids = resid[reach[i]], (resid[reach[left]],
                                              resid[reach[left + 1]])
             expected = np.var(parent) - sum(
@@ -176,8 +185,13 @@ def test_tree_routes_at_threshold_inclusive_left():
 
 def _leaf_of(tree, X):
     """Node index each row of X ends at."""
-    nodes = {**tree, "value": np.arange(len(tree["feature"]))}
-    return predict_trees([nodes], X)[0].astype(np.intp)
+    left = _left_children(tree)
+    node = np.zeros(len(X), dtype=np.intp)
+    while (inner := tree["feature"][node] >= 0).any():
+        at = node[inner]
+        node[inner] = left[at] + (X[inner, tree["feature"][at]]
+                                  > tree["threshold"][at])
+    return node
 
 
 def _grown_trees(variant, X, y, max_depth, min_leaf):
@@ -227,11 +241,10 @@ def test_grown_trees_are_well_formed(variant, data, max_depth, min_leaf):
         assert all(isinstance(tree[name], np.ndarray) and tree[name].ndim == 1
                    and len(tree[name]) == size for name in TREE_FIELDS)
         children = [0]
-        for i, (feat, left) in enumerate(zip(tree["feature"], tree["left"])):
-            assert (feat == -1) == (left == -1)
-            if feat != -1:
+        for i, left in enumerate(_left_children(tree).tolist()):
+            if left != -1:
                 right = left + 1
-                assert left > i and right > i
+                assert i < left and right < size
                 assert tree["n_samples"][i] == (tree["n_samples"][left]
                                                 + tree["n_samples"][right])
                 children += [left, right]
@@ -326,12 +339,9 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
 
 def _oracle_arrays(tree):
     """The oracle's lists as arrays, renumbered breadth first from the root,
-    without ``right``, which must be ``left + 1`` at every split and -1 at
-    every leaf."""
+    without ``left`` and ``right``, which must be the children that
+    ``_left_children`` derives from ``feature``, and -1 at every leaf."""
     left, right = np.array(tree["left"]), np.array(tree["right"])
-    split = left >= 0
-    assert np.array_equal(right[split], left[split] + 1)
-    assert np.all(right[~split] == -1)
     order = [0]                         # old numbers, in breadth-first order
     for node in order:
         if left[node] >= 0:
@@ -339,8 +349,13 @@ def _oracle_arrays(tree):
     place = np.empty(len(order), dtype=np.int64)
     place[order] = np.arange(len(order))
     arrays = {name: np.array(tree[name])[order]
-              for name in tree if name != "right"}
-    arrays["left"] = np.where(arrays["left"] >= 0, place[arrays["left"]], -1)
+              for name in tree if name not in ("left", "right")}
+    left, right = left[order], right[order]
+    split = arrays["feature"] >= 0
+    assert np.array_equal(left >= 0, split) and np.all(right[~split] == -1)
+    children = _left_children(arrays)
+    assert np.array_equal(place[left[split]], children[split])
+    assert np.array_equal(place[right[split]], children[split] + 1)
     return arrays
 
 
@@ -470,7 +485,7 @@ def test_forest_grown_in_passes_equals_trees_grown_alone(per_pass, data,
 
 def _tree_depth(tree):
     depth = np.zeros(len(tree["feature"]), dtype=int)
-    for i, left in enumerate(tree["left"].tolist()):
+    for i, left in enumerate(_left_children(tree).tolist()):
         if left >= 0:
             depth[left] = depth[left + 1] = depth[i] + 1
     return int(depth.max())
@@ -532,10 +547,11 @@ def test_split_search_cache_never_goes_stale(newton, data, max_depth,
 
 def _walk(tree, x):
     """Reference: the leaf value one row reaches, one node at a time."""
+    left = _left_children(tree)
     node = 0
     while tree["feature"][node] >= 0:
         go_right = x[tree["feature"][node]] > tree["threshold"][node]
-        node = tree["left"][node] + int(go_right)
+        node = left[node] + int(go_right)
     return tree["value"][node]
 
 
@@ -817,6 +833,14 @@ def _matrix():
                                 manifest=["age", "gender"])
 
 
+def _table(trees):
+    """The table a model file holds ``trees`` in, as plain lists."""
+    table = {name: [cell for tree in trees for cell in tree[name].tolist()]
+             for name in TREE_FIELDS}
+    table["n_nodes"] = [len(tree["feature"]) for tree in trees]
+    return table
+
+
 @pytest.mark.parametrize("kind", ["logistic", "random_forest", "boosting",
                                   "mlp"])
 def test_train_save_load_round_trip(kind, tmp_path):
@@ -826,10 +850,16 @@ def test_train_save_load_round_trip(kind, tmp_path):
     model = train_model(matrix, kind, seed=1, **overrides)
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
+    fields = vars(model)
+    if "trees" in model.params:
+        fields = {**fields, "params": {**model.params,
+                                       "trees": _table(model.params["trees"])}}
     assert path.read_text() == json.dumps(
-        vars(model), sort_keys=True, separators=(",", ":"),
+        fields, sort_keys=True, separators=(",", ":"),
         default=np.ndarray.tolist) + "\n"
     loaded = load_model(path)
+    if "trees" in model.params:
+        _assert_same_trees(loaded.params["trees"], model.params["trees"])
     assert np.array_equal(predict_proba(loaded, matrix),
                           predict_proba(model, matrix))
     # a second save produces identical bytes
@@ -841,90 +871,167 @@ def test_train_save_load_round_trip(kind, tmp_path):
     assert payload["kind"] == kind and payload["seed"] == 1
 
 
-def test_depth_first_model_files_load_and_predict_as_before(monkeypatch,
-                                                            tmp_path):
-    # files written while trees were stored in depth-first creation order
-    # need no migration: they load and predict as their level-order twins
-    matrix = build_feature_matrix(_fake_records(60), "hospitalization",
-                                  manifest=["age", "gender"])
+def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
+    # earlier versions wrote a list of per-tree objects with a stored left
+    # child, in level order and, before that, in depth-first order
+    X, y = _toy(n=300, seed=15, noise=1.0)
+    matrix = FeatureMatrix(X=X, y=y > 0, columns=[f"c{j}" for j in range(6)],
+                           task="hospitalization", time_point="triage",
+                           split="train", stay_ids=np.arange(len(y)))
     model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
+    level_order = [{**{name: tree[name].tolist() for name in TREE_FIELDS},
+                    "left": _left_children(tree).tolist()}
+                   for tree in model.params["trees"]]
+    oracle = []
 
     def depth_first(*args, **kwargs):
-        tree = _depth_first_grow_tree(*args, **kwargs)
-        return {name: np.array(tree[name]) for name in TREE_FIELDS}
+        oracle.append(_depth_first_grow_tree(*args, **kwargs))
+        return _oracle_arrays(oracle[-1])
 
     monkeypatch.setattr(boosting, "grow_tree", depth_first)
-    twin = train_model(matrix, "boosting", n_stages=5, max_depth=4)
-    old, new = tmp_path / "old.json", tmp_path / "new.json"
-    save_model(twin, old)
-    save_model(model, new)
-    assert old.read_bytes() != new.read_bytes()
-    X = np.column_stack((np.linspace(0.0, 100.0, 401),
-                         np.tile([0.0, 1.0], 201)[:401]))
-    for data in (matrix, X):
-        assert np.array_equal(predict_proba(load_model(old), data),
-                              predict_proba(load_model(new), data))
+    train_model(matrix, "boosting", n_stages=5, max_depth=4)
+    depth_first_trees = [{name: tree[name] for name in (*TREE_FIELDS, "left")}
+                         for tree in oracle]
+    assert depth_first_trees != level_order
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    for trees in (level_order, depth_first_trees):
+        payload["params"]["trees"] = trees
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="list of per-tree objects, the "
+                           "format of earlier versions; re-run `edbench "
+                           "train`") as exc:
+            load_model(path)
+        assert exc.value.exit_code == 3
 
 
-def test_trees_json_is_json_dumps_of_the_lists():
-    rng = np.random.default_rng(4)
-    special = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5]
-    trees = []
-    for size in (1, 7, 3, 12):
-        # narrow and wide integer ranges, as feature and n_samples have
-        tree = {"feature": rng.integers(-1, 3, size),
-                "left": rng.integers(-1, 40, size),
-                "n_samples": rng.integers(1, 10 ** 6, size)}
-        for name in ("threshold", "value", "gain"):
-            tree[name] = rng.choice(special + list(rng.normal(size=3)), size)
-        trees.append(tree)
-    as_lists = [{name: column.tolist() for name, column in tree.items()}
-                for tree in trees]
-    assert "".join(_trees.trees_json(trees)) == json.dumps(
-        as_lists, sort_keys=True, separators=(",", ":"))
+_SPECIAL = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5, -2.75]
+
+
+@st.composite
+def _level_order_tree(draw, d, wide):
+    """A random tree in level order: nodes are decided breadth first, each
+    split appending its two children, so one-leaf trees are common."""
+    feature = []
+    while len(feature) < 1 + 2 * sum(f >= 0 for f in feature):
+        split = len(feature) < 30 and draw(st.booleans())
+        feature.append(draw(st.integers(0, d - 1)) if split else -1)
+    size = len(feature)
+    floats = st.lists(st.sampled_from(_SPECIAL) | st.floats(allow_nan=False),
+                      min_size=size, max_size=size)
+    tree = {"feature": np.array(feature, dtype=np.int64),
+            "n_samples": np.array(draw(st.lists(
+                st.integers(0, 2 ** 40 if wide else 3), min_size=size,
+                max_size=size)), dtype=np.int64)}
+    for name in ("threshold", "value", "gain"):
+        tree[name] = np.array(draw(floats), dtype=np.float64)
+    return {name: tree[name] for name in TREE_FIELDS}
+
+
+@st.composite
+def _ensembles(draw):
+    d = draw(st.integers(1, 4))
+    trees = draw(st.lists(_level_order_tree(d, draw(st.booleans())),
+                          max_size=5))
+    return d, trees
+
+
+@settings(max_examples=100)
+@given(ensemble=_ensembles())
+def test_trees_json_is_json_dumps_of_the_lists(ensemble):
+    # written, the table is json.dumps of its lists; loaded, each array is
+    # bit for bit the one written, -0.0 and NaN included
+    d, trees = ensemble
+    text = "".join(_trees.trees_json(trees))
+    assert text == json.dumps(_table(trees), sort_keys=True,
+                              separators=(",", ":"))
+    loaded = trees_from_json(json.loads(text), d)
+    assert len(loaded) == len(trees)
+    for new, old in zip(loaded, trees):
+        assert list(new) == list(TREE_FIELDS)
+        for name in TREE_FIELDS:
+            assert new[name].dtype == old[name].dtype, name
+            assert np.array_equal(new[name], old[name], equal_nan=True), name
+            assert new[name].tobytes() == old[name].tobytes(), name
+
+
+def _swap_root_of_tree_0_with_its_last_node(column, first):
+    # tree 0 keeps its counts, but its first split is no longer its root
+    return [-1] + column[1:first - 1] + [column[0]] + column[first:]
 
 
 @pytest.mark.parametrize("field, change, message", [
     (None, lambda t: t.pop("gain"), "tree fields"),
-    (None, lambda t: t.update(right=t["left"]), "tree fields"),
-    ("value", lambda c: c[:-1], "equal length"),
-    ("feature", lambda c: [float(v) for v in c], "'feature'"),
-    ("left", lambda c: [str(v) for v in c], "'left'"),
-    ("n_samples", lambda c: [v + 0.5 for v in c], "'n_samples'"),
-    ("threshold", lambda c: ["x"] * len(c), "'threshold'"),
-    ("feature", lambda c: [2] + c[1:], "'feature'"),
-    ("feature", lambda c: [-2] + c[1:], "'feature'"),
-    ("feature", lambda c: c[:-1] + [0], "'left'"),
-    ("left", lambda c: [-1] + c[1:], "'left'"),
-    ("left", lambda c: [0] + c[1:], "after it"),
-    ("left", lambda c: [len(c) - 1] + c[1:], "after it"),
-    ("left", lambda c: [10 ** 6] + c[1:], "after it"),
+    (None, lambda t: t.update(left=t["feature"]), "tree fields"),
+    ("value", lambda c, first: c[:-1], "equal length"),
+    ("feature", lambda c, first: [float(v) for v in c], "'feature'"),
+    ("n_samples", lambda c, first: [v + 0.5 for v in c], "'n_samples'"),
+    ("threshold", lambda c, first: ["x"] * len(c), "'threshold'"),
+    ("feature", lambda c, first: [2] + c[1:], "'feature'"),
+    ("feature", lambda c, first: [-2] + c[1:], "'feature'"),
+    ("n_nodes", lambda c, first: [0] + c, "'n_nodes'"),
+    ("n_nodes", lambda c, first: c[:-1] + [c[-1] + 2], "'n_nodes'"),
+    ("feature", lambda c, first: c[:-1] + [0], "2s + 1 nodes"),
+    ("feature", _swap_root_of_tree_0_with_its_last_node,
+     "before its children"),
 ])
 def test_load_model_rejects_malformed_trees(field, change, message, tmp_path):
     model = train_model(_matrix(), "boosting", n_stages=3)
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
-    tree = payload["params"]["trees"][1]
-    assert tree["feature"][0] >= 0          # the root splits
+    table = payload["params"]["trees"]
+    first = table["n_nodes"][0]             # tree 1's root
+    assert table["feature"][0] >= 0 and table["feature"][first] >= 0
     if field is None:
-        change(tree)
+        change(table)
     else:
-        tree[field] = change(tree[field])
+        table[field] = change(table[field], first)
     path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match=f"tree 1: .*{message}"):
+    with pytest.raises(DataError, match=re.escape(message)) as exc:
         load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("kind, key, change", [
+    ("logistic", "columns", lambda m: m.update(columns=5)),
+    ("logistic", "columns", lambda m: m.update(columns=["age", 1])),
+    ("logistic", "kind", lambda m: m.update(kind=["logistic"])),
+    ("logistic", "fingerprint", lambda m: m.update(fingerprint="0" * 64)),
+    ("boosting", "base_score", lambda m: m["params"].update(base_score="x")),
+    ("boosting", "learning_rate", lambda m: m["params"].pop("learning_rate")),
+    ("random_forest", "n_features", lambda m: m["params"].update(n_features=3)),
+])
+def test_load_model_rejects_malformed_fields(kind, key, change, tmp_path):
+    path = tmp_path / "model.json"
+    overrides = {"random_forest": {"n_trees": 2}}.get(kind, {})
+    save_model(train_model(_matrix(), kind, **overrides), path)
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"'{key}'") as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_load_model_rejects_tree_model_without_trees(tmp_path):
-    model = train_model(_matrix(), "random_forest", n_trees=2)
+    # a one-class fit writes an empty table beside its constant, and loads
+    matrix = _matrix()
+    matrix = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
     path = tmp_path / "model.json"
-    save_model(model, path)
-    payload = json.loads(path.read_text())
-    payload["params"]["trees"] = []
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match="no trees"):
-        load_model(path)
+    for kind in ("random_forest", "boosting"):
+        with pytest.warns(DegenerateLabels):
+            save_model(train_model(matrix, kind), path)
+        payload = json.loads(path.read_text())
+        assert payload["params"]["trees"] == dict.fromkeys(TABLE_FIELDS, [])
+        loaded = load_model(path)
+        assert loaded.params["trees"] == []
+        assert np.all(predict_proba(loaded, matrix) == 0.0)
+        del payload["params"]["constant"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="no trees"):
+            load_model(path)
 
 
 def test_train_model_rejects_unknown_kind_and_hyperparam():
