@@ -331,33 +331,40 @@ def parse_table(path: str, kind: str, temperature_unit: str = "fahrenheit"):
 def write_table(records, kind: str, path: str, temperature_unit: str = "fahrenheit") -> None:
     """Serialize records back to CSV, the exact inverse of parse_table.
 
-    Temperatures are written back in ``temperature_unit``. Missing values
-    become empty cells; floats use shortest round-trip formatting, so
-    parse(write(parse(x))) == parse(x).
+    Each column gets one formatter, chosen once from its cell kind: a
+    timestamp, a date, a temperature written back in ``temperature_unit``,
+    or a plain cell. Missing values become empty cells; floats use shortest
+    round-trip formatting, so parse(write(parse(x))) == parse(x). Rows are
+    formatted and written one at a time, so no whole column is held as
+    strings.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"unknown table kind {kind!r}")
     if temperature_unit not in TEMPERATURE_UNITS:
         raise ConfigError(f"unknown temperature unit {temperature_unit!r}")
     values = attrgetter(*REQUIRED_COLUMNS[kind])
-    cells = [cell for _, cell in SCHEMAS[kind]]
+    formats = [_cell_format(cell, temperature_unit) for _, cell in SCHEMAS[kind]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS[kind])
-        for rec in records:
-            writer.writerow([_write_cell(value, cell, temperature_unit)
-                             for value, cell in zip(values(rec), cells)])
+        writer.writerows([fmt(value) for fmt, value in zip(formats, values(rec))]
+                         for rec in records)
     logger.info("wrote %s: %d records", path, len(records))
 
 
-def _write_cell(value, kind: str, unit: str) -> str:
+def _fahrenheit(value: float | None) -> str:
+    return "" if value is None else format_cell(value * 9.0 / 5.0 + 32.0)
+
+
+def _cell_format(kind: str, unit: str):
+    """The formatter of a column of cell kind ``kind``."""
     if kind in _TIME_KINDS:
-        return format_timestamp(value)
+        return format_timestamp
     if kind == "date":
-        return format_date(value)
-    if kind == "temperature" and value is not None and unit == "fahrenheit":
-        value = value * 9.0 / 5.0 + 32.0
-    return format_cell(value)
+        return format_date
+    if kind == "temperature" and unit == "fahrenheit":
+        return _fahrenheit
+    return format_cell
 
 
 def read_raw_tables(input_dir: str, temperature_unit: str = "fahrenheit") -> RawTables:

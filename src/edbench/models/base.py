@@ -219,10 +219,16 @@ def load_model(path) -> TrainedModel:
     return TrainedModel(**obj)
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_params(kind: str, params, n_columns: int) -> None:
     """Raise ValueError, naming the parameter, unless ``params`` hold what
     ``_PARAMS`` asks for ``n_columns`` inputs, a tree model's a valid table
-    (made its trees in place) and a forest's ``n_features == n_columns``."""
+    (made its trees in place) and any ``constant`` in [0, 1], and a forest's
+    ``n_features == n_columns``."""
     arrays, scalars = _PARAMS[kind]
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
@@ -242,13 +248,16 @@ def _check_params(kind: str, params, n_columns: int) -> None:
             raise ValueError(f"param {name!r} has shape {value.shape}, "
                              f"expected {expected}")
     for name in scalars:
-        value = params.get(name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        if not _finite_number(params.get(name)):
             raise ValueError(f"param {name!r} must be a finite number")
     if kind in ("random_forest", "boosting"):
         params["trees"] = trees_from_json(params.get("trees"), n_columns)
-        if not (params["trees"] or "constant" in params):
+        if "constant" in params:
+            # a one-class fit's pos / n
+            value = params["constant"]
+            if not (_finite_number(value) and 0 <= value <= 1):
+                raise ValueError("param 'constant' must be a number in [0, 1]")
+        elif not params["trees"]:
             raise ValueError("model file holds no trees")
     if kind == "random_forest" and params.get("n_features") != n_columns:
         raise ValueError(f"param 'n_features' must be {n_columns}")

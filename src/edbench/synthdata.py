@@ -33,6 +33,14 @@ drawn from outcome-conditional level distributions, which is the main
 learnable signal. A configurable fraction of vital cells is blanked and
 another fraction replaced with out-of-range outliers to exercise
 cleaning; some pain values exceed 10 to exercise parse rejection.
+
+The draw order is a contract: the tables of a seed are fixed by which
+draws ``generate_with_truth`` takes from its one generator and in what
+order. A rewrite may change how a draw is taken (a uniform pick from a
+list is ``pool[int(rng.integers(0, len(pool)))]``, which is the draw
+``rng.choice(pool)`` makes; a scalar clip is ``min``/``max``), but never
+which draws are taken or in what order. ``tests/test_synthdata.py`` pins
+the bytes of the written tables and the numpy behaviour this relies on.
 """
 
 from __future__ import annotations
@@ -175,6 +183,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_patients < 1:
             raise ConfigError("n_patients must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("prevalence_hospitalization", "prevalence_critical",
                      "prevalence_reattendance"):
             value = getattr(self, name)
@@ -232,19 +243,33 @@ def _draw_pain(rng, mean, sd, cfg: SynthConfig):
         return None
     if r < cfg.missing_fraction + cfg.outlier_fraction:
         return int(rng.integers(11, 26))  # rejected by the parser -> missing
-    return int(np.clip(round(float(rng.normal(mean, sd))), 0, 10))
+    return _clip(round(float(rng.normal(mean, sd))), 0, 10)
 
 
-def _complaint_weights(hosp: bool, crit: bool) -> tuple[list[str], np.ndarray]:
-    names = list(COMPLAINT_BASE)
-    w = np.array([COMPLAINT_BASE[n] for n in names])
+def _clip(value, low, high):
+    """``np.clip`` of one Python number, without numpy's per-call cost."""
+    return min(max(value, low), high)
+
+
+def _pick(rng, pool):
+    """A uniform pick from ``pool``: the draw ``rng.choice(pool)`` makes,
+    without turning the list into an array on every call."""
+    return pool[int(rng.integers(0, len(pool)))]
+
+
+_ACUITY_LEVELS = np.arange(1, 6)
+_COMPLAINT_NAMES = list(COMPLAINT_BASE)
+
+
+def _complaint_weights(hosp: bool, crit: bool) -> np.ndarray:
+    w = np.array([COMPLAINT_BASE[n] for n in _COMPLAINT_NAMES])
     if hosp:
         for key, mult in COMPLAINT_HOSP_MULT.items():
-            w[names.index(key)] *= mult
+            w[_COMPLAINT_NAMES.index(key)] *= mult
     if crit:
         for key, mult in COMPLAINT_CRIT_MULT.items():
-            w[names.index(key)] *= mult
-    return names, w / w.sum()
+            w[_COMPLAINT_NAMES.index(key)] *= mult
+    return w / w.sum()
 
 
 def _acuity_dist(hosp: bool, crit: bool) -> np.ndarray:
@@ -255,6 +280,22 @@ def _acuity_dist(hosp: bool, crit: bool) -> np.ndarray:
     else:
         p = np.array(ACUITY_DISCHARGE)
     return p / p.sum()
+
+
+def _visit_dists(s: float) -> dict[tuple[bool, bool], tuple]:
+    """For each (hospitalized, critical) pair, what a visit's draws take
+    besides the stream: the triage and the in-stay (name, mean, sd) with
+    the mean shifted by outcome, then the acuity and the complaint
+    distributions. Built once per cohort, not once per visit."""
+    def shifted(moments, hosp, crit):
+        return tuple(
+            (name, mean + (HOSP_SHIFT[name] * hosp + CRIT_SHIFT[name] * crit) * s, sd)
+            for name, (mean, sd) in moments.items())
+    return {(hosp, crit): (shifted(TRIAGE_MOMENTS, hosp, crit),
+                           shifted(ED_MOMENTS, hosp, crit),
+                           _acuity_dist(hosp, crit),
+                           _complaint_weights(hosp, crit))
+            for hosp in (False, True) for crit in (False, True)}
 
 
 def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
@@ -280,6 +321,11 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
     else:
         q = 0.0
     reatt_draws = rng.random(n_total) < q  # consulted for non-final visits only
+    # Python lists: indexing a numpy array per visit costs more than the draw
+    crit_list = crit_flags.tolist()
+    hosp_list = hosp_flags.tolist()
+    reatt_list = reatt_draws.tolist()
+    dists = _visit_dists(s)
 
     tables = RawTables()
     truth: dict[int, dict[str, bool]] = {}
@@ -296,13 +342,13 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
         subject_id = 10_000_000 + pi
         k = int(visit_counts[pi])
         v_slice = slice(visit_cursor, visit_cursor + k)
-        v_crit = crit_flags[v_slice]
-        v_hosp = hosp_flags[v_slice]
-        v_reatt_raw = reatt_draws[v_slice]
+        v_crit = crit_list[v_slice]
+        v_hosp = hosp_list[v_slice]
+        v_reatt_raw = reatt_list[v_slice]
         visit_cursor += k
 
-        any_crit = bool(v_crit.any())
-        frac_hosp = float(v_hosp.mean())
+        any_crit = any(v_crit)
+        frac_hosp = sum(v_hosp) / k  # the exact quotient, as numpy's mean
 
         # demographics; minors and adults draw from disjoint age ranges
         is_minor = rng.random() < cfg.minor_fraction
@@ -310,7 +356,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
             anchor_age = int(rng.integers(1, 16))
         else:
             age = rng.normal(46.3 + (14.0 * frac_hosp + 5.0 * any_crit) * s, 18.5)
-            anchor_age = int(np.clip(round(age), 18, 97))
+            anchor_age = _clip(round(age), 18, 97)
         p_male = min(0.95, 0.457 + 0.08 * any_crit * s)
         gender = "M" if rng.random() < p_male else "F"
 
@@ -331,13 +377,13 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                     gap = int(rng.integers(int(73.5 * HOUR), 120 * DAY))
                 t = outtimes[vi - 1] + dt.timedelta(seconds=gap)
             if v_hosp[vi]:
-                los = float(np.clip(rng.normal(8.0, 4.0), 1.0, 36.0))
+                los = _clip(float(rng.normal(8.0, 4.0)), 1.0, 36.0)
             else:
-                los = float(np.clip(rng.normal(2.5, 1.5), 0.25, 12.0))
+                los = _clip(float(rng.normal(2.5, 1.5)), 0.25, 12.0)
             intimes.append(t)
             outtimes.append(t + dt.timedelta(seconds=int(los * HOUR)))
             # reattendance only applies when a later visit exists
-            reatt.append(bool(v_reatt_raw[vi]) and vi < k - 1)
+            reatt.append(v_reatt_raw[vi] and vi < k - 1)
 
         # critical mechanism: death only on the final visit, ICU otherwise
         mech: list[str] = []
@@ -430,7 +476,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                     pool = ICD9_NOISE if version == 9 else ICD10_NOISE
                 tables.diagnoses_icd.append(DiagnosisRecord(
                     subject_id=subject_id, hadm_id=hadm_id, seq_num=seq,
-                    icd_code=str(rng.choice(pool)), icd_version=version))
+                    icd_code=_pick(rng, pool), icd_version=version))
 
         # a historical ICU stay for some critical patients (history signal)
         if any_crit and hist_admissions and rng.random() < 0.5:
@@ -455,7 +501,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                 pool = ICD9_DISEASE if version == 9 else ICD10_DISEASE
                 tables.diagnoses_icd.append(DiagnosisRecord(
                     subject_id=subject_id, hadm_id=hadm_ids[vi], seq_num=seq,
-                    icd_code=str(rng.choice(pool)), icd_version=version))
+                    icd_code=_pick(rng, pool), icd_version=version))
 
         # decoys on patients who survive: an ICU stay well outside every
         # visit window, and a death date past every discharge
@@ -478,8 +524,9 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
         for vi in range(k):
             stay_id = next_stay
             next_stay += 1
-            hosp = bool(v_hosp[vi])
-            crit = bool(v_crit[vi])
+            hosp = v_hosp[vi]
+            crit = v_crit[vi]
+            triage_means, ed_means, acuity_p, complaint_p = dists[hosp, crit]
 
             tables.edstays.append(EdStayRecord(
                 subject_id=subject_id, stay_id=stay_id, hadm_id=hadm_ids[vi],
@@ -488,20 +535,18 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
 
             # triage row
             vitals = {}
-            for name, (mean, sd) in TRIAGE_MOMENTS.items():
-                shift = (HOSP_SHIFT[name] * hosp + CRIT_SHIFT[name] * crit) * s
+            for name, mean, sd in triage_means:
                 if name == "pain":
-                    vitals[name] = _draw_pain(rng, mean + shift, sd, cfg)
+                    vitals[name] = _draw_pain(rng, mean, sd, cfg)
                 else:
-                    vitals[name] = _draw_vital(rng, name, mean + shift, sd, cfg)
+                    vitals[name] = _draw_vital(rng, name, mean, sd, cfg)
             if rng.random() < cfg.missing_acuity_fraction:
                 acuity = None
             else:
-                acuity = int(rng.choice(np.arange(1, 6),
-                                        p=_acuity_dist(hosp, crit)))
-            names, weights = _complaint_weights(hosp, crit)
-            category = str(rng.choice(names, p=weights))
-            surface = str(rng.choice(COMPLAINT_SURFACES[category]))
+                acuity = int(rng.choice(_ACUITY_LEVELS, p=acuity_p))
+            category = _COMPLAINT_NAMES[
+                int(rng.choice(len(_COMPLAINT_NAMES), p=complaint_p))]
+            surface = _pick(rng, COMPLAINT_SURFACES[category])
             tables.triage.append(TriageRecord(
                 subject_id=subject_id, stay_id=stay_id,
                 temperature=vitals["temperature"],
@@ -515,10 +560,8 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
             lo, hi = 60, max(span - 60, 61)
             offsets = sorted(int(rng.integers(lo, hi)) for _ in range(n_rows))
             for off in offsets:
-                row = {}
-                for name, (mean, sd) in ED_MOMENTS.items():
-                    shift = (HOSP_SHIFT[name] * hosp + CRIT_SHIFT[name] * crit) * s
-                    row[name] = _draw_vital(rng, name, mean + shift, sd, cfg)
+                row = {name: _draw_vital(rng, name, mean, sd, cfg)
+                       for name, mean, sd in ed_means}
                 tables.vitalsign.append(VitalSignRecord(
                     subject_id=subject_id, stay_id=stay_id,
                     charttime=intimes[vi] + dt.timedelta(seconds=off),
@@ -534,12 +577,12 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                     subject_id=subject_id, stay_id=stay_id,
                     charttime=intimes[vi] + dt.timedelta(
                         seconds=int(rng.integers(0, max(span, 1)))),
-                    name=str(rng.choice(MED_NAMES))))
+                    name=_pick(rng, MED_NAMES)))
             lam_rec = max(0.5, 4.44 + 3.52 * frac_hosp * s)
             for _ in range(int(rng.poisson(lam_rec))):
                 tables.medrecon.append(MedreconRecord(
                     subject_id=subject_id, stay_id=stay_id,
-                    name=str(rng.choice(MED_NAMES))))
+                    name=_pick(rng, MED_NAMES)))
 
             truth[stay_id] = {
                 "hospitalization": hosp,

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 import typing
 from pathlib import Path
@@ -137,6 +138,7 @@ def test_every_scalar_field_is_settable_from_its_section(tmp_path, section,
     "[pipeline]\nimputation = magic\n",
     "[paths]\ncleaning_bounds = /no/such/file.ini\n",
     "[synth]\nn_patients = 0\n",
+    "[synth]\nn_patients = 5\nseed = -1\n",
     "[pipeline]\nlookback_years = nan\n",
     "[pipeline]\nlookback_years = inf\n",
     "[pipeline]\nimputation = constant\nimpute_constant = nan\n",
@@ -272,6 +274,15 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
         table = payload["params"]["trees"]
         table[field] = change(table[field], table["n_nodes"][0])
         cases[name] = (json.dumps(payload), 3, f"{name}: {message}")
+    # a tree model's constant is a one-class fit's pos / n
+    for name, kind, value in (("constant_text.json", "random_forest", "x"),
+                              ("constant_bool.json", "boosting", True),
+                              ("constant_nan.json", "random_forest", math.nan),
+                              ("constant_high.json", "boosting", 1.5)):
+        payload = json.loads(
+            (run_all / "out" / "models" / f"critical_triage_{kind}.json").read_text())
+        payload["params"]["constant"] = value
+        cases[name] = (json.dumps(payload), 3, f"{name}: param 'constant'")
     for name, (body, code, message) in cases.items():
         (tmp_path / name).write_text(body)
         caplog.clear()
