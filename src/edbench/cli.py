@@ -35,22 +35,22 @@ import numpy as np
 
 from . import __version__
 from ._util import format_cell, read_ini
-from .errors import ConfigError, EdBenchError
+from .errors import ConfigError, DataError, EdBenchError
 from .ingest import TABLE_KINDS, TEMPERATURE_UNITS, link_tables, read_raw_tables
 from .cohort import (OUTCOME_COLUMNS, build_master, load_complaint_matcher,
                      master_columns, read_master_csv, write_master_csv)
-from .comorbidity import load_map
-from .clean_split import (IMPUTE_STRATEGIES, apply_cleaning, apply_exclusions,
-                          apply_imputer, fit_imputer, load_cleaning_config,
-                          split_records, write_split_csv)
+from .comorbidity import DEFAULT_LOOKBACK_DAYS, load_map
+from .clean_split import (DEFAULT_TEST_FRACTION, IMPUTE_STRATEGIES, apply_cleaning,
+                          apply_exclusions, apply_imputer, fit_imputer,
+                          load_cleaning_config, split_records, write_split_csv)
 from .scores import (SCORE_NAMES, compute_score, esi_risk,
                      load_score_definition)
 from .models import (DISPLAY_NAMES, MODEL_KINDS, TASKS, TIME_POINTS,
                      build_feature_matrix, load_manifest, load_model,
                      predict_proba, resolve_hyperparams, save_model,
                      train_model)
-from .evaluate import (ModelResult, build_report, render_report,
-                       summarize_cohort, write_cohort_summary)
+from .evaluate import (DEFAULT_BOOTSTRAP, ModelResult, build_report,
+                       render_report, summarize_cohort, write_cohort_summary)
 from .synthdata import SynthConfig, generate_with_truth, write_synthetic
 
 logger = logging.getLogger(__name__)
@@ -66,13 +66,12 @@ MODELS_DIR = "models"
 RUNTIMES_NAME = "runtimes.json"
 MANIFEST_NAME = "run_manifest.json"
 
-# [paths] keys, overrides for packaged declarative tables, by their loaders
-_PATH_LOADERS = {"cleaning_bounds": load_cleaning_config,
-                 "comorbidity_map": load_map,
-                 "chief_complaints": load_complaint_matcher,
-                 "manifest_triage": load_manifest,
-                 "manifest_disposition": load_manifest,
-                 **{f"score_{n}": load_score_definition for n in SCORE_NAMES}}
+# [paths] keys: each table's loader, and the argument that loads the packaged one
+_TABLES = {"cleaning_bounds": (load_cleaning_config, None),
+           "comorbidity_map": (load_map, None),
+           "chief_complaints": (load_complaint_matcher, None),
+           **{f"manifest_{tp}": (load_manifest, tp) for tp in TIME_POINTS},
+           **{f"score_{n}": (load_score_definition, n) for n in SCORE_NAMES}}
 
 
 def _scalar_fields(cls) -> dict:
@@ -97,15 +96,27 @@ class PipelineConfig:
     input_dir: str = "data"
     output_dir: str = "out"
     seed: int = 0
-    test_fraction: float = 0.2
-    lookback_years: float = 5.0
+    test_fraction: float = DEFAULT_TEST_FRACTION
+    lookback_years: float = DEFAULT_LOOKBACK_DAYS / 365
     imputation: str = "median"
     impute_constant: float = 0.0
-    bootstrap_b: int = 100
+    bootstrap_b: int = DEFAULT_BOOTSTRAP
     temperature_unit: str = "fahrenheit"
     paths: dict = field(default_factory=dict)
     model_overrides: dict = field(default_factory=dict)
     synth: SynthConfig | None = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)    # (key, source) -> parsed table
+
+    def table(self, key: str):
+        """The [paths] table ``key``, parsed once: from the file its value
+        names, always read as a path, else the packaged table."""
+        loader, packaged = _TABLES[key]
+        value = self.paths.get(key)
+        source = packaged if value is None else os.path.abspath(value)
+        if (key, source) not in self._tables:
+            self._tables[key, source] = loader(source)
+        return self._tables[key, source]
 
     def validate(self) -> None:
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -125,8 +136,8 @@ class PipelineConfig:
                               f"got {self.temperature_unit!r}")
         if self.bootstrap_b < 1:
             raise ConfigError(f"bootstrap_b must be >= 1, got {self.bootstrap_b}")
-        for key, path in self.paths.items():     # before any stage writes
-            _PATH_LOADERS[key](path)
+        for key in self.paths:                   # before any stage writes
+            self.table(key)
         for kind, overrides in self.model_overrides.items():
             resolve_hyperparams(kind, overrides)
 
@@ -146,7 +157,7 @@ class PipelineConfig:
                         setattr(cfg, key, _coerce(section, key, raw, _PIPELINE_KEYS[key]))
                 elif section == "paths":
                     for key, raw in parser["paths"].items():
-                        if key not in _PATH_LOADERS:
+                        if key not in _TABLES:
                             raise ConfigError(f"[paths] unknown key {key!r}")
                         cfg.paths[key] = raw
                 elif section == "synth":
@@ -233,13 +244,33 @@ def _model_seed(cfg: PipelineConfig, task: str, kind: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _load_task_manifest(cfg: PipelineConfig, time_point: str) -> list[str]:
-    return load_manifest(cfg.paths.get(f"manifest_{time_point}", time_point))
+def _task_matrix(cfg: PipelineConfig, records: list[dict], task: str,
+                 time_point: str | None, split: str):
+    """The time point ``task`` uses, ``time_point`` or else the task's
+    default, and the feature matrix of ``records`` at it."""
+    tp = time_point or TASKS[task][1]
+    return tp, build_feature_matrix(records, task, time_point=tp,
+                                    manifest=cfg.table(f"manifest_{tp}"),
+                                    split=split)
 
 
-def _load_scores(cfg: PipelineConfig) -> dict:
-    return {name: load_score_definition(cfg.paths.get(f"score_{name}", name))
-            for name in SCORE_NAMES}
+def _read_runtimes(cfg: PipelineConfig) -> dict:
+    """The fit times in runtimes.json, by model file stem; {} without the
+    file. Anything but a JSON object of finite, non-negative numbers is a
+    DataError naming the file."""
+    path = Path(cfg.output_dir) / MODELS_DIR / RUNTIMES_NAME
+    if not path.is_file():
+        return {}
+    try:
+        runtimes = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(runtimes, dict) or not all(
+            type(v) in (int, float) and math.isfinite(v) and v >= 0
+            for v in runtimes.values()):
+        raise DataError(f"{path}: must be an object of finite, non-negative "
+                        "fit times in seconds")
+    return runtimes
 
 
 def _read_output(cfg: PipelineConfig, name: str, hint: str) -> tuple[list[dict], list[str]]:
@@ -277,8 +308,7 @@ def _extract_master(cfg: PipelineConfig):
                           + ", ".join(missing))
     tables = read_raw_tables(cfg.input_dir, temperature_unit=cfg.temperature_unit)
     cohort = link_tables(tables)
-    cmap = load_map(cfg.paths.get("comorbidity_map"))
-    matcher = load_complaint_matcher(cfg.paths.get("chief_complaints"))
+    cmap, matcher = cfg.table("comorbidity_map"), cfg.table("chief_complaints")
     lookback_days = int(round(cfg.lookback_years * 365))
     records = build_master(cohort, lookback_days=lookback_days,
                            cmap=cmap, matcher=matcher)
@@ -304,8 +334,7 @@ def _build_benchmark(cfg: PipelineConfig, records: list[dict], columns: list[str
     reasons: dict[str, int] = {}
     for _, reason in excluded:
         reasons[reason] = reasons.get(reason, 0) + 1
-    bounds = load_cleaning_config(cfg.paths.get("cleaning_bounds"))
-    clean_stats = apply_cleaning(kept, bounds)
+    clean_stats = apply_cleaning(kept, cfg.table("cleaning_bounds"))
     train, test, assignment = split_records(kept, cfg.test_fraction, cfg.seed)
     imputer = fit_imputer(train, strategy=cfg.imputation,
                           constant_value=cfg.impute_constant)
@@ -317,7 +346,7 @@ def _build_benchmark(cfg: PipelineConfig, records: list[dict], columns: list[str
     write_master_csv(train, str(paths[0]), columns)
     write_master_csv(test, str(paths[1]), columns)
     write_split_csv(assignment, str(paths[2]), cfg.seed, cfg.test_fraction)
-    paths[3].write_text(imputer.to_json())
+    paths[3].write_text(imputer.to_json(), encoding="utf-8")
     counts = {
         "master_rows": len(records),
         "excluded": reasons,
@@ -341,15 +370,12 @@ def _train(cfg: PipelineConfig, records: list[dict], tasks=TASK_ORDER,
     models_dir = Path(cfg.output_dir) / MODELS_DIR
     models_dir.mkdir(parents=True, exist_ok=True)
     runtimes_path = models_dir / RUNTIMES_NAME
-    runtimes = json.loads(runtimes_path.read_text()) if runtimes_path.is_file() else {}
+    runtimes = _read_runtimes(cfg)
 
     counts: dict[str, dict] = {}
     paths: list[Path] = []
     for task in tasks:
-        tp = time_point or TASKS[task][1]  # else the task's default
-        manifest = _load_task_manifest(cfg, tp)
-        matrix = build_feature_matrix(records, task, time_point=tp,
-                                      manifest=manifest, split="train")
+        tp, matrix = _task_matrix(cfg, records, task, time_point, "train")
         for kind in kinds:
             started = time.perf_counter()
             model = train_model(matrix, kind, seed=_model_seed(cfg, task, kind),
@@ -365,7 +391,7 @@ def _train(cfg: PipelineConfig, records: list[dict], tasks=TASK_ORDER,
             logger.info("trained %s in %.2fs", name, seconds)
 
     runtimes_path.write_text(
-        json.dumps(runtimes, sort_keys=True, indent=2) + "\n")
+        json.dumps(runtimes, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     paths.append(runtimes_path)
     return counts, paths
 
@@ -379,17 +405,12 @@ def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
 def _evaluate(cfg: PipelineConfig, train_records: list[dict],
               test_records: list[dict], tasks=TASK_ORDER,
               time_point: str | None = None) -> tuple[dict, list[Path]]:
-    runtimes_path = Path(cfg.output_dir) / MODELS_DIR / RUNTIMES_NAME
-    runtimes = json.loads(runtimes_path.read_text()) if runtimes_path.is_file() else {}
-    score_defs = _load_scores(cfg)
+    runtimes = _read_runtimes(cfg)
 
     results: list[ModelResult] = []
     for task in tasks:
-        tp = time_point or TASKS[task][1]  # else the task's default
         display = task.capitalize()
-        manifest = _load_task_manifest(cfg, tp)
-        matrix = build_feature_matrix(test_records, task, time_point=tp,
-                                      manifest=manifest, split="test")
+        tp, matrix = _task_matrix(cfg, test_records, task, time_point, "test")
         labels = matrix.y
         for kind in MODEL_KINDS:
             path = _model_file(cfg, task, tp, kind)
@@ -409,7 +430,8 @@ def _evaluate(cfg: PipelineConfig, train_records: list[dict],
         # vital-sign early-warning scores target deterioration, not return
         if task != "reattendance":
             source = "triage" if tp == "triage" else "ed"
-            for name, definition in score_defs.items():
+            for name in SCORE_NAMES:
+                definition = cfg.table(f"score_{name}")
                 totals = np.array(
                     [compute_score(definition, rec, vitals_source=source).total
                      for rec in test_records], dtype=np.float64)
@@ -562,7 +584,8 @@ def _write_manifest(cfg: PipelineConfig, command: str, stages: dict,
         "artifacts": {str(Path(p).resolve()): _sha256_file(p)
                       for p in sorted(set(written))},
     }
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
 
 
 def main(argv=None) -> int:

@@ -360,10 +360,10 @@ def _has_nonbinary(records: list[dict], name: str) -> bool:
 def write_cohort_summary(rows: list[dict], path) -> None:
     path = Path(path)
     if not rows:
-        path.write_text("variable\n")
+        path.write_text("variable\n", encoding="utf-8")
         return
     fieldnames = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -431,7 +431,7 @@ def render_report(rows: list[dict], out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.csv"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
@@ -450,11 +450,12 @@ def render_report(rows: list[dict], out_dir) -> list[Path]:
             ])
     written = [path]
     path = out_dir / "report.json"
-    path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
     written.append(path)
     for metric in ("auroc", "auprc"):
         path = out_dir / f"figure_{metric}.svg"
-        path.write_text(_render_bars(rows, metric))
+        path.write_text(_render_bars(rows, metric), encoding="utf-8")
         written.append(path)
     return written
 

@@ -38,13 +38,13 @@ leave as nodes close, so the root level's cells bound a pass's working
 set; a training set that fills the budget alone grows one tree per pass.
 
 Boosting grows every stage's tree over every feature on the same rows, so
-its histogram layout is kept per fit, on ``BinnedFeatures``: where each
-feature's bins start in a node's block of cells, the whole level-0 layout
-(keys, occupied bins, segments and running row counts), which only the
-residual weights change from stage to stage, and buffers for the keys, the
-weights and the padded float ``cumsum`` that every level and stage reuses.
-The level-0 layout is served again only for rows equal to those it was
-built on.
+its histogram layout is kept per fit. ``BinnedFeatures`` holds where each
+feature's bins start in a node's block of cells, and buffers for the keys,
+the weights and the padded float ``cumsum`` that every level and stage
+reuses. ``fit_boosting`` owns the level-0 layout (keys, occupied bins,
+segments and running row counts), which only the residual weights change
+from stage to stage: it builds it once and hands it to every stage's
+``grow_tree`` as ``root``.
 
 Without feature subsampling the result is bit-identical, up to the order
 of its nodes, to growing the same tree depth-first, one node at a time
@@ -96,7 +96,7 @@ MAX_BINS = 256
 @dataclass
 class BinnedFeatures:
     """One fit's bin codes, and the split-search state all its trees share:
-    bin starts, the kept level-0 histogram and reused buffers."""
+    bin starts and reused buffers."""
 
     codes: np.ndarray        # (n, d) uint16 bin codes
     thresholds: list[np.ndarray]  # per feature, edge values; code<=k iff x<=edges[k]
@@ -108,8 +108,6 @@ class BinnedFeatures:
         self.edge_start = np.cumsum(self.n_bins - 1) - (self.n_bins - 1)
         self.bin_start = np.cumsum(self.n_bins) - self.n_bins
         self.block = int(self.n_bins.sum())
-        self.root_rows: np.ndarray | None = None
-        self.root: _Histogram | None = None
         self.buffers: dict[str, np.ndarray] = {}
 
     def buffer(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
@@ -144,25 +142,19 @@ class BinnedFeatures:
         grid += sub
         return _Histogram(keys, start, int(size.sum()))
 
-    def full_histogram(self, rows, node, m, *, root) -> _Histogram:
+    def full_histogram(self, rows, node, m) -> _Histogram:
         """The histogram of a level whose m open nodes take every feature,
         each node one block of cells laid out as ``bin_start`` says. A
-        one-node root level is kept and served again for the same rows."""
-        keep = root and m == 1
-        if keep and self.root_rows is not None \
-                and np.array_equal(self.root_rows, rows):
-            return self.root
+        one-node level owns its keys, so that it outlives the levels after
+        it, which reuse the keys buffer."""
         d = self.codes.shape[1]
         start = (np.arange(m)[:, None] * self.block + self.bin_start).ravel()
-        keys = (np.empty(rows.size * d, dtype=np.int64) if keep
+        keys = (np.empty(rows.size * d, dtype=np.int64) if m == 1
                 else self.buffer("keys", rows.size * d, np.int64))
         grid = keys.reshape(rows.size, d)
         np.add(self.codes[rows], self.bin_start, out=grid)
         grid += (node * self.block)[:, None]
-        hist = _Histogram(keys, start, m * self.block)
-        if keep:
-            self.root_rows, self.root = rows, hist
-        return hist
+        return _Histogram(keys, start, m * self.block)
 
     def best_splits(self, hist, weights, feats, count, min_leaf, *, exact):
         """Best split of each open node of a level, from one histogram pass.
@@ -368,12 +360,14 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
+    root: _Histogram | None = None,
 ) -> dict:
     """Grow one tree on the rows in ``idx``: ``grow_trees`` for a pass of
     one tree, drawing its features from ``rng``."""
     return grow_trees(binned, [idx], y, max_depth=max_depth,
                       min_leaf=min_leaf, features_per_node=features_per_node,
-                      rngs=[rng], leaf_grad=leaf_grad, leaf_hess=leaf_hess)[0]
+                      rngs=[rng], leaf_grad=leaf_grad, leaf_hess=leaf_hess,
+                      root=root)[0]
 
 
 def grow_trees(
@@ -387,6 +381,7 @@ def grow_trees(
     rngs: list[np.random.Generator | None] | None = None,
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
+    root: _Histogram | None = None,
 ) -> list[dict]:
     """Grow one tree per entry of ``idxs``, on the rows it lists, together:
     one depth level at a time, each level one histogram pass and one
@@ -399,8 +394,9 @@ def grow_trees(
     pure nodes stay leaves and whose gains are Gini decreases.
     ``features_per_node`` activates random feature subsampling, tree t
     drawing from ``rngs[t]`` once per level as the module docstring
-    describes. Each tree comes out as ``grow_tree`` alone would grow it,
-    its nodes in level order.
+    describes. ``root``, if given, is a one-tree pass's level-0 histogram,
+    as ``full_histogram`` builds it. Each tree comes out as ``grow_tree``
+    alone would grow it, its nodes in level order.
     """
     classification = leaf_grad is None
     codes = binned.codes
@@ -450,8 +446,8 @@ def grow_trees(
             hist = binned.subset_histogram(rows, node, feats)
         else:
             feats = np.broadcast_to(np.arange(d), (ids.size, d))
-            hist = binned.full_histogram(rows, node, ids.size,
-                                         root=depth == 0)
+            hist = (root if depth == 0 and root is not None
+                    else binned.full_histogram(rows, node, ids.size))
         split, feat, cut, n_l, s_l, gain = binned.best_splits(
             hist, binned.weights(y[rows], feats.shape[1]), feats, count[ids],
             min_leaf, exact=classification)

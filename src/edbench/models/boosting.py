@@ -6,6 +6,8 @@ residuals ``y - p``, with leaf values set by a single Newton step
 (sum of residuals over sum of ``p (1 - p)``) scaled by the learning
 rate. Training records the deviance after every stage; on the training
 set the sequence must never increase, which the test suite checks.
+Every stage's tree grows on all rows, so the fit owns their level-0
+histogram layout: it builds it once and hands it to each stage.
 Prediction walks every stage's tree at once with ``predict_trees`` and
 adds the leaf values in stage order, as training did.
 """
@@ -52,13 +54,14 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
     base = float(np.log(pos / (n - pos)))
     F = np.full(n, base)
     idx = np.arange(n, dtype=np.intp)
+    root = binned.full_histogram(idx, np.zeros(n, dtype=np.intp), 1)
     trees = []
     deviance = [_deviance(F, y)]
     for stage in range(n_stages):
         p = sigmoid(F)
         resid = y - p
         hess = p * (1.0 - p)
-        tree = grow_tree(binned, idx, resid, max_depth=max_depth,
+        tree = grow_tree(binned, idx, resid, max_depth=max_depth, root=root,
                          min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess)
         F = F + learning_rate * predict_trees([tree], X)[0]
         dev = _deviance(F, y)

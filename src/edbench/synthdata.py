@@ -548,11 +548,8 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                 int(rng.choice(len(_COMPLAINT_NAMES), p=complaint_p))]
             surface = _pick(rng, COMPLAINT_SURFACES[category])
             tables.triage.append(TriageRecord(
-                subject_id=subject_id, stay_id=stay_id,
-                temperature=vitals["temperature"],
-                heartrate=vitals["heartrate"], resprate=vitals["resprate"],
-                o2sat=vitals["o2sat"], sbp=vitals["sbp"], dbp=vitals["dbp"],
-                pain=vitals["pain"], acuity=acuity, chiefcomplaint=surface))
+                subject_id=subject_id, stay_id=stay_id, **vitals,
+                acuity=acuity, chiefcomplaint=surface))
 
             # in-stay vitals rows
             span = int((outtimes[vi] - intimes[vi]).total_seconds())
@@ -564,10 +561,7 @@ def generate_with_truth(config: SynthConfig) -> GeneratedCohort:
                        for name, mean, sd in ed_means}
                 tables.vitalsign.append(VitalSignRecord(
                     subject_id=subject_id, stay_id=stay_id,
-                    charttime=intimes[vi] + dt.timedelta(seconds=off),
-                    temperature=row["temperature"], heartrate=row["heartrate"],
-                    resprate=row["resprate"], o2sat=row["o2sat"],
-                    sbp=row["sbp"], dbp=row["dbp"]))
+                    charttime=intimes[vi] + dt.timedelta(seconds=off), **row))
 
             # medications: dispensed counts carry outcome signal
             lam_med = max(0.3, 1.79 + (2.36 * hosp + 1.18 * crit) * s)
@@ -612,11 +606,11 @@ def write_truth(truth: dict[int, dict[str, bool]], path) -> None:
         flags = truth[stay_id]
         lines.append(str(stay_id) + "," +
                      ",".join(str(int(flags[k])) for k in OUTCOME_KEYS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_truth(path) -> dict[int, dict[str, bool]]:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")[1:]
     truth = {}
     for line in lines[1:]:

@@ -1,16 +1,21 @@
+import collections
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import pytest
 
-from edbench import cli
+from edbench import _util, cli
 from edbench._util import read_data_file
+from edbench.models import features
 from edbench.errors import ConfigError
 from edbench.synthdata import SynthConfig
 
@@ -339,11 +344,10 @@ def test_threads_flag_is_not_accepted():
 # -- [paths] overrides ---------------------------------------------------------------
 
 
-def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=(),
-                    status=0):
-    """Run ``command`` on copies of ``inputs`` from the ``all`` run, with
-    the table ``key`` of [paths] replaced by ``text``, and check that it
-    exits with ``status``; the output dir."""
+def _stage_config(run_all, tmp_path, *inputs, paths=""):
+    """A config file for a stage run on copies of ``inputs`` from the
+    ``all`` run, in a fresh output dir, with the [paths] lines ``paths``;
+    the config file and the output dir."""
     out = tmp_path / "out"
     out.mkdir()
     for name in inputs:
@@ -352,12 +356,22 @@ def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=(),
             shutil.copytree(source, out / name)
         else:
             shutil.copy(source, out)
-    table = tmp_path / f"{key}.table"
-    table.write_text(text)
     ini = tmp_path / "cfg.ini"
     ini.write_text(f"[pipeline]\ninput_dir = {run_all / 'data'}\n"
                    f"output_dir = {out}\nseed = 7\ntest_fraction = 0.25\n"
-                   f"bootstrap_b = 5\n\n[paths]\n{key} = {table}\n")
+                   f"bootstrap_b = 5\n\n[paths]\n{paths}")
+    return ini, out
+
+
+def _run_with_paths(run_all, tmp_path, command, key, text, *inputs, extra=(),
+                    status=0):
+    """Run ``command`` on copies of ``inputs`` from the ``all`` run, with
+    the table ``key`` of [paths] replaced by ``text``, and check that it
+    exits with ``status``; the output dir."""
+    table = tmp_path / f"{key}.table"
+    table.write_text(text)
+    ini, out = _stage_config(run_all, tmp_path, *inputs,
+                             paths=f"{key} = {table}\n")
     assert cli.main([command, "--config", str(ini), *extra]) == status
     return out
 
@@ -449,17 +463,122 @@ def test_paths_feature_manifest_override(run_all, tmp_path):
     assert model["columns"] == ["age", "triage_heartrate", "triage_sbp"]
 
 
+# a score of one variable
+_AGE_SCORE = ("[score]\nname: {name}\nconsumes: age\n\n[component.age]\n"
+              "variable: age\nbands: -inf 55 0\n       55 inf 9\n")
+
+
 def test_paths_score_override(run_all, tmp_path):
-    text = ("[score]\nname: cart\nconsumes: age\n\n[component.age]\n"
-            "variable: age\nbands: -inf 55 0\n       55 inf 9\n")
-    out = _run_with_paths(run_all, tmp_path, "evaluate", "score_cart", text,
+    out = _run_with_paths(run_all, tmp_path, "evaluate", "score_cart",
+                          _AGE_SCORE.format(name="cart"),
                           "train.csv", "test.csv", "models",
                           extra=("--task", "critical"))
     rows = json.loads((out / "report.json").read_text())
     assert [r["n_variables"] for r in rows if r["model"] == "CART"] == [1]
 
 
-# -- end-to-end artifacts ----------------------------------------------------------# -- end-to-end artifacts ----------------------------------------------------------
+@pytest.fixture(scope="module")
+def relative_paths_run(tmp_path_factory):
+    """`all` run from a directory that holds a 3-column manifest named
+    `disposition` and a one-variable score named `mews`, set as the relative
+    [paths] values of manifest_triage and score_news; the directory, and
+    how often each table was read, by path or packaged name."""
+    root = tmp_path_factory.mktemp("relative").resolve()
+    (root / "disposition").write_text("age\ntriage_heartrate\ntriage_sbp\n")
+    (root / "mews").write_text(_AGE_SCORE.format(name="news"))
+    (root / "run.ini").write_text(
+        INI_TEMPLATE.format(inp="data", out="out")
+        + "\n[paths]\nmanifest_triage = disposition\nscore_news = mews\n")
+    reads = collections.Counter()
+
+    def counted(read):
+        def read_and_count(packaged, path=None):
+            reads[packaged if path is None else path] += 1
+            return read(packaged, path)
+        return read_and_count
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for module in (_util, features):
+            mp.setattr(module, "read_data_file",
+                       counted(module.read_data_file))
+        assert cli.main(["all", "--config", "run.ini"]) == 0
+    return root, reads
+
+
+def test_paths_values_named_like_packaged_tables_are_files(
+        relative_paths_run):
+    root, _ = relative_paths_run
+    for task in ("hospitalization", "critical"):
+        model = json.loads(
+            (root / "out" / "models" / f"{task}_triage_logistic.json").read_text())
+        assert model["columns"] == ["age", "triage_heartrate", "triage_sbp"]
+    rows = json.loads((root / "out" / "report.json").read_text())
+    assert [r["n_variables"] for r in rows if r["model"] == "NEWS"] == [1, 1]
+
+
+def test_all_reads_each_table_once(relative_paths_run):
+    root, reads = relative_paths_run
+    for name in ("disposition", "mews"):
+        assert reads[str(root / name)] == 1, name
+    # the packaged tables the run reads, reattendance's manifest among them
+    for name in ("manifest_disposition.txt", "score_mews.ini",
+                 "comorbidity_map.ini", "chief_complaints.ini",
+                 "cleaning_bounds.ini"):
+        assert reads[name] == 1, name
+    assert max(reads.values()) == 1, reads
+
+
+# -- runtimes.json -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1', "[]", '{"critical_triage_logistic": "x"}',
+    '{"critical_triage_logistic": NaN}', '{"critical_triage_logistic": -1}',
+    '{"critical_triage_logistic": true}',
+], ids=["truncated", "list", "string", "nan", "negative", "bool"])
+@pytest.mark.parametrize("command, inputs", [
+    ("train", ("train.csv", "models")),
+    ("evaluate", ("train.csv", "test.csv", "models")),
+], ids=["train", "evaluate"])
+def test_malformed_runtimes_file_is_a_data_error(run_all, tmp_path, caplog,
+                                                 command, inputs, text):
+    ini, out = _stage_config(run_all, tmp_path, *inputs)
+    runtimes = out / "models" / "runtimes.json"
+    runtimes.write_text(text)
+    assert cli.main([command, "--config", str(ini), "--task", "critical"]) == 3
+    assert f"DataError: {runtimes}: " in caplog.text
+
+
+# -- text encoding ---------------------------------------------------------------------
+
+
+def test_all_writes_utf8_artifacts_under_an_ascii_locale(tmp_path):
+    # a complaint category, and so a master column, that ASCII cannot encode
+    (tmp_path / "complaints.ini").write_text("[fièvre]\nkeywords: fever\n",
+                                             encoding="utf-8")
+    manifest = "age\nchiefcom_fièvre\n"
+    (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
+    (tmp_path / "run.ini").write_text(
+        INI_TEMPLATE.format(inp="data", out="out")
+        + "\n[paths]\nchief_complaints = complaints.ini\n"
+        "manifest_triage = manifest.txt\nmanifest_disposition = manifest.txt\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "edbench.cli", "all",
+         "--config", "run.ini"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    summary = (tmp_path / "out" / "cohort_summary.csv").read_text(
+        encoding="utf-8")
+    assert "chiefcom_fièvre" in summary
+
+
+# -- end-to-end artifacts ----------------------------------------------------------
 
 
 def test_all_writes_expected_artifacts(run_all):

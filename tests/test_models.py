@@ -409,7 +409,7 @@ def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
         params = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
         oracle_trees = []
 
-        def oracle(*args, **kwargs):
+        def oracle(*args, root=None, **kwargs):
             oracle_trees.append(_depth_first_grow_tree(*args, **kwargs))
             return _oracle_arrays(oracle_trees[-1])
 
@@ -884,7 +884,7 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
                    for tree in model.params["trees"]]
     oracle = []
 
-    def depth_first(*args, **kwargs):
+    def depth_first(*args, root=None, **kwargs):
         oracle.append(_depth_first_grow_tree(*args, **kwargs))
         return _oracle_arrays(oracle[-1])
 
