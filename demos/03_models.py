@@ -37,8 +37,8 @@ def main():
     apply_imputer(train, imputer)
     apply_imputer(test, imputer)
 
-    tr = build_feature_matrix(train, "hospitalization", split="train")
-    te = build_feature_matrix(test, "hospitalization", split="test")
+    tr = build_feature_matrix(train, "hospitalization")
+    te = build_feature_matrix(test, "hospitalization")
     print(f"feature matrix: {tr.X.shape[0]} train rows, "
           f"{te.X.shape[0]} test rows, {len(tr.columns)} variables "
           f"({tr.time_point} time point)\n")

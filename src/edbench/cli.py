@@ -245,13 +245,12 @@ def _model_seed(cfg: PipelineConfig, task: str, kind: str) -> int:
 
 
 def _task_matrix(cfg: PipelineConfig, records: list[dict], task: str,
-                 time_point: str | None, split: str):
+                 time_point: str | None):
     """The time point ``task`` uses, ``time_point`` or else the task's
     default, and the feature matrix of ``records`` at it."""
     tp = time_point or TASKS[task][1]
     return tp, build_feature_matrix(records, task, time_point=tp,
-                                    manifest=cfg.table(f"manifest_{tp}"),
-                                    split=split)
+                                    manifest=cfg.table(f"manifest_{tp}"))
 
 
 def _read_runtimes(cfg: PipelineConfig) -> dict:
@@ -375,7 +374,7 @@ def _train(cfg: PipelineConfig, records: list[dict], tasks=TASK_ORDER,
     counts: dict[str, dict] = {}
     paths: list[Path] = []
     for task in tasks:
-        tp, matrix = _task_matrix(cfg, records, task, time_point, "train")
+        tp, matrix = _task_matrix(cfg, records, task, time_point)
         for kind in kinds:
             started = time.perf_counter()
             model = train_model(matrix, kind, seed=_model_seed(cfg, task, kind),
@@ -410,7 +409,7 @@ def _evaluate(cfg: PipelineConfig, train_records: list[dict],
     results: list[ModelResult] = []
     for task in tasks:
         display = task.capitalize()
-        tp, matrix = _task_matrix(cfg, test_records, task, time_point, "test")
+        tp, matrix = _task_matrix(cfg, test_records, task, time_point)
         labels = matrix.y
         for kind in MODEL_KINDS:
             path = _model_file(cfg, task, tp, kind)
@@ -469,7 +468,13 @@ def stage_predict(cfg: PipelineConfig, model_file: str, input_csv: str,
     records, _ = read_master_csv(input_csv)
     matrix = build_feature_matrix(records, model.task,
                                   time_point=model.time_point,
-                                  manifest=model.columns, split="test")
+                                  manifest=model.columns)
+    empty = np.argwhere(~np.isfinite(matrix.X))
+    if len(empty):
+        row, col = empty[0]
+        raise DataError(f"{input_csv}: column {matrix.columns[col]!r} of stay "
+                        f"{matrix.stay_ids[row]} is empty; predict scores imputed "
+                        f"rows, such as those of train.csv and test.csv")
     probs = predict_proba(model, matrix)
     out = Path(output_csv)
     out.parent.mkdir(parents=True, exist_ok=True)

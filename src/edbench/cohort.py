@@ -17,6 +17,9 @@ Outcome definitions:
 * ED reattendance within 72h: the subject's next ED visit starts within
   (0, 72h] of this stay's outtime.
 
+The labels and history counts come from one walk over each subject's
+time-ordered stays: the next visit is the next stay in the walk, and the
+ICU and history windows are bisections of the subject's sorted times.
 Rows are emitted in stay_id order, so the output is invariant to input
 row order. ``column_kind`` is the one place a column's kind is named.
 """
@@ -28,7 +31,8 @@ import datetime as dt
 import logging
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from ._util import format_cell, read_ini
 from .comorbidity import (
@@ -40,7 +44,8 @@ from .comorbidity import (
     map_to_eci,
 )
 from .errors import ConfigError, DataError
-from .ingest import VITAL_FIELDS, EdStayRecord, LinkedCohort, PatientRecord, VitalSignRecord
+from .ingest import (VITAL_FIELDS, AdmissionRecord, LinkedCohort, PatientRecord,
+                     VitalSignRecord)
 
 logger = logging.getLogger(__name__)
 
@@ -138,48 +143,13 @@ def extract_ed_vitals(vitals: list[VitalSignRecord]) -> dict[str, float | None]:
     return out
 
 
-# -- outcome labels -----------------------------------------------------------
-
-def label_hospitalization(stay: EdStayRecord, cohort: LinkedCohort) -> bool:
-    return stay.hadm_id is not None and stay.hadm_id in cohort.admissions_by_hadm
-
-
-def label_inpatient_mortality(stay: EdStayRecord, cohort: LinkedCohort) -> bool:
-    if stay.hadm_id is None:
-        return False
-    adm = cohort.admissions_by_hadm.get(stay.hadm_id)
+def _died_in_hospital(adm: AdmissionRecord | None, patient: PatientRecord) -> bool:
+    """The inpatient-mortality label of a stay linked to ``adm``."""
     if adm is None or adm.dischtime is None:
         return False
     if adm.deathtime is not None and adm.deathtime <= adm.dischtime:
         return True
-    patient = cohort.patients.get(stay.subject_id)
-    if patient is not None and patient.dod is not None:
-        return patient.dod <= adm.dischtime.date()
-    return False
-
-
-def label_icu_transfer_12h(stay: EdStayRecord, cohort: LinkedCohort) -> bool:
-    horizon = stay.outtime + ICU_TRANSFER_HORIZON
-    for icu in cohort.icustays_by_subject.get(stay.subject_id, ()):
-        if icu.intime is None:
-            continue
-        if stay.intime <= icu.intime <= horizon:
-            return True
-    return False
-
-
-def label_ed_reattendance_72h(stay: EdStayRecord, cohort: LinkedCohort) -> bool:
-    stays = cohort.stays_by_subject.get(stay.subject_id, ())
-    key = (stay.intime, stay.stay_id)
-    nxt = None
-    for cand in stays:  # sorted by (intime, stay_id)
-        if (cand.intime, cand.stay_id) > key:
-            nxt = cand
-            break
-    if nxt is None:
-        return False
-    gap = nxt.intime - stay.outtime
-    return dt.timedelta(0) < gap <= REATTENDANCE_HORIZON
+    return patient.dod is not None and patient.dod <= adm.dischtime.date()
 
 
 # -- master dataset -----------------------------------------------------------
@@ -227,65 +197,68 @@ def build_master(
     cmap: ComorbidityMap | None = None,
     matcher: ComplaintMatcher | None = None,
 ) -> list[dict]:
-    """Assemble exactly one master record per linked stay, stay_id order."""
+    """Assemble exactly one master record per linked stay, stay_id order,
+    walking each subject's stays once in ``LinkedCohort``'s time order."""
     cmap = cmap or default_map()
     matcher = matcher or load_complaint_matcher()
 
-    # per-subject event timelines, computed once
-    ed_times: dict[int, list[dt.datetime]] = {}
-    for sid, stays in cohort.stays_by_subject.items():
-        ed_times[sid] = [s.intime for s in stays]
-    adm_times: dict[int, list[dt.datetime]] = {}
-    for sid, adms in cohort.admissions_by_subject.items():
-        adm_times[sid] = sorted(a.admittime for a in adms if a.admittime is not None)
-    icu_times: dict[int, list[dt.datetime]] = {}
-    for sid, icus in cohort.icustays_by_subject.items():
-        icu_times[sid] = sorted(i.intime for i in icus if i.intime is not None)
-
     records: list[dict] = []
-    for stay in cohort.stays:
-        patient = cohort.patients[stay.subject_id]
-        rec: dict = {
-            "subject_id": stay.subject_id,
-            "stay_id": stay.stay_id,
-            "hadm_id": stay.hadm_id,
-            "age": compute_age(patient, stay.intime),
-            "gender": patient.gender,
-        }
-        columns = iter(HISTORY_COLUMNS)
-        for times in (ed_times, adm_times, icu_times):
-            series = times.get(stay.subject_id, [])
-            for w in HISTORY_WINDOWS_DAYS:
-                rec[next(columns)] = count_prior_events(series, stay.intime, w)
+    for subject_id, stays in cohort.stays_by_subject.items():
+        patient = cohort.patients[subject_id]
+        # missing times sort last, so the known ones come out sorted
+        icu_times = [i.intime for i in cohort.icustays_by_subject.get(subject_id, ())
+                     if i.intime is not None]
+        series = ([s.intime for s in stays],
+                  [a.admittime for a in cohort.admissions_by_subject.get(subject_id, ())
+                   if a.admittime is not None],
+                  icu_times)
+        for i, stay in enumerate(stays):
+            rec: dict = {
+                "subject_id": subject_id,
+                "stay_id": stay.stay_id,
+                "hadm_id": stay.hadm_id,
+                "age": compute_age(patient, stay.intime),
+                "gender": patient.gender,
+            }
+            columns = iter(HISTORY_COLUMNS)
+            for times in series:
+                for w in HISTORY_WINDOWS_DAYS:
+                    rec[next(columns)] = count_prior_events(times, stay.intime, w)
 
-        triage = cohort.triage_by_stay.get(stay.stay_id)
-        for column, f in zip(TRIAGE_VITAL_COLUMNS, VITAL_FIELDS):
-            rec[column] = getattr(triage, f) if triage else None
-        rec["triage_pain"] = triage.pain if triage else None
-        rec["triage_acuity"] = triage.acuity if triage else None
+            triage = cohort.triage_by_stay.get(stay.stay_id)
+            for column, f in zip(TRIAGE_VITAL_COLUMNS, VITAL_FIELDS):
+                rec[column] = getattr(triage, f) if triage else None
+            rec["triage_pain"] = triage.pain if triage else None
+            rec["triage_acuity"] = triage.acuity if triage else None
 
-        complaint = triage.chiefcomplaint if triage else ""
-        rec.update(zip(matcher.columns, matcher.match(complaint).values()))
+            complaint = triage.chiefcomplaint if triage else ""
+            rec.update(zip(matcher.columns, matcher.match(complaint).values()))
 
-        codes = collect_codes_in_lookback(cohort, stay, lookback_days)
-        rec.update(map_to_cci(codes, cmap))
-        rec.update(map_to_eci(codes, cmap))
+            codes = collect_codes_in_lookback(cohort, stay, lookback_days)
+            rec.update(map_to_cci(codes, cmap))
+            rec.update(map_to_eci(codes, cmap))
 
-        ed_vitals = extract_ed_vitals(cohort.vitals_by_stay.get(stay.stay_id, []))
-        rec.update(zip(ED_VITAL_COLUMNS, ed_vitals.values()))
-        los = (stay.outtime - stay.intime).total_seconds() / 3600.0
-        rec["ed_los_hours"] = max(los, 0.0)
-        rec["n_med"] = len(cohort.pyxis_by_stay.get(stay.stay_id, ()))
-        rec["n_medrecon"] = len(cohort.medrecon_by_stay.get(stay.stay_id, ()))
+            ed_vitals = extract_ed_vitals(cohort.vitals_by_stay.get(stay.stay_id, []))
+            rec.update(zip(ED_VITAL_COLUMNS, ed_vitals.values()))
+            los = (stay.outtime - stay.intime).total_seconds() / 3600.0
+            rec["ed_los_hours"] = max(los, 0.0)
+            rec["n_med"] = len(cohort.pyxis_by_stay.get(stay.stay_id, ()))
+            rec["n_medrecon"] = len(cohort.medrecon_by_stay.get(stay.stay_id, ()))
 
-        rec["outcome_hospitalization"] = label_hospitalization(stay, cohort)
-        rec["outcome_inpatient_mortality"] = label_inpatient_mortality(stay, cohort)
-        rec["outcome_icu_transfer_12h"] = label_icu_transfer_12h(stay, cohort)
-        rec["outcome_critical"] = (rec["outcome_inpatient_mortality"]
-                                   or rec["outcome_icu_transfer_12h"])
-        rec["outcome_ed_reattendance_72h"] = label_ed_reattendance_72h(stay, cohort)
-        records.append(rec)
+            adm = cohort.admissions_by_hadm.get(stay.hadm_id)
+            died = _died_in_hospital(adm, patient)
+            icu = (bisect_left(icu_times, stay.intime)
+                   < bisect_right(icu_times, stay.outtime + ICU_TRANSFER_HORIZON))
+            rec["outcome_hospitalization"] = adm is not None
+            rec["outcome_inpatient_mortality"] = died
+            rec["outcome_icu_transfer_12h"] = icu
+            rec["outcome_critical"] = died or icu
+            rec["outcome_ed_reattendance_72h"] = (
+                i + 1 < len(stays) and dt.timedelta(0)
+                < stays[i + 1].intime - stay.outtime <= REATTENDANCE_HORIZON)
+            records.append(rec)
 
+    records.sort(key=itemgetter("stay_id"))
     logger.info("master dataset: %d records, %d columns",
                 len(records), len(master_columns(cmap, matcher)))
     return records
@@ -326,10 +299,8 @@ _RULES = {"flag": "a flag is 0, 1 or empty", "sex": "a sex is M, F or empty"}
 _NUMBER_RULE = "a number is finite or empty"
 
 
-def write_master_csv(records: list[dict], path: str,
-                     columns: list[str] | None = None) -> None:
-    """Write master records: fixed column order, 0/1 booleans, empty missing."""
-    columns = columns or master_columns()
+def write_master_csv(records: list[dict], path: str, columns: list[str]) -> None:
+    """Write master records in ``columns`` order: 0/1 booleans, empty missing."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

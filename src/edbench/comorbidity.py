@@ -155,17 +155,16 @@ def collect_codes_in_lookback(
     The window is [intime - lookback_days, intime), half-open at the ED
     arrival, and the admission linked to the index visit is excluded
     outright. Diagnosis rows of unknown admissions never reach here:
-    ``link_tables`` counts and drops them.
+    ``link_tables`` counts and drops them. The subject's admissions are
+    time-sorted with missing admittimes last, so the walk stops at the
+    first one that is missing or at or after the arrival.
     """
     window_start = stay.intime - dt.timedelta(days=lookback_days)
     codes: list[CodePair] = []
     for adm in cohort.admissions_by_subject.get(stay.subject_id, ()):
-        if stay.hadm_id is not None and adm.hadm_id == stay.hadm_id:
-            continue  # index admission never contributes
-        if adm.admittime is None:
-            continue
-        if not (window_start <= adm.admittime < stay.intime):
-            continue
-        for diag in cohort.diagnoses_by_hadm.get(adm.hadm_id, ()):
-            codes.append((diag.icd_code, diag.icd_version))
+        if adm.admittime is None or adm.admittime >= stay.intime:
+            break
+        if adm.admittime >= window_start and adm.hadm_id != stay.hadm_id:
+            for diag in cohort.diagnoses_by_hadm.get(adm.hadm_id, ()):
+                codes.append((diag.icd_code, diag.icd_version))
     return codes

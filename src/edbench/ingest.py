@@ -266,9 +266,13 @@ RawTables = _make_type(
 class LinkedCohort:
     """Root stays plus per-stay and per-subject attachment indices.
 
-    Attachment lists are sorted by their natural time field so downstream
-    window logic can rely on order. ``dropped_stays`` records (stay_id,
-    reason) pairs; ``orphan_counts`` counts dropped child rows per table.
+    ``stays`` is in stay_id order. Each subject's stays are sorted by
+    (intime, stay_id), its admissions by (admittime, hadm_id) and its ICU
+    stays by (intime, stay_id), with missing times last; each stay's
+    vitals by charttime, missing last, and each admission's diagnoses by
+    seq_num. ``build_master`` and ``collect_codes_in_lookback`` rely on
+    this order. ``dropped_stays`` records (stay_id, reason) pairs;
+    ``orphan_counts`` counts dropped child rows per table.
     """
 
     stays: list[EdStayRecord]

@@ -57,7 +57,6 @@ class FeatureMatrix:
     columns: list[str]
     task: str
     time_point: str
-    split: str
     stay_ids: np.ndarray
 
     @property
@@ -74,7 +73,6 @@ def build_feature_matrix(
     task: str,
     time_point: str | None = None,
     manifest: list[str] | None = None,
-    split: str = "train",
 ) -> FeatureMatrix:
     """Assemble X and y for one task from benchmark records.
 
@@ -107,4 +105,4 @@ def build_feature_matrix(
     y = np.array([bool(label) for label in labels], dtype=bool)
     ids = np.array([rec["stay_id"] for rec in records], dtype=np.int64)
     return FeatureMatrix(X=X, y=y, columns=list(manifest), task=task,
-                         time_point=time_point, split=split, stay_ids=ids)
+                         time_point=time_point, stay_ids=ids)

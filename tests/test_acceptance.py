@@ -100,13 +100,13 @@ def test_c04_reference_model_aurocs(mimic_run):
                ("hospitalization", "boosting"): 0.820}
     for (task, kind), ref in targets.items():
         matrix = build_feature_matrix(
-            test_records, task, manifest=load_manifest("triage"), split="test")
+            test_records, task, manifest=load_manifest("triage"))
         model = load_model(Path(cfg.output_dir) / "models"
                            / f"{task}_triage_{kind}.json")
         got = auroc(predict_proba(model, matrix), matrix.y.astype(float))
         assert got == pytest.approx(ref, abs=0.015), (task, kind)
     hosp = build_feature_matrix(test_records, "hospitalization",
-                                manifest=load_manifest("triage"), split="test")
+                                manifest=load_manifest("triage"))
     esi = np.array([esi_risk(r["triage_acuity"]) for r in test_records], float)
     assert auroc(esi, hosp.y.astype(float)) == pytest.approx(0.711, abs=0.015)
 
@@ -297,9 +297,9 @@ def test_c09_planted_outcomes_round_trip(big_cohort):
 def test_c10_models_learn_the_planted_signal(big_pipeline):
     manifest = load_manifest("triage")
     train = build_feature_matrix(big_pipeline["train"], "hospitalization",
-                                 manifest=manifest, split="train")
+                                 manifest=manifest)
     test = build_feature_matrix(big_pipeline["test"], "hospitalization",
-                                manifest=manifest, split="test")
+                                manifest=manifest)
     labels = test.y.astype(np.float64)
 
     gb = auroc(predict_boosting(fit_boosting(train.X, train.y.astype(float)),
@@ -381,7 +381,7 @@ def test_c12_cleaning_and_imputation_invariants(big_pipeline):
         manifest = load_manifest(default_tp)
         for split_name in ("train", "test"):
             matrix = build_feature_matrix(big_pipeline[split_name], task,
-                                          manifest=manifest, split=split_name)
+                                          manifest=manifest)
             assert np.isfinite(matrix.X).all(), (task, split_name)
 
     # clean_value is idempotent and order-preserving on kept values

@@ -15,7 +15,8 @@ import pytest
 
 from edbench import _util, cli
 from edbench._util import read_data_file
-from edbench.models import features
+from edbench.cohort import read_master_csv
+from edbench.models import features, load_model
 from edbench.errors import ConfigError
 from edbench.synthdata import SynthConfig
 
@@ -667,6 +668,22 @@ def test_predict_rejects_malformed_flag_cell(run_all, tmp_path, caplog):
                    "--output", str(tmp_path / "preds.csv")])
     assert rc == 3
     assert f"{bad}: line 2, column 'chiefcom_chest_pain'" in caplog.text
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_predict_rejects_an_empty_feature_cell(run_all, tmp_path, caplog):
+    # the master is not imputed: its first empty feature cell is named
+    master = run_all / "out" / "master_dataset.csv"
+    model = run_all / "out" / "models" / "critical_triage_logistic.json"
+    columns = load_model(str(model)).columns
+    records, _ = read_master_csv(str(master))
+    stay, column = next((rec["stay_id"], col) for rec in records
+                        for col in columns if rec[col] is None)
+    rc = cli.main(["predict", "--model-file", str(model), "--input", str(master),
+                   "--output", str(tmp_path / "preds.csv")])
+    assert rc == 3
+    assert f"{master}: column {column!r} of stay {stay} is empty" in caplog.text
+    assert "ManifestMismatch" not in caplog.text
     assert not (tmp_path / "preds.csv").exists()
 
 

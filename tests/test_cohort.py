@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from edbench.clean_split import (apply_cleaning, apply_imputer, fit_imputer,
                                  load_cleaning_config)
-from edbench.cohort import (column_kind, compute_age, count_prior_events,
+from edbench.cohort import (HISTORY_WINDOWS_DAYS, build_master, column_kind,
+                            compute_age, count_prior_events,
                             load_complaint_matcher, master_columns,
                             read_master_csv, write_master_csv)
+from edbench.comorbidity import DEFAULT_LOOKBACK_DAYS, collect_codes_in_lookback
 from edbench.errors import DataError
-from edbench.ingest import PatientRecord
+from edbench.ingest import (AdmissionRecord, DiagnosisRecord, EdStayRecord,
+                            IcuStayRecord, PatientRecord, RawTables, link_tables)
 
 
 def _patient(age, year):
@@ -142,6 +145,133 @@ def test_label_reattendance_72h_boundary(master_by_stay):
     assert master_by_stay[9001]["outcome_ed_reattendance_72h"] == 0
 
 
+# -- the per-subject walk against brute-force scans ----------------------------
+
+_T0 = dt.datetime(2150, 1, 1, 12, 0, 0)
+_SECOND = dt.timedelta(seconds=1)
+_HOUR = dt.timedelta(hours=1)
+_DAY = dt.timedelta(days=1)
+_LOOKBACK = dt.timedelta(days=DEFAULT_LOOKBACK_DAYS)
+
+
+def _around(edge):
+    """One second before ``edge``, exactly at it, or one second after."""
+    return st.sampled_from([edge - _SECOND, edge, edge + _SECOND])
+
+
+def _maybe(times):
+    return st.one_of(st.none(), times)
+
+
+@st.composite
+def _raw_cohorts(draw):
+    """Two subjects whose visit gaps and admission and ICU times fall on,
+    or one second either side of, each window edge, or are missing."""
+    tables = RawTables()
+    stay_ids = iter(draw(st.permutations(range(9000, 9010))))  # not time order
+    hadm_ids = iter(range(501, 600))
+    for subject_id in (1, 2):
+        t = _T0
+        for _ in range(draw(st.integers(1, 5))):
+            intime = t
+            outtime = intime + draw(st.sampled_from([dt.timedelta(0), _SECOND, 5 * _HOUR]))
+            gap = draw(st.one_of(_around(dt.timedelta(hours=72)),
+                                 _around(dt.timedelta(0)), _around(-(outtime - intime)),
+                                 st.sampled_from([9 * _HOUR, 40 * _DAY]),
+                                 _around(-dt.timedelta(days=30))))
+            t = outtime + gap
+            admittime = draw(_maybe(st.one_of(
+                _around(intime), _around(intime - 30 * _DAY),
+                _around(intime - _LOOKBACK))))
+            dischtime = admittime and draw(_maybe(st.just(admittime + 2 * _DAY)))
+            hadm_id = next(hadm_ids)
+            tables.admissions.append(AdmissionRecord(
+                subject_id=subject_id, hadm_id=hadm_id, admittime=admittime,
+                dischtime=dischtime,
+                deathtime=dischtime and draw(_maybe(_around(dischtime)))))
+            tables.diagnoses_icd.append(DiagnosisRecord(
+                subject_id=subject_id, hadm_id=hadm_id, seq_num=1,
+                icd_code=f"X{hadm_id}", icd_version=10))
+            icu_in = draw(_maybe(st.one_of(
+                _around(intime), _around(outtime + 12 * _HOUR),
+                _around(intime - 90 * _DAY))))
+            tables.icustays.append(IcuStayRecord(
+                subject_id=subject_id, hadm_id=None, stay_id=next(hadm_ids),
+                intime=icu_in, outtime=None))
+            link = draw(st.sampled_from([None, hadm_id, 999]))  # 999: unknown
+            tables.edstays.append(EdStayRecord(
+                subject_id=subject_id, hadm_id=link, stay_id=next(stay_ids),
+                intime=intime, outtime=outtime, disposition=""))
+        dischtimes = [a.dischtime for a in tables.admissions
+                      if a.subject_id == subject_id and a.dischtime is not None]
+        dod = None
+        if dischtimes and draw(st.booleans()):
+            dod = dischtimes[0].date() + draw(st.sampled_from([-1, 0, 1])) * _DAY
+        tables.patients.append(PatientRecord(
+            subject_id=subject_id, gender="F", anchor_age=40, anchor_year=2150,
+            dod=dod))
+    return tables
+
+
+def _brute_force(tables, stay):
+    """The cohort module's outcome and history definitions, each a scan of
+    the raw tables."""
+    def own(rows):
+        return [r for r in rows if r.subject_id == stay.subject_id]
+
+    adm = next((a for a in tables.admissions if a.hadm_id == stay.hadm_id), None)
+    patient = own(tables.patients)[0]
+    died = adm is not None and adm.dischtime is not None and (
+        (adm.deathtime is not None and adm.deathtime <= adm.dischtime)
+        or (patient.dod is not None and patient.dod <= adm.dischtime.date()))
+    icu = any(i.intime is not None
+              and stay.intime <= i.intime <= stay.outtime + 12 * _HOUR
+              for i in own(tables.icustays))
+    later = [s for s in own(tables.edstays)
+             if (s.intime, s.stay_id) > (stay.intime, stay.stay_id)]
+    nxt = min(later, key=lambda s: (s.intime, s.stay_id), default=None)
+    labels = {
+        "outcome_hospitalization": adm is not None,
+        "outcome_inpatient_mortality": died,
+        "outcome_icu_transfer_12h": icu,
+        "outcome_critical": died or icu,
+        "outcome_ed_reattendance_72h": nxt is not None and dt.timedelta(0)
+        < nxt.intime - stay.outtime <= dt.timedelta(hours=72),
+    }
+    events = {"ed": [s.intime for s in own(tables.edstays)],
+              "hosp": [a.admittime for a in own(tables.admissions)],
+              "icu": [i.intime for i in own(tables.icustays)]}
+    for kind, times in events.items():
+        for w in HISTORY_WINDOWS_DAYS:
+            start = stay.intime - w * _DAY
+            labels[f"n_{kind}_{w}d"] = sum(
+                1 for t in times if t is not None and start <= t < stay.intime)
+    return labels
+
+
+_MATCHER = load_complaint_matcher()
+
+
+@settings(max_examples=300)
+@given(_raw_cohorts())
+def test_walk_labels_equal_brute_force_scans(tables):
+    linked = link_tables(tables)
+    records = build_master(linked, matcher=_MATCHER)
+    assert [rec["stay_id"] for rec in records] == sorted(
+        s.stay_id for s in tables.edstays)
+    for rec, stay in zip(records, linked.stays):
+        expected = _brute_force(tables, stay)
+        assert {k: rec[k] for k in expected} == expected, stay.stay_id
+        # the codes of known admissions inside [intime - lookback, intime),
+        # the index admission left out, in admission order
+        codes = [(d.icd_code, d.icd_version)
+                 for a in linked.admissions_by_subject[stay.subject_id]
+                 if a.admittime is not None and a.hadm_id != stay.hadm_id
+                 and stay.intime - _LOOKBACK <= a.admittime < stay.intime
+                 for d in linked.diagnoses_by_hadm[a.hadm_id]]
+        assert collect_codes_in_lookback(linked, stay) == codes, stay.stay_id
+
+
 def test_comorbidity_from_lookback_only(master_by_stay):
     rec = master_by_stay[9001]
     # prior admission carries an MI and a diabetes code
@@ -173,7 +303,7 @@ def test_master_csv_round_trip(master, tmp_path):
     # `edbench all` hands on in memory what single-stage runs read back
     path = tmp_path / "master.csv"
     for records in (master, _benchmark_records(master)):
-        write_master_csv(records, str(path))
+        write_master_csv(records, str(path), master_columns())
         back, columns = read_master_csv(str(path))
         assert columns == master_columns()
         assert back == records
@@ -250,7 +380,7 @@ _MALFORMED = [("chiefcom_chest_pain", cell)
     for column, cell in _MALFORMED])
 def test_malformed_flag_cell_names_its_place(master, tmp_path, column, cell):
     path = tmp_path / "master.csv"
-    write_master_csv(master, str(path))
+    write_master_csv(master, str(path), master_columns())
     lines = path.read_text().splitlines(keepends=True)
     columns = lines[0].rstrip("\n").split(",")
     at = columns.index(column)

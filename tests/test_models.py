@@ -751,7 +751,7 @@ rng = np.random.default_rng(0)
 X = rng.standard_normal((12345, 72))
 y = (X[:, 0] + rng.standard_normal(len(X)) > 1).astype(np.float64)
 m = FeatureMatrix(X=X, y=y, columns=[f"c{j}" for j in range(72)],
-                  task="hospitalization", time_point="triage", split="train",
+                  task="hospitalization", time_point="triage",
                   stay_ids=np.arange(len(X)))
 lr = train_model(m, "logistic")
 mlp = train_model(m, "mlp", seed=0, epochs=5)
@@ -877,7 +877,7 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     X, y = _toy(n=300, seed=15, noise=1.0)
     matrix = FeatureMatrix(X=X, y=y > 0, columns=[f"c{j}" for j in range(6)],
                            task="hospitalization", time_point="triage",
-                           split="train", stay_ids=np.arange(len(y)))
+                           stay_ids=np.arange(len(y)))
     model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
     level_order = [{**{name: tree[name].tolist() for name in TREE_FIELDS},
                     "left": _left_children(tree).tolist()}

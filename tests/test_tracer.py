@@ -59,3 +59,35 @@ def test_tracer_counts_nodes_of_a_traced_train(tmp_path):
     assert counts["models.random_forest.nodes"] > 0
     assert counts["models.boosting.nodes"] > 0
     assert counts["models.model_bytes"] > 0
+
+
+def _trace(cwd, args):
+    """The spans file of ``bench/tracer.py`` run around ``edbench args``."""
+    spans = cwd / "spans.json"
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    result = subprocess.run([sys.executable, str(TRACER), str(spans), *args],
+                            cwd=cwd, env=env, capture_output=True, text=True,
+                            timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(spans.read_text())
+
+
+def test_tracer_sees_the_comorbidity_calls_of_extract_master(tmp_path):
+    # the tracer wraps these as attributes of edbench.cohort, so build_master
+    # must look them up there on every call
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.format(inp=tmp_path / "data", out=tmp_path / "out"))
+    assert cli.main(["synth", "--config", str(ini)]) == 0
+
+    traced = _trace(tmp_path, ["extract-master", "--config", str(ini)])
+    assert traced["exit_code"] == 0
+    assert traced["counts"]["ingest.rows"] > 0
+    spans = traced["spans"]
+    parents = {}
+    for name, _, _, parent in spans:
+        parents.setdefault(name, set()).add(spans[parent][0])
+    for name in ("comorbidity.collect_codes_in_lookback",
+                 "comorbidity.map_to_cci", "comorbidity.map_to_eci"):
+        assert parents.get(name) == {"cohort.build_master"}, name
