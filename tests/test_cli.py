@@ -18,7 +18,7 @@ from edbench._util import read_data_file
 from edbench.cohort import read_master_csv
 from edbench.models import features, load_model
 from edbench.errors import ConfigError
-from edbench.synthdata import SynthConfig
+from edbench.synthdata import SynthConfig, write_synthetic
 
 INI_TEMPLATE = """\
 [pipeline]
@@ -755,6 +755,42 @@ def test_manifest_artifact_keys_are_absolute(tmp_path, monkeypatch):
             path = Path(name)
             assert path.is_absolute() and path.is_file(), name
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
+# -- pinned data-layer bytes ------------------------------------------------------
+
+# sha256 of what extract-master then build-benchmark write from the 150-patient
+# synthetic cohort of each seed (pipeline seed 7). A speed-up of the data layer
+# keeps these; changing a digest here is a declared byte change of its outputs.
+DATA_LAYER_DIGESTS = {
+    7: {
+        "master_dataset.csv": "eadce50a8c0f4935cf8e4ca6eaa30fe3b36943efbd2557dc384959e5fd02cba9",
+        "train.csv": "4cc27f42dbfd2b238164abae19d7e404b38af18c493d7b2431928a80bfe20142",
+        "test.csv": "dc098025c30f5697e5e4bb51546bfcfe366a1f2673f0ac9e1a961ca875c65378",
+        "split.csv": "b88945938e86c4f7a274a419018d333b081568e8b4221cffd1fa49323db9b972",
+        "imputer.json": "3110e753bf50d24c8ab365c5bf0cb6e820e333e30f82109eaaa7bb910276dd01",
+    },
+    1007: {
+        "master_dataset.csv": "59cd4a4497c0173902fe2500141914bd65ed41ec19c4189fbccf91614f56ce0f",
+        "train.csv": "52a0534b486bf9d3ba8816acd5889fadfd2fe86d9279a71325621ef3b8ac58a7",
+        "test.csv": "820359795b34e3228d74f3719ed43c0b8c9abb0b41f5e7ca5294dea69cf49cfa",
+        "split.csv": "affab9db8b32a58bc527beaf358e6600e01a65ef2d0a112967ec365efef477de",
+        "imputer.json": "6c5c67bb81de350183c41ed10cace72f457842b51b5c596733b25115aac8a22d",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", list(DATA_LAYER_DIGESTS))
+def test_data_layer_bytes_are_pinned(tmp_path, seed):
+    write_synthetic(SynthConfig(n_patients=150, seed=seed), tmp_path / "data")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[pipeline]\ninput_dir = {tmp_path / 'data'}\n"
+                   f"output_dir = {tmp_path / 'out'}\nseed = 7\n")
+    for command in ("extract-master", "build-benchmark"):
+        assert cli.main([command, "--config", str(ini)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in DATA_LAYER_DIGESTS[seed]}
+    assert digests == DATA_LAYER_DIGESTS[seed]
 
 
 # -- in-memory handoff ---------------------------------------------------------------
