@@ -31,6 +31,7 @@ import datetime as dt
 import logging
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
@@ -274,12 +275,20 @@ def _number(s: str) -> float | None:
 
 
 def _int_if_integral(s: str):
-    # int-ish columns may hold fractional values after imputation (a median
-    # of an even count can fall between integers); keep those as floats
-    value = _number(s)
-    if value is None:
-        return None
-    return int(value) if value == int(value) else value
+    # an integer cell is read exactly, however many digits it has, as long
+    # as it lies in the float range; int-ish columns may also hold
+    # fractional values after imputation (a median of an even count can fall
+    # between integers), and those stay floats
+    try:
+        value = int(s)
+    except ValueError:
+        value = _number(s)
+        if value is None:
+            return None
+        return int(value) if value == int(value) else value
+    if abs(value) > sys.float_info.max:  # float(s) would read inf
+        raise ValueError(s)
+    return value
 
 
 _FLAGS = {"0": False, "1": True, "": None}

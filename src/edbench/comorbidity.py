@@ -16,9 +16,9 @@ timestamps say, so same-encounter diagnoses cannot leak into features.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import logging
-from dataclasses import dataclass
 
 from ._util import read_ini
 from .errors import ConfigError, UnknownVersion
@@ -31,9 +31,13 @@ DEFAULT_LOOKBACK_DAYS = 5 * 365
 CodePair = tuple[str, int]  # (icd_code, icd_version)
 
 
-@dataclass
+@dataclasses.dataclass
 class ComorbidityMap:
-    """Parsed prefix map: per field, per version, per level, prefix tuple."""
+    """Parsed prefix map: per field, per version, per level, prefix tuple.
+
+    The map is read-only once built: ``hits`` remembers what each
+    (code, version) pair already mapped to under it.
+    """
 
     cci_fields: list[str]
     eci_fields: list[str]
@@ -41,6 +45,9 @@ class ComorbidityMap:
     # lookup[(version, prefix)] -> list of (field, level)
     lookup: dict[tuple[int, str], list[tuple[str, int]]]
     prefix_lengths: tuple[int, ...]
+    # hits[(code, version)] -> the (field, level) pairs it matches
+    hits: dict[CodePair, tuple[tuple[str, int], ...]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def normalize_code(code: str) -> str:
@@ -119,11 +126,14 @@ def _matches(code: str, version: int, cmap: ComorbidityMap):
 
 
 def _map_codes(codes, cmap: ComorbidityMap, fields: list[str]) -> dict[str, int]:
-    wanted = set(fields)
-    out = {f: 0 for f in fields}
+    out = dict.fromkeys(fields, 0)
+    hits = cmap.hits
     for code, version in codes:
-        for field, level in _matches(code, version, cmap):
-            if field in wanted and level > out[field]:
+        found = hits.get((code, version))
+        if found is None:  # an unknown version raises here, every time
+            found = hits[code, version] = tuple(_matches(code, version, cmap))
+        for field, level in found:
+            if field in out and level > out[field]:
                 out[field] = level
     return out
 

@@ -135,14 +135,14 @@ class _TableReader:
                      what, col, raw)
 
     def key(self, raw: str, col: str) -> int:
-        raw = raw.strip()
+        try:
+            return int(raw)  # int() strips surrounding whitespace itself
+        except ValueError:
+            raw = raw.strip()
         if not raw:
             raise MalformedRow(f"{self.path} row {self.row_num}: empty key column {col!r}")
-        value = parse_int(raw)
-        if value is None:
-            raise MalformedRow(
-                f"{self.path} row {self.row_num}: key column {col!r} not an integer: {raw!r}")
-        return value
+        raise MalformedRow(
+            f"{self.path} row {self.row_num}: key column {col!r} not an integer: {raw!r}")
 
     def opt_key(self, raw: str, col: str) -> int | None:
         return self.key(raw, col) if raw.strip() else None

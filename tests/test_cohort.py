@@ -333,7 +333,9 @@ def test_column_kind_matches_built_types(master):
 # names outside the packaged maps read by the name rule: an outcome_ name
 # that is not one of the five outcomes is a number, an n_ name a count
 _EXTRA_KINDS = {"outcome_extra": "number", "n_extra": "count"}
-_WHOLE = st.integers(-(2 ** 53), 2 ** 53)        # exact through a float parse
+# read back exactly by int(), also past 2**53 where a float parse would round
+_WHOLE = st.one_of(st.integers(),
+                   st.sampled_from([2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 64 + 1]))
 _FRACTIONAL = st.floats(-1e6, 1e6).filter(lambda v: v != int(v))
 _NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 1e-300]))
@@ -391,4 +393,15 @@ def test_malformed_flag_cell_names_its_place(master, tmp_path, column, cell):
     message = f"{path}: line 3, column {column!r}: "
     with pytest.raises(DataError, match=re.escape(message) + ".*"
                        + re.escape(repr(cell))):
+        read_master_csv(str(path))
+
+
+def test_integer_cells_are_read_exactly_inside_the_float_range(tmp_path):
+    path = tmp_path / "master.csv"
+    path.write_text("stay_id,n_ed_30d\n9007199254740993,-9007199254740993\n")
+    records, _ = read_master_csv(str(path))
+    assert records == [{"stay_id": 2 ** 53 + 1, "n_ed_30d": -(2 ** 53) - 1}]
+    # an integer past the float range is as malformed as an infinite number
+    path.write_text("stay_id,n_ed_30d\n1,1" + "0" * 400 + "\n")
+    with pytest.raises(DataError, match="column 'n_ed_30d': a number is finite"):
         read_master_csv(str(path))

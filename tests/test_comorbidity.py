@@ -12,7 +12,8 @@ from conftest import write_raw
 
 from edbench.cohort import build_master
 from edbench.comorbidity import (collect_codes_in_lookback, default_map,
-                                 map_to_cci, map_to_eci, normalize_code)
+                                 load_map, map_to_cci, map_to_eci,
+                                 normalize_code)
 from edbench.errors import UnknownVersion
 from edbench.ingest import link_tables, read_raw_tables
 
@@ -169,6 +170,47 @@ def test_unknown_version_raises():
         map_to_cci([("4280", 11)])
     with pytest.raises(UnknownVersion):
         map_to_eci([("4280", 0)])
+
+
+_CUSTOM_MAP = """\
+[cci.heart]
+icd9 = 428
+icd10 = I50
+
+[eci.renal]
+icd9 = 4280
+icd10 =
+"""
+_CODES = [("4280", 9), ("4280", 10), ("N186", 10)]
+
+
+@pytest.mark.parametrize("packaged_first", [True, False])
+def test_each_map_keeps_its_own_results(tmp_path, packaged_first):
+    path = tmp_path / "map.ini"
+    path.write_text(_CUSTOM_MAP)
+    expected = {"custom": ({"cci_heart": 1}, {"eci_renal": 1}),
+                "packaged": (map_to_cci(_CODES, load_map()),
+                             map_to_eci(_CODES, load_map()))}
+    assert expected["packaged"][0]["cci_congestive_heart_failure"] == 1
+    assert expected["packaged"][0]["cci_renal_disease"] == 1
+    maps = {"packaged": load_map(), "custom": load_map(str(path))}
+    order = ["packaged", "custom"] if packaged_first else ["custom", "packaged"]
+    for _ in range(2):                  # the second pass reads what each map kept
+        for name in order:
+            got = (map_to_cci(_CODES, maps[name]), map_to_eci(_CODES, maps[name]))
+            assert got == expected[name], name
+    # what a map has mapped shows neither in its equality nor in its repr
+    assert maps["packaged"] == load_map() and "hits" not in repr(maps["packaged"])
+
+
+def test_unknown_version_raises_on_every_call():
+    cmap = load_map()
+    map_to_cci([("4280", 9), ("4280", 10)], cmap)
+    for _ in range(2):
+        for mapper in (map_to_cci, map_to_eci):
+            for codes in ([("4280", 11)], [("4280", 9), ("4280", 0)]):
+                with pytest.raises(UnknownVersion):
+                    mapper(codes, cmap)
 
 
 def test_lookback_collects_prior_admissions_only(linked):

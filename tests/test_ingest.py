@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edbench import ingest
+from edbench._util import TIMESTAMP_FMT, parse_timestamp
 from edbench.errors import (BadTimestamp, ConfigError, DataError, DuplicateKey,
                             MalformedRow, MissingColumn)
 from edbench.ingest import (RECORD_TYPES, REQUIRED_COLUMNS, SCHEMAS,
@@ -116,6 +117,59 @@ def test_bad_timestamp_aborts_only_in_root_table(tmp_path):
                      "1,1,NOT A TIME,98.6,70,15,99,120,80\n")
     recs = parse_table(str(child), "vitalsign")
     assert len(recs) == 1 and recs[0].charttime is None
+
+
+_WIDTHS = (4, 2, 2, 2, 2, 2)                          # Y m d H M S
+
+
+def _digit_fields(padded):
+    return st.tuples(*[st.text("0123456789", min_size=n if padded else 1,
+                               max_size=n) for n in _WIDTHS])
+
+
+# near the edges of each field: year 0, month 13, Feb 30, hour 24, second 61
+_NEAR_VALID = st.tuples(st.integers(0, 9999), st.integers(0, 13),
+                        st.integers(0, 32), st.integers(0, 25),
+                        st.integers(0, 61), st.integers(0, 62))
+
+
+def _numbered_fields(padded):
+    return _NEAR_VALID.map(lambda values: tuple(
+        str(v).zfill(n if padded else 1) for v, n in zip(values, _WIDTHS)))
+
+
+def _in_other_digits(fields, index, zero):
+    """``fields`` with field ``index`` in the digits from code point ``zero``."""
+    table = {ord("0") + d: zero + d for d in range(10)}
+    return tuple(f.translate(table) if i == index else f
+                 for i, f in enumerate(fields))
+
+
+_TIMESTAMP_FIELDS = st.one_of(
+    _digit_fields(padded=True),                       # canonical shape, any digits
+    _numbered_fields(padded=True),
+    _digit_fields(padded=False),                      # unpadded fields
+    _numbered_fields(padded=False),
+    # one field in Arabic-Indic or fullwidth digits
+    st.builds(_in_other_digits, _numbered_fields(padded=True),
+              st.integers(0, 5), st.sampled_from([0x0660, 0xFF10])))
+_SPACE = st.sampled_from(["", " ", "\t", "\n", " \r\n", "\u3000"])
+
+
+# the space separator is drawn twice as often as "T", which only strptime sees
+@settings(max_examples=600, deadline=None)
+@given(fields=_TIMESTAMP_FIELDS, sep=st.sampled_from([" ", " ", "T"]),
+       lead=_SPACE, trail=_SPACE)
+def test_parse_timestamp_agrees_with_strptime(fields, sep, lead, trail):
+    year, month, day, hour, minute, second = fields
+    text = f"{lead}{year}-{month}-{day}{sep}{hour}:{minute}:{second}{trail}"
+    try:
+        expected = dt.datetime.strptime(text.strip(), TIMESTAMP_FMT)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text) == expected
 
 
 def test_unparseable_numeric_cell_becomes_missing(tmp_path):
