@@ -2,15 +2,17 @@
 
 Subcommands cover each stage of the workflow: ``synth`` writes a
 synthetic raw extract, ``extract-master`` links and labels it into the
-master dataset, ``build-benchmark`` cleans/splits/imputes, ``train``
-fits the baseline models, ``evaluate`` produces the report and figures,
-``predict`` scores new visits with a saved model, and ``all`` chains
-the stages end to end, handing records on in memory: its CSVs are
-artifacts, and the inputs of single-stage runs. One INI file configures
-every stage; each run ends by writing ``run_manifest.json`` (``predict``:
-``<output name>.manifest.json`` beside its output) recording the resolved
-config hash, versions, per-stage row counts, and artifact hashes so a run
-can be audited and reproduced.
+master dataset, ``build-benchmark`` cleans/splits/imputes and writes
+``cohort_summary.csv``, ``train`` fits the baseline models, ``evaluate``
+reads only ``test.csv``, ``models/`` and ``runtimes.json`` to write the
+report and figures, ``predict`` scores new visits with a saved model,
+and ``all`` chains the stages end to end, handing records on in memory:
+its CSVs are artifacts, and the inputs of single-stage runs. One INI
+file configures every stage; each run ends by writing
+``run_manifest.json`` (``predict``: ``<output name>.manifest.json``
+beside its output) recording the resolved config hash, versions,
+per-stage row counts, and artifact hashes so a run can be audited and
+reproduced.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 integrity error.
 """
@@ -62,6 +64,7 @@ TRAIN_NAME = "train.csv"
 TEST_NAME = "test.csv"
 SPLIT_NAME = "split.csv"
 IMPUTER_NAME = "imputer.json"
+SUMMARY_NAME = "cohort_summary.csv"
 MODELS_DIR = "models"
 RUNTIMES_NAME = "runtimes.json"
 MANIFEST_NAME = "run_manifest.json"
@@ -341,11 +344,15 @@ def _build_benchmark(cfg: PipelineConfig, records: list[dict], columns: list[str
     filled_test = apply_imputer(test, imputer)
 
     paths = [_out_path(cfg, TRAIN_NAME), _out_path(cfg, TEST_NAME),
-             _out_path(cfg, SPLIT_NAME), _out_path(cfg, IMPUTER_NAME)]
+             _out_path(cfg, SPLIT_NAME), _out_path(cfg, IMPUTER_NAME),
+             _out_path(cfg, SUMMARY_NAME)]
     write_master_csv(train, str(paths[0]), columns)
     write_master_csv(test, str(paths[1]), columns)
     write_split_csv(assignment, str(paths[2]), cfg.seed, cfg.test_fraction)
     paths[3].write_text(imputer.to_json(), encoding="utf-8")
+    # every kept visit is in train or test, imputed: the benchmark's cohort
+    cohort = sorted(kept, key=lambda r: r["stay_id"])
+    write_cohort_summary(summarize_cohort(cohort, strata=OUTCOME_COLUMNS), paths[4])
     counts = {
         "master_rows": len(records),
         "excluded": reasons,
@@ -355,6 +362,7 @@ def _build_benchmark(cfg: PipelineConfig, records: list[dict], columns: list[str
         "test_rows": len(test),
         "imputed_cells_train": filled_train,
         "imputed_cells_test": filled_test,
+        "cohort_rows": len(cohort),
     }
     return counts, paths, train, test
 
@@ -401,8 +409,7 @@ def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
     return _train(cfg, records, tasks, kinds, time_point)
 
 
-def _evaluate(cfg: PipelineConfig, train_records: list[dict],
-              test_records: list[dict], tasks=TASK_ORDER,
+def _evaluate(cfg: PipelineConfig, test_records: list[dict], tasks=TASK_ORDER,
               time_point: str | None = None) -> tuple[dict, list[Path]]:
     runtimes = _read_runtimes(cfg)
 
@@ -441,23 +448,13 @@ def _evaluate(cfg: PipelineConfig, train_records: list[dict],
 
     rows = build_report(results, B=cfg.bootstrap_b, seed=cfg.seed)
     paths = render_report(rows, cfg.output_dir)
-
-    cohort = sorted(train_records + test_records, key=lambda r: r["stay_id"])
-    summary = summarize_cohort(cohort, strata=OUTCOME_COLUMNS)
-    summary_path = _out_path(cfg, "cohort_summary.csv")
-    write_cohort_summary(summary, summary_path)
-    paths.append(summary_path)
-
-    counts = {"report_rows": len(rows), "test_rows": len(test_records),
-              "cohort_rows": len(cohort)}
-    return counts, paths
+    return {"report_rows": len(rows), "test_rows": len(test_records)}, paths
 
 
 def stage_evaluate(cfg: PipelineConfig, tasks=TASK_ORDER,
                    time_point: str | None = None) -> tuple[dict, list[Path]]:
     test, _ = _read_output(cfg, TEST_NAME, "run build-benchmark first")
-    train, _ = _read_output(cfg, TRAIN_NAME, "run build-benchmark first")
-    return _evaluate(cfg, train, test, tasks, time_point)
+    return _evaluate(cfg, test, tasks, time_point)
 
 
 def stage_predict(cfg: PipelineConfig, model_file: str, input_csv: str,
@@ -566,9 +563,10 @@ def _dispatch(args, cfg: PipelineConfig) -> tuple[dict, list[Path]]:
             run("synth", *stage_synth(cfg))
         records, columns = run("extract_master", *_extract_master(cfg))
         train, test = run("build_benchmark", *_build_benchmark(cfg, records, columns))
-        del records  # only the two splits stay alive through train and evaluate
+        del records  # only the two splits stay alive through train
         run("train", *_train(cfg, train))
-        run("evaluate", *_evaluate(cfg, train, test))
+        del train    # and only the test split through evaluate
+        run("evaluate", *_evaluate(cfg, test))
     return stages, written
 
 

@@ -35,7 +35,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from ._util import format_cell, read_ini
+from ._util import read_ini
 from .comorbidity import (
     DEFAULT_LOOKBACK_DAYS,
     ComorbidityMap,
@@ -314,7 +314,8 @@ def write_master_csv(records: list[dict], path: str, columns: list[str]) -> None
         writer = csv.writer(fh)
         writer.writerow(columns)
         for rec in records:
-            writer.writerow([format_cell(rec.get(col)) for col in columns])
+            writer.writerow([int(v) if type(v) is bool else v
+                             for v in map(rec.get, columns)])
     logger.info("wrote %s: %d rows", path, len(records))
 
 

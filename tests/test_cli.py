@@ -432,7 +432,7 @@ _SECTION_TWICE = "[score]\nname: a\n\n[score]\nname: b\n"
     ("build-benchmark", "cleaning_bounds", ("master_dataset.csv",)),
     ("extract-master", "comorbidity_map", ()),
     ("extract-master", "chief_complaints", ()),
-    ("evaluate", "score_cart", ("train.csv", "test.csv", "models")),
+    ("evaluate", "score_cart", ("test.csv", "models")),
 ], ids=["config", "cleaning_bounds", "comorbidity_map", "chief_complaints",
         "score"])
 def test_unreadable_ini_file_is_a_config_error(run_all, tmp_path, caplog,
@@ -471,8 +471,7 @@ _AGE_SCORE = ("[score]\nname: {name}\nconsumes: age\n\n[component.age]\n"
 
 def test_paths_score_override(run_all, tmp_path):
     out = _run_with_paths(run_all, tmp_path, "evaluate", "score_cart",
-                          _AGE_SCORE.format(name="cart"),
-                          "train.csv", "test.csv", "models",
+                          _AGE_SCORE.format(name="cart"), "test.csv", "models",
                           extra=("--task", "critical"))
     rows = json.loads((out / "report.json").read_text())
     assert [r["n_variables"] for r in rows if r["model"] == "CART"] == [1]
@@ -540,7 +539,7 @@ def test_all_reads_each_table_once(relative_paths_run):
 ], ids=["truncated", "list", "string", "nan", "negative", "bool"])
 @pytest.mark.parametrize("command, inputs", [
     ("train", ("train.csv", "models")),
-    ("evaluate", ("train.csv", "test.csv", "models")),
+    ("evaluate", ("test.csv", "models")),
 ], ids=["train", "evaluate"])
 def test_malformed_runtimes_file_is_a_data_error(run_all, tmp_path, caplog,
                                                  command, inputs, text):
@@ -762,6 +761,8 @@ def test_manifest_artifact_keys_are_absolute(tmp_path, monkeypatch):
 # sha256 of what extract-master then build-benchmark write from the 150-patient
 # synthetic cohort of each seed (pipeline seed 7). A speed-up of the data layer
 # keeps these; changing a digest here is a declared byte change of its outputs.
+# The cohort summary's digests are those evaluate wrote before build-benchmark
+# took the summary over.
 DATA_LAYER_DIGESTS = {
     7: {
         "master_dataset.csv": "eadce50a8c0f4935cf8e4ca6eaa30fe3b36943efbd2557dc384959e5fd02cba9",
@@ -769,6 +770,7 @@ DATA_LAYER_DIGESTS = {
         "test.csv": "dc098025c30f5697e5e4bb51546bfcfe366a1f2673f0ac9e1a961ca875c65378",
         "split.csv": "b88945938e86c4f7a274a419018d333b081568e8b4221cffd1fa49323db9b972",
         "imputer.json": "3110e753bf50d24c8ab365c5bf0cb6e820e333e30f82109eaaa7bb910276dd01",
+        "cohort_summary.csv": "63c45a33bad15e6dcc44726f9d43ba5409493df72f46fad242640c825d36ab74",
     },
     1007: {
         "master_dataset.csv": "59cd4a4497c0173902fe2500141914bd65ed41ec19c4189fbccf91614f56ce0f",
@@ -776,6 +778,7 @@ DATA_LAYER_DIGESTS = {
         "test.csv": "820359795b34e3228d74f3719ed43c0b8c9abb0b41f5e7ca5294dea69cf49cfa",
         "split.csv": "affab9db8b32a58bc527beaf358e6600e01a65ef2d0a112967ec365efef477de",
         "imputer.json": "6c5c67bb81de350183c41ed10cace72f457842b51b5c596733b25115aac8a22d",
+        "cohort_summary.csv": "017791829b9ee435179e568b05d39d44a80ea484d9652154bbe6ed166cfb9f03",
     },
 }
 
@@ -835,8 +838,27 @@ def handoff_runs(tmp_path_factory):
 def test_read_master_csv_calls_per_command(handoff_runs):
     _, calls, _ = handoff_runs
     assert calls == {"all": 0, "synth": 0, "extract-master": 0,
-                     "build-benchmark": 1, "train": 1, "evaluate": 2,
+                     "build-benchmark": 1, "train": 1, "evaluate": 1,
                      "predict": 1}
+
+
+def test_build_benchmark_owns_the_cohort_summary(run_all, tmp_path):
+    ini, out = _stage_config(run_all, tmp_path, "master_dataset.csv", "models")
+    summary = out / "cohort_summary.csv"
+    expected = (run_all / "out" / summary.name).read_bytes()
+    assert cli.main(["build-benchmark", "--config", str(ini)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert str(summary.resolve()) in manifest["artifacts"]
+    counts = manifest["stages"]["build_benchmark"]
+    assert counts["cohort_rows"] == counts["train_rows"] + counts["test_rows"]
+    assert summary.read_bytes() == expected
+    # evaluate needs neither the train split nor the summary, and leaves it be
+    (out / "train.csv").unlink()
+    assert cli.main(["evaluate", "--config", str(ini), "--task", "critical"]) == 0
+    assert summary.read_bytes() == expected
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert str(summary.resolve()) not in manifest["artifacts"]
+    assert manifest["stages"]["evaluate"]["test_rows"] == counts["test_rows"]
 
 
 def _runtime_masked(path):
