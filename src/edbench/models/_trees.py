@@ -63,16 +63,16 @@ value of another, except in the running sums of 0/1 labels, which are
 exact.
 
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
-TREE_FIELDS, the one place the tree format is declared, in the manner of
-scikit-learn's parallel-array ``Tree`` (Pedregosa et al., 2011). Node 0 is
-the root and ``feature == -1`` marks a leaf. Nodes are stored in level
-order, as they are grown: the root, then each level's nodes, a split's two
-children side by side in the order of their parents. So a tree of s splits
-has 2s + 1 nodes, and its k-th split's (0-based) children are nodes 1 + 2k
-and 2 + 2k: they follow from ``feature`` and are not stored. A model file
-holds an ensemble as one table (TABLE_FIELDS), each field concatenated over
-the trees plus ``n_nodes``, each tree's node count, which ``trees_json``
-writes and ``trees_from_json`` reads.
+TREE_FIELDS, in the manner of scikit-learn's parallel-array ``Tree``
+(Pedregosa et al., 2011); a model keeps MODEL_FIELDS, what ``predict_trees``
+reads. Node 0 is the root and ``feature == -1`` marks a leaf. Nodes are
+stored in level order, as they are grown: the root, then each level's
+nodes, a split's two children side by side in the order of their parents.
+So a tree of s splits has 2s + 1 nodes, and its k-th split's (0-based)
+children are nodes 1 + 2k and 2 + 2k: they follow from ``feature`` and are
+not stored. A model file holds an ensemble as one table (TABLE_FIELDS), each
+model field concatenated over the trees plus ``n_nodes``, each tree's node
+count, which ``trees_json`` writes and ``trees_from_json`` reads.
 
 ``predict_trees`` walks every tree of an ensemble at once, as QuickScorer
 does (Lucchese et al., 2015): the trees are concatenated with per-tree
@@ -229,7 +229,8 @@ def bin_features(X: np.ndarray) -> BinnedFeatures:
 
 
 TREE_FIELDS = ("feature", "threshold", "value", "n_samples", "gain")
-TABLE_FIELDS = (*TREE_FIELDS, "n_nodes")
+MODEL_FIELDS = ("feature", "threshold", "value")
+TABLE_FIELDS = (*MODEL_FIELDS, "n_nodes")
 
 PREDICT_BLOCK = 2048    # rows per block in predict_trees
 
@@ -271,10 +272,10 @@ def trees_json(trees: list[dict]) -> Iterator[str]:
     """The table of ``trees`` in pieces; joined, what ``json.dumps`` writes
     for it with sorted keys, no whitespace and its arrays as lists. Each
     distinct value of a column is formatted once: formatting numbers costs
-    most in writing a forest, and thresholds, leaves and gains repeat."""
+    most in writing a forest, and thresholds and leaves repeat."""
     # no trees give empty float columns, which _distinct takes
     table = {name: np.concatenate([tree[name] for tree in trees]
-                                  or [np.empty(0)]) for name in TREE_FIELDS}
+                                  or [np.empty(0)]) for name in MODEL_FIELDS}
     table["n_nodes"] = np.array([len(tree["feature"]) for tree in trees])
     for i, name in enumerate(sorted(table)):
         distinct, inverse = _distinct(table[name])
@@ -305,14 +306,15 @@ def trees_from_json(table, n_features: int) -> list[dict]:
     ``feature`` in [-1, n_features), the ``n_nodes`` positive and summing to
     that length, each tree of s splits 2s + 1 nodes, and each split before
     its children, so that every walk ends at a leaf."""
-    if isinstance(table, list):
-        raise ValueError("'trees' is a list of per-tree objects, the format "
-                         "of earlier versions; re-run `edbench train`")
+    if isinstance(table, list) or isinstance(table, dict) and "gain" in table:
+        raise ValueError("'trees' is a table with 'n_samples' and 'gain' or a "
+                         "list of per-tree objects, the format of earlier "
+                         "versions; re-run `edbench train`")
     if not isinstance(table, dict) or sorted(table) != sorted(TABLE_FIELDS):
         raise ValueError(f"tree fields must be {', '.join(TABLE_FIELDS)}")
     columns = {}
     for name in TABLE_FIELDS:
-        integer = name in ("feature", "n_samples", "n_nodes")
+        integer = name in ("feature", "n_nodes")
         kinds = "i" if integer else "if"
         try:
             column = np.asarray(table[name])
@@ -325,7 +327,7 @@ def trees_from_json(table, n_features: int) -> list[dict]:
                                       copy=False)
     feature, n_nodes = columns["feature"], columns["n_nodes"]
     size = feature.size
-    if any(columns[name].size != size for name in TREE_FIELDS):
+    if any(columns[name].size != size for name in MODEL_FIELDS):
         raise ValueError("node fields must be of equal length")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"'feature' must lie in [-1, {n_features})")
@@ -345,8 +347,8 @@ def trees_from_json(table, n_features: int) -> list[dict]:
                          "its children")
     # one part per tree, and an empty one past the last
     parts = [np.split(columns[name], np.cumsum(n_nodes))[:-1]
-             for name in TREE_FIELDS]
-    return [dict(zip(TREE_FIELDS, arrays)) for arrays in zip(*parts)]
+             for name in MODEL_FIELDS]
+    return [dict(zip(MODEL_FIELDS, arrays)) for arrays in zip(*parts)]
 
 
 def grow_tree(

@@ -7,10 +7,11 @@ mistake of scoring disposition-time features with a triage-time model.
 
 Model files are compact JSON (sorted keys, no whitespace) and hold no
 wall-clock data, so repeated runs with the same seed produce byte-identical
-files. Tree models keep each tree's node arrays in memory, and each
-ensemble as one table on disk (``_trees``). ``load_model`` checks every key
-a predictor reads, so a tampered file is a DataError rather than a crash
-or an endless walk.
+files. Tree models keep the node arrays prediction reads, per tree in
+memory and as one table per ensemble on disk (``_trees``); a forest adds
+the importance computed at fit. ``load_model`` checks every key a
+predictor reads, so a tampered file is a DataError rather than a crash or
+an endless walk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from ..errors import ConfigError, DataError, ManifestMismatch, WrongKind
 from . import boosting, forest, linear, mlp
 from ._trees import trees_from_json, trees_json
-from .features import FeatureMatrix, manifest_fingerprint
+from .features import TASKS, TIME_POINTS, FeatureMatrix, manifest_fingerprint
 
 
 def _kind(fitter, predictor) -> tuple:
@@ -60,7 +61,7 @@ _POSITIVE = ("C", "learning_rate")
 _PARAMS = {
     "logistic": ({"weights": ("d",), "mean": ("d",), "std": ("d",)},
                  ("bias",)),
-    "random_forest": ({}, ()),
+    "random_forest": ({"importance": ("d",)}, ()),
     "boosting": ({}, ("base_score", "learning_rate")),
     "mlp": ({"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "mean": ("d",),
              "std": ("d",)}, ("b2",)),
@@ -163,7 +164,7 @@ def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
         raise WrongKind(
             f"variable importance is defined for random_forest models, "
             f"not {model.kind!r}")
-    imp = forest.forest_importance(model.params)
+    imp = model.params["importance"]
     order = sorted(range(len(imp)), key=lambda j: (-imp[j], j))
     return [(model.columns[j], float(imp[j])) for j in order]
 
@@ -212,6 +213,9 @@ def load_model(path) -> TrainedModel:
         raise DataError(f"{path}: 'columns' must be a list of strings")
     if obj["fingerprint"] != manifest_fingerprint(columns):
         raise DataError(f"{path}: 'fingerprint' does not match 'columns'")
+    for key, known in (("task", list(TASKS)), ("time_point", TIME_POINTS)):
+        if obj[key] not in known:
+            raise DataError(f"{path}: unknown {key!r}: {obj[key]!r}")
     try:
         _check_params(kind, obj["params"], len(columns))
     except ValueError as exc:
@@ -225,13 +229,22 @@ def _finite_number(value) -> bool:
 
 
 def _check_params(kind: str, params, n_columns: int) -> None:
-    """Raise ValueError, naming the parameter, unless ``params`` hold what
-    ``_PARAMS`` asks for ``n_columns`` inputs, a tree model's a valid table
-    (made its trees in place) and any ``constant`` in [0, 1], and a forest's
-    ``n_features == n_columns``."""
+    """Raise ValueError, naming the parameter, unless ``params`` hold a
+    tree model's valid table (first, to name an earlier layout; made its
+    trees in place) and any ``constant`` in [0, 1], what ``_PARAMS`` asks
+    for ``n_columns`` inputs, and a forest's ``n_features == n_columns``."""
     arrays, scalars = _PARAMS[kind]
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
+    if kind in ("random_forest", "boosting"):
+        params["trees"] = trees_from_json(params.get("trees"), n_columns)
+        if "constant" in params:
+            # a one-class fit's pos / n
+            value = params["constant"]
+            if not (_finite_number(value) and 0 <= value <= 1):
+                raise ValueError("param 'constant' must be a number in [0, 1]")
+        elif not params["trees"]:
+            raise ValueError("model file holds no trees")
     sizes = {"d": n_columns}
     for name, shape in arrays.items():
         try:
@@ -250,14 +263,5 @@ def _check_params(kind: str, params, n_columns: int) -> None:
     for name in scalars:
         if not _finite_number(params.get(name)):
             raise ValueError(f"param {name!r} must be a finite number")
-    if kind in ("random_forest", "boosting"):
-        params["trees"] = trees_from_json(params.get("trees"), n_columns)
-        if "constant" in params:
-            # a one-class fit's pos / n
-            value = params["constant"]
-            if not (_finite_number(value) and 0 <= value <= 1):
-                raise ValueError("param 'constant' must be a number in [0, 1]")
-        elif not params["trees"]:
-            raise ValueError("model file holds no trees")
     if kind == "random_forest" and params.get("n_features") != n_columns:
         raise ValueError(f"param 'n_features' must be {n_columns}")

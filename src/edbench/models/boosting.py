@@ -8,8 +8,8 @@ rate. Training records the deviance after every stage; on the training
 set the sequence must never increase, which the test suite checks.
 Every stage's tree grows on all rows, so the fit owns their level-0
 histogram layout: it builds it once and hands it to each stage.
-Prediction walks every stage's tree at once with ``predict_trees`` and
-adds the leaf values in stage order, as training did.
+Prediction walks every stage's tree (its ``MODEL_FIELDS``) at once with
+``predict_trees`` and adds the leaf values in stage order, as training did.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels, NonFiniteLoss
-from ._trees import bin_features, grow_tree, predict_trees
+from ._trees import MODEL_FIELDS, bin_features, grow_tree, predict_trees
 from .linear import sigmoid, _softplus
 
 logger = logging.getLogger(__name__)
@@ -68,7 +68,7 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         if not np.isfinite(dev):
             raise NonFiniteLoss(f"boosting: non-finite deviance at stage {stage}")
         deviance.append(dev)
-        trees.append(tree)
+        trees.append({name: tree[name] for name in MODEL_FIELDS})
     logger.info("boosting: %d stages, deviance %.6f -> %.6f",
                 n_stages, deviance[0], deviance[-1])
     return {

@@ -12,8 +12,9 @@ features per node; see ``_trees``), in seed order; since each tree draws
 only from its own generator, a tree comes out the same whatever pass it
 is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
-whole ensemble. ``params["trees"]`` holds one dict of node arrays per tree,
-its nodes in level order, and a model file one table of them (``_trees``).
+whole ensemble. ``params["trees"]`` holds each tree's ``MODEL_FIELDS``
+arrays, and ``params["importance"]`` the variable importance, which the
+fit computes from the grown trees' row counts and gains (``_trees``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import warnings
 import numpy as np
 
 from ..errors import DataError, DegenerateLabels
-from ._trees import bin_features, grow_trees, predict_trees
+from ._trees import MODEL_FIELDS, bin_features, grow_trees, predict_trees
 
 logger = logging.getLogger(__name__)
 
@@ -45,12 +46,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
     if pos == 0.0 or pos == n:
         warnings.warn("training labels are all one class; fitting a constant",
                       DegenerateLabels)
-        return {
-            "constant": pos / n,
-            "n_trees": 0,
-            "n_features": d,
-            "trees": [],
-        }
+        return {"constant": pos / n, "n_trees": 0, "n_features": d,
+                "trees": [], "importance": [0.0] * d}
 
     binned = bin_features(X)
     features_per_node = int(math.ceil(math.sqrt(d)))
@@ -65,11 +62,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
                             min_leaf=min_leaf,
                             features_per_node=features_per_node, rngs=rngs)
     logger.info("forest: %d trees on %d rows x %d features", n_trees, n, d)
-    return {
-        "n_trees": n_trees,
-        "n_features": d,
-        "trees": trees,
-    }
+    return {"n_trees": n_trees, "n_features": d,
+            "trees": [{name: tree[name] for name in MODEL_FIELDS}
+                      for tree in trees],
+            "importance": forest_importance(trees, d).tolist()}
 
 
 def predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
@@ -81,18 +77,14 @@ def predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
     return acc / len(params["trees"])
 
 
-def forest_importance(params: dict) -> np.ndarray:
-    """Mean impurity-decrease importance across trees, normalized to sum 1.
+def forest_importance(trees: list[dict], d: int) -> np.ndarray:
+    """Mean impurity-decrease importance of d features across grown
+    ``trees`` (with ``n_samples`` and ``gain``), normalized to sum 1.
 
     Each split contributes its Gini decrease weighted by the fraction of
-    the tree's root samples reaching that node. Returns the zero vector
-    for a constant (degenerate) model.
+    the tree's root samples reaching that node.
     """
-    d = int(params["n_features"])
     total = np.zeros(d)
-    trees = params["trees"]
-    if not trees:
-        return total
     for tree in trees:
         split = tree["feature"] >= 0
         # unbuffered, so splits add up in node order

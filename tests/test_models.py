@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -21,8 +22,9 @@ from edbench.models import (FeatureMatrix, build_feature_matrix, load_manifest,
                             load_model, predict_proba, resolve_hyperparams,
                             rf_variable_importance, save_model, train_model)
 from edbench.models import _trees, boosting, forest
-from edbench.models._trees import (TABLE_FIELDS, TREE_FIELDS, bin_features,
-                                   grow_tree, predict_trees, trees_from_json)
+from edbench.models._trees import (MODEL_FIELDS, TABLE_FIELDS, TREE_FIELDS,
+                                   bin_features, grow_tree, predict_trees,
+                                   trees_from_json)
 from edbench.models.boosting import fit_boosting, predict_boosting
 from edbench.models.forest import fit_forest, forest_importance, predict_forest
 from edbench.models.linear import (fit_logistic, logistic_objective,
@@ -194,18 +196,51 @@ def _leaf_of(tree, X):
     return node
 
 
+@contextlib.contextmanager
+def _spy(module, grower):
+    """Patch ``module.grower`` (``grow_trees`` or ``grow_tree``) to call
+    through, and yield the list of every tree it grows, with all of
+    TREE_FIELDS, in the order grown."""
+    real, grown = getattr(module, grower), []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        grown.extend(out if isinstance(out, list) else [out])
+        return out
+
+    with mock.patch.object(module, grower, spy):
+        yield grown
+
+
+def _assert_model_trees(params, grown):
+    """A fit's ``params`` hold the trees it grew, less ``n_samples`` and
+    ``gain``: each the same arrays on MODEL_FIELDS."""
+    assert len(params["trees"]) == len(grown)
+    for kept, tree in zip(params["trees"], grown):
+        assert list(kept) == list(MODEL_FIELDS)
+        for name in MODEL_FIELDS:
+            assert kept[name].dtype == tree[name].dtype, name
+            assert np.array_equal(kept[name], tree[name]), name
+
+
 def _grown_trees(variant, X, y, max_depth, min_leaf):
-    """(tree, training rows) pairs; rows is None for the forest, which
-    draws its bootstrap rows itself."""
+    """(tree, training rows) pairs, each tree with all of TREE_FIELDS; rows
+    is None for the forest, which draws its bootstrap rows itself. A fit's
+    trees are those its grower returned, which its params must hold on
+    MODEL_FIELDS."""
     rows = np.arange(len(y))
     if variant == "forest":
-        params = fit_forest(X, y, n_trees=3, max_depth=max_depth,
-                            min_leaf=min_leaf, seed=0)
-        return [(tree, None) for tree in params["trees"]]
+        with _spy(forest, "grow_trees") as grown:
+            params = fit_forest(X, y, n_trees=3, max_depth=max_depth,
+                                min_leaf=min_leaf, seed=0)
+        _assert_model_trees(params, grown)
+        return [(tree, None) for tree in grown]
     if variant == "boosting":
-        params = fit_boosting(X, y, n_stages=3, max_depth=max_depth,
-                              min_leaf=min_leaf)
-        return [(tree, rows) for tree in params["trees"]]
+        with _spy(boosting, "grow_tree") as grown:
+            params = fit_boosting(X, y, n_stages=3, max_depth=max_depth,
+                                  min_leaf=min_leaf)
+        _assert_model_trees(params, grown)
+        return [(tree, rows) for tree in grown]
     binned = bin_features(X)
     if variant == "tree":
         return [(grow_tree(binned, rows, y, max_depth=max_depth,
@@ -406,7 +441,8 @@ def test_deep_trees_on_continuous_data_equal_depth_first_oracle():
 def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
     X, y = _toy(n=500, seed=15, noise=1.0)
     for max_depth in (3, 6):
-        params = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
+        with _spy(boosting, "grow_tree") as grown:
+            params = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
         oracle_trees = []
 
         def oracle(*args, root=None, **kwargs):
@@ -416,31 +452,36 @@ def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(boosting, "grow_tree", oracle)
             reference = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
-        trees = params.pop("trees")
+        _assert_model_trees(params, grown)
+        _assert_model_trees(reference, [_oracle_arrays(old)
+                                        for old in oracle_trees])
+        params.pop("trees")
         assert reference.pop("trees") and params == reference
-        assert len(trees) == len(oracle_trees) == 15
-        for new, old in zip(trees, oracle_trees):
+        assert len(grown) == len(oracle_trees) == 15
+        for new, old in zip(grown, oracle_trees):
             _assert_equal_to_oracle(new, old)
 
 
-def _assert_same_trees(new, old):
+def _assert_same_trees(new, old, fields=TREE_FIELDS):
     assert len(new) == len(old)
     for a, b in zip(new, old):
-        assert list(a) == list(b) == list(TREE_FIELDS)
-        for name in TREE_FIELDS:
+        assert list(a) == list(b) == list(fields)
+        for name in fields:
             assert a[name].dtype == b[name].dtype, name
             assert np.array_equal(a[name], b[name]), name
 
 
 def _forest_in_passes(X, y, per_pass, **kwargs):
-    """fit_forest's trees with the pass budget set to ``per_pass`` trees, and
-    the same trees grown one at a time with ``grow_tree``, each from its own
-    generator as the forest.py docstring says."""
+    """The trees fit_forest grows with the pass budget set to ``per_pass``
+    trees, which its params must hold on MODEL_FIELDS, and the same trees
+    grown one at a time with ``grow_tree``, each from its own generator as
+    the forest.py docstring says."""
     n, d = X.shape
     features_per_node = math.ceil(math.sqrt(d))
-    with mock.patch.object(forest, "PASS_CELLS",
-                           per_pass * n * features_per_node):
-        trees = fit_forest(X, y, **kwargs)["trees"]
+    with (mock.patch.object(forest, "PASS_CELLS",
+                            per_pass * n * features_per_node),
+          _spy(forest, "grow_trees") as trees):
+        _assert_model_trees(fit_forest(X, y, **kwargs), trees)
     binned = bin_features(X)
     alone = []
     for child in np.random.SeedSequence(kwargs["seed"]).spawn(
@@ -680,8 +721,10 @@ def test_forest_importance_ranks_signal_feature():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(300, 5))
     y = (X[:, 2] > 0).astype(np.float64)
-    params = fit_forest(X, y, n_trees=20, seed=3)
-    imp = forest_importance(params)
+    with _spy(forest, "grow_trees") as grown:
+        params = fit_forest(X, y, n_trees=20, seed=3)
+    imp = forest_importance(grown, 5)
+    assert params["importance"] == imp.tolist()
     assert imp.sum() == pytest.approx(1.0)
     assert np.all(imp >= 0.0)
     assert int(np.argmax(imp)) == 2
@@ -833,10 +876,12 @@ def _matrix():
                                 manifest=["age", "gender"])
 
 
-def _table(trees):
-    """The table a model file holds ``trees`` in, as plain lists."""
+def _table(trees, fields=MODEL_FIELDS):
+    """The table a model file holds ``trees`` in, as plain lists; with
+    ``fields=TREE_FIELDS``, the table of the layout before ``n_samples`` and
+    ``gain`` left model files."""
     table = {name: [cell for tree in trees for cell in tree[name].tolist()]
-             for name in TREE_FIELDS}
+             for name in fields}
     table["n_nodes"] = [len(tree["feature"]) for tree in trees]
     return table
 
@@ -859,7 +904,8 @@ def test_train_save_load_round_trip(kind, tmp_path):
         default=np.ndarray.tolist) + "\n"
     loaded = load_model(path)
     if "trees" in model.params:
-        _assert_same_trees(loaded.params["trees"], model.params["trees"])
+        _assert_same_trees(loaded.params["trees"], model.params["trees"],
+                           MODEL_FIELDS)
     assert np.array_equal(predict_proba(loaded, matrix),
                           predict_proba(model, matrix))
     # a second save produces identical bytes
@@ -873,15 +919,19 @@ def test_train_save_load_round_trip(kind, tmp_path):
 
 def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     # earlier versions wrote a list of per-tree objects with a stored left
-    # child, in level order and, before that, in depth-first order
+    # child, in level order and, before that, in depth-first order; then one
+    # table of the five grown fields, and a forest without its importance
     X, y = _toy(n=300, seed=15, noise=1.0)
     matrix = FeatureMatrix(X=X, y=y > 0, columns=[f"c{j}" for j in range(6)],
                            task="hospitalization", time_point="triage",
                            stay_ids=np.arange(len(y)))
-    model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
+    with _spy(boosting, "grow_tree") as grown:
+        model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
+    with _spy(forest, "grow_trees") as grown_rf:
+        rf = train_model(matrix, "random_forest", n_trees=3, max_depth=4)
     level_order = [{**{name: tree[name].tolist() for name in TREE_FIELDS},
                     "left": _left_children(tree).tolist()}
-                   for tree in model.params["trees"]]
+                   for tree in grown]
     oracle = []
 
     def depth_first(*args, root=None, **kwargs):
@@ -904,13 +954,26 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
                            "train`") as exc:
             load_model(path)
         assert exc.value.exit_code == 3
+    rf_path = tmp_path / "rf.json"
+    save_model(rf, rf_path)
+    rf_payload = json.loads(rf_path.read_text())
+    del rf_payload["params"]["importance"]
+    for payload, trees in ((payload, grown), (rf_payload, grown_rf)):
+        payload["params"]["trees"] = _table(trees, TREE_FIELDS)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="'trees' is a table with "
+                           "'n_samples' and 'gain' or a list of per-tree "
+                           "objects, the format of earlier versions; re-run "
+                           "`edbench train`") as exc:
+            load_model(path)
+        assert exc.value.exit_code == 3
 
 
 _SPECIAL = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5, -2.75]
 
 
 @st.composite
-def _level_order_tree(draw, d, wide):
+def _level_order_tree(draw, d):
     """A random tree in level order: nodes are decided breadth first, each
     split appending its two children, so one-leaf trees are common."""
     feature = []
@@ -920,20 +983,16 @@ def _level_order_tree(draw, d, wide):
     size = len(feature)
     floats = st.lists(st.sampled_from(_SPECIAL) | st.floats(allow_nan=False),
                       min_size=size, max_size=size)
-    tree = {"feature": np.array(feature, dtype=np.int64),
-            "n_samples": np.array(draw(st.lists(
-                st.integers(0, 2 ** 40 if wide else 3), min_size=size,
-                max_size=size)), dtype=np.int64)}
-    for name in ("threshold", "value", "gain"):
+    tree = {"feature": np.array(feature, dtype=np.int64)}
+    for name in ("threshold", "value"):
         tree[name] = np.array(draw(floats), dtype=np.float64)
-    return {name: tree[name] for name in TREE_FIELDS}
+    return {name: tree[name] for name in MODEL_FIELDS}
 
 
 @st.composite
 def _ensembles(draw):
     d = draw(st.integers(1, 4))
-    trees = draw(st.lists(_level_order_tree(d, draw(st.booleans())),
-                          max_size=5))
+    trees = draw(st.lists(_level_order_tree(d), max_size=5))
     return d, trees
 
 
@@ -949,8 +1008,8 @@ def test_trees_json_is_json_dumps_of_the_lists(ensemble):
     loaded = trees_from_json(json.loads(text), d)
     assert len(loaded) == len(trees)
     for new, old in zip(loaded, trees):
-        assert list(new) == list(TREE_FIELDS)
-        for name in TREE_FIELDS:
+        assert list(new) == list(MODEL_FIELDS)
+        for name in MODEL_FIELDS:
             assert new[name].dtype == old[name].dtype, name
             assert np.array_equal(new[name], old[name], equal_nan=True), name
             assert new[name].tobytes() == old[name].tobytes(), name
@@ -962,16 +1021,16 @@ def _swap_root_of_tree_0_with_its_last_node(column, first):
 
 
 @pytest.mark.parametrize("field, change, message", [
-    (None, lambda t: t.pop("gain"), "tree fields"),
+    (None, lambda t: t.pop("value"), "tree fields"),
     (None, lambda t: t.update(left=t["feature"]), "tree fields"),
     ("value", lambda c, first: c[:-1], "equal length"),
     ("feature", lambda c, first: [float(v) for v in c], "'feature'"),
-    ("n_samples", lambda c, first: [v + 0.5 for v in c], "'n_samples'"),
     ("threshold", lambda c, first: ["x"] * len(c), "'threshold'"),
     ("feature", lambda c, first: [2] + c[1:], "'feature'"),
     ("feature", lambda c, first: [-2] + c[1:], "'feature'"),
     ("n_nodes", lambda c, first: [0] + c, "'n_nodes'"),
     ("n_nodes", lambda c, first: c[:-1] + [c[-1] + 2], "'n_nodes'"),
+    ("n_nodes", lambda c, first: [v + 0.5 for v in c], "'n_nodes'"),
     ("feature", lambda c, first: c[:-1] + [0], "2s + 1 nodes"),
     ("feature", _swap_root_of_tree_0_with_its_last_node,
      "before its children"),
@@ -1002,6 +1061,9 @@ def test_load_model_rejects_malformed_trees(field, change, message, tmp_path):
     ("boosting", "base_score", lambda m: m["params"].update(base_score="x")),
     ("boosting", "learning_rate", lambda m: m["params"].pop("learning_rate")),
     ("random_forest", "n_features", lambda m: m["params"].update(n_features=3)),
+    ("random_forest", "importance", lambda m: m["params"].pop("importance")),
+    ("logistic", "task", lambda m: m.update(task="nope")),
+    ("logistic", "time_point", lambda m: m.update(time_point="nope")),
 ])
 def test_load_model_rejects_malformed_fields(kind, key, change, tmp_path):
     path = tmp_path / "model.json"
@@ -1104,12 +1166,29 @@ def test_predict_proba_guards_manifest():
         predict_proba(model, other)
 
 
-def test_rf_importance_wrapper_and_wrong_kind():
+def test_rf_importance_wrapper_and_wrong_kind(tmp_path):
     matrix = _matrix()
-    rf = train_model(matrix, "random_forest", seed=0, n_trees=5)
+    with _spy(forest, "grow_trees") as grown:
+        rf = train_model(matrix, "random_forest", seed=0, n_trees=5)
     pairs = rf_variable_importance(rf)
     assert [c for c, _ in pairs][0] == "age"
     assert sum(v for _, v in pairs) == pytest.approx(1.0)
+    # stored at fit from the grown trees, and loaded bit for bit
+    imp = forest_importance(grown, len(matrix.columns))
+    assert np.array(rf.params["importance"]).tobytes() == imp.tobytes()
+    path = tmp_path / "rf.json"
+    save_model(rf, path)
+    loaded = load_model(path)
+    assert (np.array(loaded.params["importance"]).tobytes()
+            == imp.tobytes())
+    assert rf_variable_importance(loaded) == pairs
+    # a one-class forest stores d zeros, and loads
+    one_class = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
+    with pytest.warns(DegenerateLabels):
+        save_model(train_model(one_class, "random_forest"), path)
+    loaded = load_model(path)
+    assert loaded.params["importance"] == [0.0] * len(matrix.columns)
+    assert [v for _, v in rf_variable_importance(loaded)] == [0.0, 0.0]
     lr = train_model(matrix, "logistic")
     with pytest.raises(WrongKind):
         rf_variable_importance(lr)
