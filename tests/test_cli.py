@@ -16,7 +16,8 @@ import pytest
 from edbench import _util, cli
 from edbench._util import read_data_file
 from edbench.cohort import read_master_csv
-from edbench.models import features, load_model
+from edbench.models import (features, load_model, predict_proba,
+                             rf_variable_importance)
 from edbench.errors import ConfigError
 from edbench.synthdata import SynthConfig, write_synthetic
 
@@ -794,6 +795,56 @@ def test_data_layer_bytes_are_pinned(tmp_path, seed):
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                for name in DATA_LAYER_DIGESTS[seed]}
     assert digests == DATA_LAYER_DIGESTS[seed]
+
+
+# -- pinned model outputs -----------------------------------------------------------
+
+# sha256 of each model's predict_proba bytes on the run_all cohort's test.csv,
+# of the RF importances (repr of each (column, importance) pair, one a line) and
+# of report.csv with its Runtime column masked. A change to the model layer that
+# keeps what the models predict keeps these, whatever it does to the files.
+MODEL_OUTPUT_DIGESTS = {
+    "critical_triage_boosting": "5093c3e9f3a0da7763d8fe45b125bba0b545cd406535da5e17e12de20e1dbe92",
+    "critical_triage_logistic": "27371e23c699ba58140fc9ceb5fa864ebd4e2ab0603cbde4f864b65901c837dd",
+    "critical_triage_mlp": "d6b52440890aa0d02919b520f953af03843bea7bf8eff12f05cd8e617750eeb5",
+    "critical_triage_random_forest": "fa0c1b31c20483feeb986bff2830f6bf25dc808d0503470232938f71ea86d0b7",
+    "hospitalization_triage_boosting": "e58ec8351a2ca0e741212d7cb22eb4442ce3ac0bfc6935a46477b81214f50092",
+    "hospitalization_triage_logistic": "73fe6c8e093c56536a8441edbd25bc2f4b1ec175ee406fa0a4bf3b9959c416d3",
+    "hospitalization_triage_mlp": "74098fd5a0213133a45c3a9c47db3746cbcd927acf1c6cb29d8790bde66406e3",
+    "hospitalization_triage_random_forest": "85c400405a41c7f4c722b96704af4f1e49e4b24f07347458a47be5233a5137ad",
+    "reattendance_disposition_boosting": "a0b0c5223cdd86b579e1e41bab2c39d389e7c6e871d9eebe94708721655dc713",
+    "reattendance_disposition_logistic": "a724c26660b910c295a6df52182d6b49baffb6f0e5d26690c483cf83f2232225",
+    "reattendance_disposition_mlp": "d0bb0560ee855072c55695561d643a3f64e5786526d8965968fd93a69cfd7969",
+    "reattendance_disposition_random_forest": "192b1255c44f5ae37ef733131b3b4c940d9442872d9b25cb7a2a68df71dc806a",
+    "importance": "f03b6a600545b3d8cdc43406b98e852b2b54efceb3064b09a7aeecf232c47847",
+    "report.csv": "fc6fe9e7f2d12136e85a1d46a54fa10bc3dae2d326f82a91c0aec6c3f7e4b30a",
+}
+
+
+def test_model_outputs_are_pinned(run_all):
+    out = run_all / "out"
+    records, _ = read_master_csv(str(out / "test.csv"))
+    digests = {}
+    importance = []
+    for path in sorted((out / "models").glob("*_*_*.json")):
+        model = load_model(path)
+        matrix = features.build_feature_matrix(
+            records, model.task, time_point=model.time_point,
+            manifest=model.columns)
+        probs = predict_proba(model, matrix)
+        digests[path.stem] = hashlib.sha256(probs.tobytes()).hexdigest()
+        if model.kind == "random_forest":
+            importance += map(repr, rf_variable_importance(model))
+    digests["importance"] = hashlib.sha256(
+        "\n".join(importance).encode()).hexdigest()
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    runtime = rows[0].index("Runtime")
+    masked = "\n".join(",".join("-" if i == runtime and n else cell
+                                for i, cell in enumerate(row))
+                       for n, row in enumerate(rows))
+    digests["report.csv"] = hashlib.sha256(masked.encode()).hexdigest()
+    assert digests == MODEL_OUTPUT_DIGESTS
 
 
 # -- in-memory handoff ---------------------------------------------------------------
