@@ -38,13 +38,10 @@ leave as nodes close, so the root level's cells bound a pass's working
 set; a training set that fills the budget alone grows one tree per pass.
 
 Boosting grows every stage's tree over every feature on the same rows, so
-its histogram layout is kept per fit. ``BinnedFeatures`` holds where each
-feature's bins start in a node's block of cells, and buffers for the keys,
-the weights and the padded float ``cumsum`` that every level and stage
-reuses. ``fit_boosting`` owns the level-0 layout (keys, occupied bins,
-segments and running row counts), which only the residual weights change
-from stage to stage: it builds it once and hands it to every stage's
-``grow_tree`` as ``root``.
+its histogram layout is kept per fit: ``BinnedFeatures`` holds each
+feature's bin start and the buffers every level and stage reuses, and
+``fit_boosting`` builds the level-0 ``_Histogram``, which only the residual
+weights change from stage to stage, once for every stage's ``grow_tree``.
 
 Without feature subsampling the result is bit-identical, up to the order
 of its nodes, to growing the same tree depth-first, one node at a time
@@ -69,10 +66,11 @@ reads. Node 0 is the root and ``feature == -1`` marks a leaf. Nodes are
 stored in level order, as they are grown: the root, then each level's
 nodes, a split's two children side by side in the order of their parents.
 So a tree of s splits has 2s + 1 nodes, and its k-th split's (0-based)
-children are nodes 1 + 2k and 2 + 2k: they follow from ``feature`` and are
-not stored. A model file holds an ensemble as one table (TABLE_FIELDS), each
-model field concatenated over the trees plus ``n_nodes``, each tree's node
-count, which ``trees_json`` writes and ``trees_from_json`` reads.
+children are nodes 1 + 2k and 2 + 2k: they follow from ``feature``
+(``_left_child``) and are not stored. A model file holds an ensemble as one
+table (TABLE_FIELDS), each model field concatenated over the trees plus
+``n_nodes``, each tree's node count, which ``trees_json`` writes and
+``trees_from_json`` reads.
 
 ``predict_trees`` walks every tree of an ensemble at once, as QuickScorer
 does (Lucchese et al., 2015): the trees are concatenated with per-tree
@@ -241,12 +239,9 @@ def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
     PREDICT_BLOCK, which bounds the size of the per-pair index arrays."""
     sizes = [len(tree["feature"]) for tree in trees]
     offset = np.cumsum(sizes) - sizes
-    feature, threshold, value = (
-        np.concatenate([tree[name] for tree in trees])
-        for name in ("feature", "threshold", "value"))
-    # the ensemble's k-th split, in tree t, has its left child at 2k + 1 + t
-    left = 2 * np.cumsum(feature >= 0) - 1 + np.repeat(np.arange(len(trees)),
-                                                       sizes)
+    feature, threshold, value = (np.concatenate([tree[name] for tree in trees])
+                                 for name in MODEL_FIELDS)
+    left = _left_child(feature >= 0, np.repeat(np.arange(len(trees)), sizes))
     n, d = X.shape
     out = np.empty((len(trees), n))
     for start in range(0, n, PREDICT_BLOCK):
@@ -266,6 +261,12 @@ def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
                                      > threshold[at])
         out[:, start:start + b] = value[node].reshape(len(trees), b)
     return out
+
+
+def _left_child(split: np.ndarray, tree: np.ndarray) -> np.ndarray:
+    """Each split's left child among an ensemble's nodes, from which nodes
+    split and each node's tree: the k-th split, in tree t, has 2k + 1 + t."""
+    return 2 * np.cumsum(split) - 1 + tree
 
 
 def trees_json(trees: list[dict]) -> Iterator[str]:
@@ -306,10 +307,6 @@ def trees_from_json(table, n_features: int) -> list[dict]:
     ``feature`` in [-1, n_features), the ``n_nodes`` positive and summing to
     that length, each tree of s splits 2s + 1 nodes, and each split before
     its children, so that every walk ends at a leaf."""
-    if isinstance(table, list) or isinstance(table, dict) and "gain" in table:
-        raise ValueError("'trees' is a table with 'n_samples' and 'gain' or a "
-                         "list of per-tree objects, the format of earlier "
-                         "versions; re-run `edbench train`")
     if not isinstance(table, dict) or sorted(table) != sorted(TABLE_FIELDS):
         raise ValueError(f"tree fields must be {', '.join(TABLE_FIELDS)}")
     columns = {}
@@ -340,8 +337,7 @@ def trees_from_json(table, n_features: int) -> list[dict]:
     if bad.any():
         raise ValueError(f"tree {bad.argmax()} does not have 2s + 1 nodes for "
                          "its s splits")
-    # each split's left child, as predict_trees derives it
-    bad = split & (2 * np.cumsum(split) - 1 + tree <= np.arange(size))
+    bad = split & (_left_child(split, tree) <= np.arange(size))
     if bad.any():
         raise ValueError(f"tree {tree[bad.argmax()]}: a split is not before "
                          "its children")

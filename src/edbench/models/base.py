@@ -9,9 +9,9 @@ Model files are compact JSON (sorted keys, no whitespace) and hold no
 wall-clock data, so repeated runs with the same seed produce byte-identical
 files. Tree models keep the node arrays prediction reads, per tree in
 memory and as one table per ensemble on disk (``_trees``); a forest adds
-the importance computed at fit. ``load_model`` checks every key a
-predictor reads, so a tampered file is a DataError rather than a crash or
-an endless walk.
+the importance computed at fit. ``load_model`` checks that a file holds
+what ``save_model`` writes, so a tampered file is a DataError rather than
+a crash or an endless walk.
 """
 
 from __future__ import annotations
@@ -55,17 +55,21 @@ _COUNTS = ("n_trees", "n_stages", "max_depth", "min_leaf", "hidden", "epochs",
            "batch_size")
 _POSITIVE = ("C", "learning_rate")
 
-# the params load_model checks besides the trees, per kind: arrays by shape
-# ("d" is the number of feature columns, "h" the MLP's hidden width, the
-# columns of W1), and the scalars that must be finite numbers
+# every param of each kind's fit besides a tree model's trees, by shape: ()
+# for a number, ("d",) for one per feature column; "h" is the MLP's hidden
+# width, the columns of W1, and a trace's length is free
 _PARAMS = {
-    "logistic": ({"weights": ("d",), "mean": ("d",), "std": ("d",)},
-                 ("bias",)),
-    "random_forest": ({"importance": ("d",)}, ()),
-    "boosting": ({}, ("base_score", "learning_rate")),
-    "mlp": ({"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "mean": ("d",),
-             "std": ("d",)}, ("b2",)),
+    "logistic": {"weights": ("d",), "bias": (), "mean": ("d",), "std": ("d",),
+                 "final_loss": (), "n_iter": ()},
+    "random_forest": {"importance": ("d",)},
+    "boosting": {"base_score": (), "train_deviance": ("stages",)},
+    "mlp": {"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "b2": (),
+            "mean": ("d",), "std": ("d",), "epoch_loss": ("epochs",)},
 }
+# params only tree model files of earlier versions hold: a forest's tree and
+# column counts, and the learning rate a boosting model's leaves lacked
+_EARLIER = {"random_forest": ("n_trees", "n_features"),
+            "boosting": ("learning_rate",)}
 
 DISPLAY_NAMES = {
     "logistic": "LR",
@@ -216,6 +220,19 @@ def load_model(path) -> TrainedModel:
     for key, known in (("task", list(TASKS)), ("time_point", TIME_POINTS)):
         if obj[key] not in known:
             raise DataError(f"{path}: unknown {key!r}: {obj[key]!r}")
+    seed, hyper = obj["seed"], obj["hyperparams"]
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise DataError(f"{path}: 'seed' must be an integer >= 0, got {seed!r}")
+    if not isinstance(hyper, dict):
+        raise DataError(f"{path}: 'hyperparams' must be an object")
+    try:
+        resolved = resolve_hyperparams(kind, hyper)
+    except (ConfigError, TypeError, ValueError) as exc:  # float() of a str
+        raise DataError(f"{path}: 'hyperparams': {exc}") from None
+    for key, value in resolved.items():     # as train_model resolved them
+        if type(hyper.get(key)) is not type(value):
+            raise DataError(f"{path}: 'hyperparams' must hold {key!r} as "
+                            f"{type(value).__name__}")
     try:
         _check_params(kind, obj["params"], len(columns))
     except ValueError as exc:
@@ -223,45 +240,44 @@ def load_model(path) -> TrainedModel:
     return TrainedModel(**obj)
 
 
-def _finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _check_params(kind: str, params, n_columns: int) -> None:
-    """Raise ValueError, naming the parameter, unless ``params`` hold a
-    tree model's valid table (first, to name an earlier layout; made its
-    trees in place) and any ``constant`` in [0, 1], what ``_PARAMS`` asks
-    for ``n_columns`` inputs, and a forest's ``n_features == n_columns``."""
-    arrays, scalars = _PARAMS[kind]
+    """Raise ValueError, naming the param, unless ``params`` hold no
+    ``_EARLIER`` key (checked first), then a tree model's valid table of at
+    least one tree (made its trees in place) and exactly what ``_PARAMS``
+    asks for ``n_columns`` inputs, or a one-class boosting fit's ``constant``
+    in [0, 1] alone."""
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
-    if kind in ("random_forest", "boosting"):
+    earlier = [name for name in _EARLIER.get(kind, ()) if name in params]
+    if earlier:
+        raise ValueError(f"param {earlier[0]!r} marks a {kind} file in the "
+                         "format of earlier versions; re-run `edbench train`")
+    one_class = kind == "boosting" and "constant" in params
+    shapes = {"constant": ()} if one_class else _PARAMS[kind]
+    trees = kind in ("random_forest", "boosting") and not one_class
+    if trees:
         params["trees"] = trees_from_json(params.get("trees"), n_columns)
-        if "constant" in params:
-            # a one-class fit's pos / n
-            value = params["constant"]
-            if not (_finite_number(value) and 0 <= value <= 1):
-                raise ValueError("param 'constant' must be a number in [0, 1]")
-        elif not params["trees"]:
+        if not params["trees"]:
             raise ValueError("model file holds no trees")
     sizes = {"d": n_columns}
-    for name, shape in arrays.items():
+    for name, shape in shapes.items():
         try:
             value = np.asarray(params.get(name))
         except ValueError:                  # ragged nesting
             value = np.empty(0, dtype=object)
-        if value.dtype.kind not in "if" or value.ndim != len(shape):
-            raise ValueError(f"param {name!r} must be a "
-                             f"{len(shape)}-D array of numbers")
-        for axis, size in zip(shape, value.shape):
-            sizes.setdefault(axis, size)
-        expected = tuple(sizes[axis] for axis in shape)
+        if (value.dtype.kind not in "if" or value.ndim != len(shape)
+                or not np.isfinite(value).all()):
+            raise ValueError(f"param {name!r} must be a " + (
+                f"{len(shape)}-D array of finite numbers" if shape
+                else "finite number"))
+        expected = tuple(sizes.setdefault(axis, size)
+                         for axis, size in zip(shape, value.shape))
         if value.shape != expected:
             raise ValueError(f"param {name!r} has shape {value.shape}, "
                              f"expected {expected}")
-    for name in scalars:
-        if not _finite_number(params.get(name)):
-            raise ValueError(f"param {name!r} must be a finite number")
-    if kind == "random_forest" and params.get("n_features") != n_columns:
-        raise ValueError(f"param 'n_features' must be {n_columns}")
+    if one_class and not 0 <= params["constant"] <= 1:
+        raise ValueError("param 'constant' must be a number in [0, 1]")
+    unknown = params.keys() - {*shapes, *(["trees"] if trees else [])}
+    if unknown:
+        raise ValueError(f"a {'one-class boosting' if one_class else kind} "
+                         f"model holds no param {min(unknown)!r}")

@@ -4,12 +4,13 @@ Stagewise additive logistic boosting: the score starts at the base-rate
 log-odds and each stage fits a shallow regression tree to the current
 residuals ``y - p``, with leaf values set by a single Newton step
 (sum of residuals over sum of ``p (1 - p)``) scaled by the learning
-rate. Training records the deviance after every stage; on the training
-set the sequence must never increase, which the test suite checks.
-Every stage's tree grows on all rows, so the fit owns their level-0
-histogram layout: it builds it once and hands it to each stage.
-Prediction walks every stage's tree (its ``MODEL_FIELDS``) at once with
-``predict_trees`` and adds the leaf values in stage order, as training did.
+rate, and stored so scaled, as in XGBoost. Training records the deviance
+after every stage; on the training set the sequence must never increase,
+which the test suite checks. Every stage's tree grows on all rows, so the
+fit owns their level-0 histogram layout: it builds it once and hands it to
+each stage. Prediction walks every stage's tree (its ``MODEL_FIELDS``) at
+once with ``predict_trees`` and adds the leaves in stage order, as training
+did. A fit on one class stores only that class's rate, ``constant``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
     if pos == 0.0 or pos == n:
         warnings.warn("training labels are all one class; fitting a constant",
                       DegenerateLabels)
-        return {
-            "constant": pos / n,
-            "base_score": 0.0,
-            "learning_rate": learning_rate,
-            "trees": [],
-            "train_deviance": [],
-        }
+        return {"constant": pos / n}
 
     binned = bin_features(X)
     base = float(np.log(pos / (n - pos)))
@@ -63,17 +58,17 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         hess = p * (1.0 - p)
         tree = grow_tree(binned, idx, resid, max_depth=max_depth, root=root,
                          min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess)
-        F = F + learning_rate * predict_trees([tree], X)[0]
+        trees.append({name: tree[name] for name in MODEL_FIELDS})
+        trees[-1]["value"] = learning_rate * tree["value"]
+        F = F + predict_trees(trees[-1:], X)[0]
         dev = _deviance(F, y)
         if not np.isfinite(dev):
             raise NonFiniteLoss(f"boosting: non-finite deviance at stage {stage}")
         deviance.append(dev)
-        trees.append({name: tree[name] for name in MODEL_FIELDS})
     logger.info("boosting: %d stages, deviance %.6f -> %.6f",
                 n_stages, deviance[0], deviance[-1])
     return {
         "base_score": base,
-        "learning_rate": learning_rate,
         "trees": trees,
         "train_deviance": deviance,
     }
@@ -83,7 +78,6 @@ def predict_boosting(params: dict, X: np.ndarray) -> np.ndarray:
     if "constant" in params:
         return np.full(X.shape[0], float(params["constant"]))
     F = np.full(X.shape[0], float(params["base_score"]))
-    lr = float(params["learning_rate"])
     for leaf in predict_trees(params["trees"], X):
-        F += lr * leaf
+        F += leaf
     return sigmoid(F)

@@ -12,9 +12,10 @@ features per node; see ``_trees``), in seed order; since each tree draws
 only from its own generator, a tree comes out the same whatever pass it
 is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
-whole ensemble. ``params["trees"]`` holds each tree's ``MODEL_FIELDS``
-arrays, and ``params["importance"]`` the variable importance, which the
-fit computes from the grown trees' row counts and gains (``_trees``).
+whole ensemble. ``params`` holds ``trees``, each tree's ``MODEL_FIELDS``
+arrays, and ``importance``, computed at fit from the grown trees' row
+counts and gains (``_trees``). On one-class labels no root opens: every
+tree is one leaf worth that class, 0.0 or 1.0, and every importance 0.0.
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
         raise DataError("random forest: non-finite feature values")
     y = y.astype(np.float64)
     n, d = X.shape
-    pos = float(y.sum())
-    if pos == 0.0 or pos == n:
-        warnings.warn("training labels are all one class; fitting a constant",
-                      DegenerateLabels)
-        return {"constant": pos / n, "n_trees": 0, "n_features": d,
-                "trees": [], "importance": [0.0] * d}
-
+    if y.min() == y.max():
+        warnings.warn("training labels are all one class", DegenerateLabels)
     binned = bin_features(X)
     features_per_node = int(math.ceil(math.sqrt(d)))
     children = np.random.SeedSequence(seed).spawn(n_trees)
@@ -62,15 +58,12 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
                             min_leaf=min_leaf,
                             features_per_node=features_per_node, rngs=rngs)
     logger.info("forest: %d trees on %d rows x %d features", n_trees, n, d)
-    return {"n_trees": n_trees, "n_features": d,
-            "trees": [{name: tree[name] for name in MODEL_FIELDS}
+    return {"trees": [{name: tree[name] for name in MODEL_FIELDS}
                       for tree in trees],
             "importance": forest_importance(trees, d).tolist()}
 
 
 def predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
-    if "constant" in params:
-        return np.full(X.shape[0], float(params["constant"]))
     acc = np.zeros(X.shape[0])
     for leaf in predict_trees(params["trees"], X):
         acc += leaf

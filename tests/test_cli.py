@@ -281,15 +281,19 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
         table = payload["params"]["trees"]
         table[field] = change(table[field], table["n_nodes"][0])
         cases[name] = (json.dumps(payload), 3, f"{name}: {message}")
-    # a tree model's constant is a one-class fit's pos / n
-    for name, kind, value in (("constant_text.json", "random_forest", "x"),
-                              ("constant_bool.json", "boosting", True),
-                              ("constant_nan.json", "random_forest", math.nan),
-                              ("constant_high.json", "boosting", 1.5)):
+    # a boosting model's constant is a one-class fit's pos / n; a forest has
+    # none
+    for name, kind, value, message in (
+            ("constant_text.json", "random_forest", "x",
+             "a random_forest model holds no param 'constant'"),
+            ("constant_bool.json", "boosting", True, "param 'constant'"),
+            ("constant_nan.json", "random_forest", math.nan,
+             "a random_forest model holds no param 'constant'"),
+            ("constant_high.json", "boosting", 1.5, "param 'constant'")):
         payload = json.loads(
             (run_all / "out" / "models" / f"critical_triage_{kind}.json").read_text())
         payload["params"]["constant"] = value
-        cases[name] = (json.dumps(payload), 3, f"{name}: param 'constant'")
+        cases[name] = (json.dumps(payload), 3, f"{name}: {message}")
     for name, (body, code, message) in cases.items():
         (tmp_path / name).write_text(body)
         caplog.clear()
@@ -298,6 +302,62 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
                        "--output", str(tmp_path / "preds.csv")])
         assert rc == code, name
         assert message in caplog.text, name
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def _old_boosting_params(m):
+    # the keys earlier versions wrote, their leaves not yet shrunk
+    m["params"]["learning_rate"] = m["hyperparams"]["learning_rate"]
+
+
+def _old_forest_params(m):
+    m["params"].update(n_trees=m["hyperparams"]["n_trees"],
+                       n_features=len(m["columns"]))
+
+
+def _old_one_class_boosting_params(m):
+    m["params"] = {"constant": 0.0, "base_score": 0.0, "learning_rate": 0.1,
+                   "trees": dict.fromkeys(("feature", "n_nodes", "threshold",
+                                           "value"), []),
+                   "train_deviance": []}
+
+
+_EARLIER = "marks a {} file in the format of earlier versions; re-run " \
+           "`edbench train`"
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("boosting", _old_boosting_params, "param 'learning_rate' "
+     + _EARLIER.format("boosting")),
+    ("random_forest", _old_forest_params, "param 'n_trees' "
+     + _EARLIER.format("random_forest")),
+    ("boosting", _old_one_class_boosting_params, "param 'learning_rate' "
+     + _EARLIER.format("boosting")),
+    # a one-class boosting fit's constant stands alone
+    ("boosting", lambda m: m.update(params={"constant": 0.0, "base_score": 0.0}),
+     "a one-class boosting model holds no param 'base_score'"),
+    ("boosting", lambda m: m["params"].update(constant=0.5),
+     "a one-class boosting model holds no param 'base_score'"),
+    ("random_forest", lambda m: m.update(hyperparams={"n_trees": -5,
+                                                      "bogus": 1}),
+     "'hyperparams': random_forest: n_trees must be >= 1, got -5"),
+    ("logistic", lambda m: m.update(seed="nope"),
+     "'seed' must be an integer >= 0, got 'nope'"),
+], ids=["earlier_boosting", "earlier_forest", "earlier_one_class_boosting",
+        "constant_beside_base_score", "constant_in_full_boosting",
+        "bad_hyperparams", "bad_seed"])
+def test_predict_rejects_fields_no_fit_writes(run_all, tmp_path, caplog, kind,
+                                              change, message):
+    payload = json.loads(
+        (run_all / "out" / "models" / f"critical_triage_{kind}.json").read_text())
+    change(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    rc = cli.main(["predict", "--model-file", str(path),
+                   "--input", str(run_all / "out" / "test.csv"),
+                   "--output", str(tmp_path / "preds.csv")])
+    assert rc == 3
+    assert f"{path}: {message}" in caplog.text
     assert not (tmp_path / "preds.csv").exists()
 
 

@@ -212,15 +212,19 @@ def _spy(module, grower):
         yield grown
 
 
-def _assert_model_trees(params, grown):
+def _assert_model_trees(params, grown, learning_rate=None):
     """A fit's ``params`` hold the trees it grew, less ``n_samples`` and
-    ``gain``: each the same arrays on MODEL_FIELDS."""
+    ``gain``: each the same arrays on MODEL_FIELDS, a boosting fit's
+    ``value`` times its ``learning_rate``."""
     assert len(params["trees"]) == len(grown)
     for kept, tree in zip(params["trees"], grown):
         assert list(kept) == list(MODEL_FIELDS)
         for name in MODEL_FIELDS:
-            assert kept[name].dtype == tree[name].dtype, name
-            assert np.array_equal(kept[name], tree[name]), name
+            expected = tree[name]
+            if name == "value" and learning_rate is not None:
+                expected = learning_rate * expected
+            assert kept[name].dtype == expected.dtype, name
+            assert np.array_equal(kept[name], expected), name
 
 
 def _grown_trees(variant, X, y, max_depth, min_leaf):
@@ -239,7 +243,7 @@ def _grown_trees(variant, X, y, max_depth, min_leaf):
         with _spy(boosting, "grow_tree") as grown:
             params = fit_boosting(X, y, n_stages=3, max_depth=max_depth,
                                   min_leaf=min_leaf)
-        _assert_model_trees(params, grown)
+        _assert_model_trees(params, grown, learning_rate=0.1)
         return [(tree, rows) for tree in grown]
     binned = bin_features(X)
     if variant == "tree":
@@ -452,9 +456,10 @@ def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(boosting, "grow_tree", oracle)
             reference = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
-        _assert_model_trees(params, grown)
+        _assert_model_trees(params, grown, learning_rate=0.1)
         _assert_model_trees(reference, [_oracle_arrays(old)
-                                        for old in oracle_trees])
+                                        for old in oracle_trees],
+                            learning_rate=0.1)
         params.pop("trees")
         assert reference.pop("trees") and params == reference
         assert len(grown) == len(oracle_trees) == 15
@@ -597,8 +602,6 @@ def _walk(tree, x):
 
 
 def _sequential_forest(params, X):
-    if "constant" in params:
-        return np.full(len(X), float(params["constant"]))
     acc = np.zeros(len(X))
     for tree in params["trees"]:
         acc += np.array([_walk(tree, x) for x in X])
@@ -610,7 +613,8 @@ def _sequential_boosting(params, X):
         return np.full(len(X), float(params["constant"]))
     F = np.full(len(X), float(params["base_score"]))
     for tree in params["trees"]:
-        F += params["learning_rate"] * np.array([_walk(tree, x) for x in X])
+        # leaves stored already shrunk by the learning rate
+        F += np.array([_walk(tree, x) for x in X])
     return sigmoid(F)
 
 
@@ -631,15 +635,16 @@ def test_ensemble_prediction_equals_sequential_walk(data, depths, block,
         # one tree per drawn depth, so the ensembles mix depths
         binned, rows = bin_features(X), np.arange(len(y))
         rng = np.random.default_rng(len(y))
-        forest = {"n_trees": len(depths), "n_features": X.shape[1],
-                  "trees": [grow_tree(binned, rng.integers(0, len(y), len(y)),
+        forest = {"trees": [grow_tree(binned, rng.integers(0, len(y), len(y)),
                                       y, max_depth=depth) for depth in depths]}
         resid = y - y.mean()
         hess = np.full(len(y), y.mean() * (1.0 - y.mean()))
-        boost = {"base_score": 0.25, "learning_rate": 0.3,
-                 "trees": [grow_tree(binned, rows, resid, max_depth=depth,
-                                     leaf_grad=resid, leaf_hess=hess)
-                           for depth in depths]}
+        stages = [grow_tree(binned, rows, resid, max_depth=depth,
+                            leaf_grad=resid, leaf_hess=hess) for depth in depths]
+        # each stage's Newton leaves shrunk by a learning rate of 0.3
+        boost = {"base_score": 0.25,
+                 "trees": [{**tree, "value": 0.3 * tree["value"]}
+                           for tree in stages]}
     with mock.patch.object(_trees, "PREDICT_BLOCK", block):
         assert np.array_equal(predict_forest(forest, X),
                               _sequential_forest(forest, X))
@@ -715,6 +720,28 @@ def test_forest_one_class_degenerates_to_constant():
     with pytest.warns(DegenerateLabels):
         params = fit_forest(X, np.zeros(40), n_trees=3, seed=0)
     assert np.all(predict_forest(params, X) == 0.0)
+
+
+def test_one_class_forest_is_one_leaf_trees(tmp_path):
+    matrix = _matrix()
+    one_class = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
+    path, again = tmp_path / "rf.json", tmp_path / "again.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = train_model(one_class, "random_forest", n_trees=4)
+        save_model(model, path)
+        loaded = load_model(path)
+        probs = predict_proba(loaded, one_class)
+    assert {w.category for w in caught} == {DegenerateLabels}
+    assert sorted(model.params) == ["importance", "trees"]
+    one_leaf = {"feature": [-1], "threshold": [0.0], "value": [0.0]}
+    for trees in (model.params["trees"], loaded.params["trees"]):
+        assert [{name: tree[name].tolist() for name in MODEL_FIELDS}
+                for tree in trees] == [one_leaf] * 4
+    assert loaded.params["importance"] == [0.0, 0.0]
+    assert np.all(probs == 0.0)
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_forest_importance_ranks_signal_feature():
@@ -920,7 +947,9 @@ def test_train_save_load_round_trip(kind, tmp_path):
 def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     # earlier versions wrote a list of per-tree objects with a stored left
     # child, in level order and, before that, in depth-first order; then one
-    # table of the five grown fields, and a forest without its importance
+    # table of the five grown fields, and a forest without its importance.
+    # Each of them wrote a boosting model's learning rate and a forest's tree
+    # and column counts in its params.
     X, y = _toy(n=300, seed=15, noise=1.0)
     matrix = FeatureMatrix(X=X, y=y > 0, columns=[f"c{j}" for j in range(6)],
                            task="hospitalization", time_point="triage",
@@ -946,25 +975,27 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
+    payload["params"]["learning_rate"] = 0.1
+    earlier = ("marks a {} file in the format of earlier versions; re-run "
+               "`edbench train`")
     for trees in (level_order, depth_first_trees):
         payload["params"]["trees"] = trees
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="list of per-tree objects, the "
-                           "format of earlier versions; re-run `edbench "
-                           "train`") as exc:
+        with pytest.raises(DataError, match="param 'learning_rate' "
+                           + earlier.format("boosting")) as exc:
             load_model(path)
         assert exc.value.exit_code == 3
     rf_path = tmp_path / "rf.json"
     save_model(rf, rf_path)
     rf_payload = json.loads(rf_path.read_text())
     del rf_payload["params"]["importance"]
-    for payload, trees in ((payload, grown), (rf_payload, grown_rf)):
+    rf_payload["params"].update(n_trees=3, n_features=6)
+    for payload, trees, param in ((payload, grown, "learning_rate"),
+                                  (rf_payload, grown_rf, "n_trees")):
         payload["params"]["trees"] = _table(trees, TREE_FIELDS)
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="'trees' is a table with "
-                           "'n_samples' and 'gain' or a list of per-tree "
-                           "objects, the format of earlier versions; re-run "
-                           "`edbench train`") as exc:
+        message = f"param '{param}' " + earlier.format(payload["kind"])
+        with pytest.raises(DataError, match=message) as exc:
             load_model(path)
         assert exc.value.exit_code == 3
 
@@ -1059,8 +1090,24 @@ def test_load_model_rejects_malformed_trees(field, change, message, tmp_path):
     ("logistic", "kind", lambda m: m.update(kind=["logistic"])),
     ("logistic", "fingerprint", lambda m: m.update(fingerprint="0" * 64)),
     ("boosting", "base_score", lambda m: m["params"].update(base_score="x")),
-    ("boosting", "learning_rate", lambda m: m["params"].pop("learning_rate")),
+    # params a fit does not return
+    ("boosting", "learning_rate",
+     lambda m: m["params"].update(learning_rate=0.1)),
     ("random_forest", "n_features", lambda m: m["params"].update(n_features=3)),
+    ("random_forest", "constant", lambda m: m["params"].update(constant=0.5)),
+    ("mlp", "trees", lambda m: m["params"].update(trees=[])),
+    # hyperparameters as resolve_hyperparams leaves them, and the seed
+    ("logistic", "C", lambda m: m["hyperparams"].update(C=1)),
+    ("boosting", "min_leaf", lambda m: m["hyperparams"].pop("min_leaf")),
+    ("random_forest", "max_depth",
+     lambda m: m["hyperparams"].update(max_depth=True)),
+    ("mlp", "hyperparams", lambda m: m["hyperparams"].update(hidden=0)),
+    ("mlp", "hyperparams", lambda m: m.update(hyperparams=[])),
+    ("logistic", "hyperparams", lambda m: m["hyperparams"].update(C="x")),
+    ("boosting", "hyperparams",
+     lambda m: m["hyperparams"].update(learning_rate=None)),
+    ("logistic", "seed", lambda m: m.update(seed=-1)),
+    ("mlp", "seed", lambda m: m.update(seed=1.0)),
     ("random_forest", "importance", lambda m: m["params"].pop("importance")),
     ("logistic", "task", lambda m: m.update(task="nope")),
     ("logistic", "time_point", lambda m: m.update(time_point="nope")),
@@ -1078,19 +1125,19 @@ def test_load_model_rejects_malformed_fields(kind, key, change, tmp_path):
 
 
 def test_load_model_rejects_tree_model_without_trees(tmp_path):
-    # a one-class fit writes an empty table beside its constant, and loads
+    # a one-class boosting fit holds its constant alone, and loads
     matrix = _matrix()
-    matrix = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
+    one_class = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
     path = tmp_path / "model.json"
+    with pytest.warns(DegenerateLabels):
+        save_model(train_model(one_class, "boosting"), path)
+    assert json.loads(path.read_text())["params"] == {"constant": 0.0}
+    assert np.all(predict_proba(load_model(path), one_class) == 0.0)
+    # any other tree model needs a tree
     for kind in ("random_forest", "boosting"):
-        with pytest.warns(DegenerateLabels):
-            save_model(train_model(matrix, kind), path)
+        save_model(train_model(matrix, kind), path)
         payload = json.loads(path.read_text())
-        assert payload["params"]["trees"] == dict.fromkeys(TABLE_FIELDS, [])
-        loaded = load_model(path)
-        assert loaded.params["trees"] == []
-        assert np.all(predict_proba(loaded, matrix) == 0.0)
-        del payload["params"]["constant"]
+        payload["params"]["trees"] = dict.fromkeys(TABLE_FIELDS, [])
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="no trees"):
             load_model(path)
