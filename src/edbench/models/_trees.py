@@ -62,15 +62,15 @@ exact.
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
 TREE_FIELDS, in the manner of scikit-learn's parallel-array ``Tree``
 (Pedregosa et al., 2011); a model keeps MODEL_FIELDS, what ``predict_trees``
-reads. Node 0 is the root and ``feature == -1`` marks a leaf. Nodes are
-stored in level order, as they are grown: the root, then each level's
-nodes, a split's two children side by side in the order of their parents.
-So a tree of s splits has 2s + 1 nodes, and its k-th split's (0-based)
-children are nodes 1 + 2k and 2 + 2k: they follow from ``feature``
+reads. Node 0 is the root and ``feature == -1`` marks a leaf; a node's one
+float, ``threshold_or_value``, is a split's threshold or a leaf's value, as
+in XGBoost's ``split_conditions``. Nodes are in level order, as grown: the
+root, then each level's nodes, a split's children side by side in the order
+of their parents. So a tree of s splits has 2s + 1 nodes, and its k-th
+split's (0-based) children, nodes 1 + 2k and 2 + 2k, follow from ``feature``
 (``_left_child``) and are not stored. A model file holds an ensemble as one
-table (TABLE_FIELDS), each model field concatenated over the trees plus
-``n_nodes``, each tree's node count, which ``trees_json`` writes and
-``trees_from_json`` reads.
+table (TABLE_FIELDS): each model field concatenated over the trees, and
+``n_nodes``, each tree's node count (``trees_json``, ``trees_from_json``).
 
 ``predict_trees`` walks every tree of an ensemble at once, as QuickScorer
 does (Lucchese et al., 2015): the trees are concatenated with per-tree
@@ -226,8 +226,8 @@ def bin_features(X: np.ndarray) -> BinnedFeatures:
     return BinnedFeatures(codes=codes, thresholds=thresholds)
 
 
-TREE_FIELDS = ("feature", "threshold", "value", "n_samples", "gain")
-MODEL_FIELDS = ("feature", "threshold", "value")
+TREE_FIELDS = ("feature", "threshold_or_value", "n_samples", "gain")
+MODEL_FIELDS = ("feature", "threshold_or_value")
 TABLE_FIELDS = (*MODEL_FIELDS, "n_nodes")
 
 PREDICT_BLOCK = 2048    # rows per block in predict_trees
@@ -235,12 +235,12 @@ PREDICT_BLOCK = 2048    # rows per block in predict_trees
 
 def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
     """Leaf value each tree gives each row of ``X``, as a (trees, rows)
-    array; ``x <= threshold`` goes left. Rows are walked in blocks of
-    PREDICT_BLOCK, which bounds the size of the per-pair index arrays."""
+    array; ``x <= threshold_or_value`` goes left. Rows are walked in blocks
+    of PREDICT_BLOCK, which bounds the size of the per-pair index arrays."""
     sizes = [len(tree["feature"]) for tree in trees]
     offset = np.cumsum(sizes) - sizes
-    feature, threshold, value = (np.concatenate([tree[name] for tree in trees])
-                                 for name in MODEL_FIELDS)
+    feature, number = (np.concatenate([tree[name] for tree in trees])
+                       for name in MODEL_FIELDS)
     left = _left_child(feature >= 0, np.repeat(np.arange(len(trees)), sizes))
     n, d = X.shape
     out = np.empty((len(trees), n))
@@ -258,8 +258,8 @@ def predict_trees(trees: list[dict], X: np.ndarray) -> np.ndarray:
                 break
             at = node[walk]
             node[walk] = left[at] + (flat[cell[walk] + feat[inner]]
-                                     > threshold[at])
-        out[:, start:start + b] = value[node].reshape(len(trees), b)
+                                     > number[at])
+        out[:, start:start + b] = number[node].reshape(len(trees), b)
     return out
 
 
@@ -302,11 +302,16 @@ def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
 
 def trees_from_json(table, n_features: int) -> list[dict]:
     """The trees of a model file's table. Raises ValueError, saying what is
-    wrong, unless its fields are TABLE_FIELDS, each a list of numbers, of
-    integers where they must be, the node fields of equal length, each
-    ``feature`` in [-1, n_features), the ``n_nodes`` positive and summing to
-    that length, each tree of s splits 2s + 1 nodes, and each split before
-    its children, so that every walk ends at a leaf."""
+    wrong, unless its fields are TABLE_FIELDS (``threshold`` and ``value``
+    mark the two-float layout of earlier versions), each a list of numbers,
+    of integers where they must be, the node fields of equal length, each
+    ``threshold_or_value`` finite, each ``feature`` in [-1, n_features), the
+    ``n_nodes`` positive and summing to that length, each tree of s splits
+    2s + 1 nodes, and each split before its children, so that every walk
+    ends at a leaf."""
+    if isinstance(table, dict) and {"threshold", "value"} & table.keys():
+        raise ValueError("'threshold' and 'value' mark a tree table in the "
+                         "format of earlier versions; re-run `edbench train`")
     if not isinstance(table, dict) or sorted(table) != sorted(TABLE_FIELDS):
         raise ValueError(f"tree fields must be {', '.join(TABLE_FIELDS)}")
     columns = {}
@@ -326,6 +331,8 @@ def trees_from_json(table, n_features: int) -> list[dict]:
     size = feature.size
     if any(columns[name].size != size for name in MODEL_FIELDS):
         raise ValueError("node fields must be of equal length")
+    if not np.isfinite(columns["threshold_or_value"]).all():
+        raise ValueError("'threshold_or_value' must hold finite numbers")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"'feature' must lie in [-1, {n_features})")
     if ((n_nodes < 1) | (n_nodes > size)).any() or n_nodes.sum() != size:
@@ -423,9 +430,8 @@ def grow_trees(
     levels = []
     for depth in itertools.count():
         m = count.size
-        level = {"feature": np.full(m, -1), "threshold": np.zeros(m),
-                 "value": value, "n_samples": count, "gain": np.zeros(m),
-                 "tree": tree}
+        level = {"feature": np.full(m, -1), "threshold_or_value": value,
+                 "n_samples": count, "gain": np.zeros(m), "tree": tree}
         levels.append(level)
         is_open = count >= 2 * min_leaf
         if classification:
@@ -460,7 +466,8 @@ def grow_trees(
         node = 2 * r + (codes[rows, feat[r]] > cut[r])
 
         level["feature"][ids] = feat
-        level["threshold"][ids] = binned.edges[binned.edge_start[feat] + cut]
+        level["threshold_or_value"][ids] = binned.edges[
+            binned.edge_start[feat] + cut]
         level["gain"][ids] = gain
         tree = np.repeat(tree[ids], 2)
         # left, right per split

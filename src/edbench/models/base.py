@@ -7,11 +7,12 @@ mistake of scoring disposition-time features with a triage-time model.
 
 Model files are compact JSON (sorted keys, no whitespace) and hold no
 wall-clock data, so repeated runs with the same seed produce byte-identical
-files. Tree models keep the node arrays prediction reads, per tree in
-memory and as one table per ensemble on disk (``_trees``); a forest adds
-the importance computed at fit. ``load_model`` checks that a file holds
-what ``save_model`` writes, so a tampered file is a DataError rather than
-a crash or an endless walk.
+files. Tree models keep the node arrays prediction reads, a feature and
+one float per node, per tree in memory and as one table per ensemble on
+disk (``_trees``); a forest adds the importance computed at fit.
+``load_model`` checks that a file holds what ``save_model`` writes, finite
+and in the counts its hyperparameters give, so a tampered file is a
+DataError rather than a crash, an endless walk or NaN probabilities.
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ _POSITIVE = ("C", "learning_rate")
 
 # every param of each kind's fit besides a tree model's trees, by shape: ()
 # for a number, ("d",) for one per feature column; "h" is the MLP's hidden
-# width, the columns of W1, and a trace's length is free
+# width, the columns of W1, boosting's deviance trace holds n_stages + 1
+# entries, and the others' length is free
 _PARAMS = {
     "logistic": {"weights": ("d",), "bias": (), "mean": ("d",), "std": ("d",),
                  "final_loss": (), "n_iter": ()},
     "random_forest": {"importance": ("d",)},
-    "boosting": {"base_score": (), "train_deviance": ("stages",)},
+    "boosting": {"base_score": (), "train_deviance": ("n_stages + 1",)},
     "mlp": {"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "b2": (),
             "mean": ("d",), "std": ("d",), "epoch_loss": ("epochs",)},
 }
@@ -70,6 +72,8 @@ _PARAMS = {
 # column counts, and the learning rate a boosting model's leaves lacked
 _EARLIER = {"random_forest": ("n_trees", "n_features"),
             "boosting": ("learning_rate",)}
+# the hyperparameter a tree model's tree count must equal
+_TREE_COUNT = {"random_forest": "n_trees", "boosting": "n_stages"}
 
 DISPLAY_NAMES = {
     "logistic": "LR",
@@ -234,18 +238,18 @@ def load_model(path) -> TrainedModel:
             raise DataError(f"{path}: 'hyperparams' must hold {key!r} as "
                             f"{type(value).__name__}")
     try:
-        _check_params(kind, obj["params"], len(columns))
+        _check_params(kind, obj["params"], resolved, len(columns))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     return TrainedModel(**obj)
 
 
-def _check_params(kind: str, params, n_columns: int) -> None:
+def _check_params(kind: str, params, hyper: dict, n_columns: int) -> None:
     """Raise ValueError, naming the param, unless ``params`` hold no
-    ``_EARLIER`` key (checked first), then a tree model's valid table of at
-    least one tree (made its trees in place) and exactly what ``_PARAMS``
-    asks for ``n_columns`` inputs, or a one-class boosting fit's ``constant``
-    in [0, 1] alone."""
+    ``_EARLIER`` key (checked first), then a tree model's valid table of as
+    many trees as ``hyper`` says (made its trees in place) and exactly what
+    ``_PARAMS`` asks for ``n_columns`` inputs, or a one-class boosting fit's
+    ``constant`` in [0, 1] alone."""
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
     earlier = [name for name in _EARLIER.get(kind, ()) if name in params]
@@ -254,12 +258,14 @@ def _check_params(kind: str, params, n_columns: int) -> None:
                          "format of earlier versions; re-run `edbench train`")
     one_class = kind == "boosting" and "constant" in params
     shapes = {"constant": ()} if one_class else _PARAMS[kind]
-    trees = kind in ("random_forest", "boosting") and not one_class
+    trees = kind in _TREE_COUNT and not one_class
     if trees:
         params["trees"] = trees_from_json(params.get("trees"), n_columns)
-        if not params["trees"]:
-            raise ValueError("model file holds no trees")
-    sizes = {"d": n_columns}
+        count = _TREE_COUNT[kind]
+        if len(params["trees"]) != hyper[count]:
+            raise ValueError(f"'trees' holds {len(params['trees'])} trees, "
+                             f"but 'hyperparams' {count!r} is {hyper[count]}")
+    sizes = {"d": n_columns, "n_stages + 1": hyper.get("n_stages", 0) + 1}
     for name, shape in shapes.items():
         try:
             value = np.asarray(params.get(name))

@@ -2,15 +2,15 @@
 
 Stagewise additive logistic boosting: the score starts at the base-rate
 log-odds and each stage fits a shallow regression tree to the current
-residuals ``y - p``, with leaf values set by a single Newton step
-(sum of residuals over sum of ``p (1 - p)``) scaled by the learning
-rate, and stored so scaled, as in XGBoost. Training records the deviance
-after every stage; on the training set the sequence must never increase,
-which the test suite checks. Every stage's tree grows on all rows, so the
-fit owns their level-0 histogram layout: it builds it once and hands it to
-each stage. Prediction walks every stage's tree (its ``MODEL_FIELDS``) at
-once with ``predict_trees`` and adds the leaves in stage order, as training
-did. A fit on one class stores only that class's rate, ``constant``.
+residuals ``y - p``, with leaf values set by a single Newton step (sum of
+residuals over sum of ``p (1 - p)``) scaled by the learning rate, and
+stored so scaled in the leaves' ``threshold_or_value``, as in XGBoost.
+Training records the deviance after every stage; on the training set it
+must never increase, which the test suite checks. Every stage's tree grows
+on all rows, so the fit builds their level-0 histogram layout once and
+hands it to each stage. Prediction walks every stage's tree at once with
+``predict_trees`` and adds the leaves in stage order, as training did. A
+fit on one class stores only that class's rate, ``constant``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         hess = p * (1.0 - p)
         tree = grow_tree(binned, idx, resid, max_depth=max_depth, root=root,
                          min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess)
+        tree["threshold_or_value"][tree["feature"] < 0] *= learning_rate
         trees.append({name: tree[name] for name in MODEL_FIELDS})
-        trees[-1]["value"] = learning_rate * tree["value"]
         F = F + predict_trees(trees[-1:], X)[0]
         dev = _deviance(F, y)
         if not np.isfinite(dev):

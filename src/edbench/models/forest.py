@@ -12,10 +12,10 @@ features per node; see ``_trees``), in seed order; since each tree draws
 only from its own generator, a tree comes out the same whatever pass it
 is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
-whole ensemble. ``params`` holds ``trees``, each tree's ``MODEL_FIELDS``
-arrays, and ``importance``, computed at fit from the grown trees' row
-counts and gains (``_trees``). On one-class labels no root opens: every
-tree is one leaf worth that class, 0.0 or 1.0, and every importance 0.0.
+whole ensemble. ``params`` holds ``trees``, each tree's ``feature`` and
+``threshold_or_value`` arrays, and ``importance``, computed at fit from the
+grown trees' row counts and gains (``_trees``). On one-class labels no root
+opens: each tree is one leaf worth that class, 0.0 or 1.0; importances 0.0.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
              "tree 0: a split is not before"),
             ("far_child.json", "feature", lambda c, n: c[:n - 1] + [0] + c[n:],
              "tree 0 does not have 2s + 1 nodes"),
-            ("short.json", "value", lambda c, n: c[:-1],
+            ("short.json", "threshold_or_value", lambda c, n: c[:-1],
              "node fields must be of equal length")):
         payload = json.loads(boosting.read_text())
         table = payload["params"]["trees"]
@@ -322,8 +322,28 @@ def _old_one_class_boosting_params(m):
                    "train_deviance": []}
 
 
+def _two_column_trees(m):
+    # the node layout of earlier versions: a split's threshold and a leaf's
+    # value in two fields (what the other cells held does not matter here)
+    table = m["params"]["trees"]
+    number = table.pop("threshold_or_value")
+    table["threshold"] = [x if f >= 0 else 0.0
+                          for f, x in zip(table["feature"], number)]
+    table["value"] = [0.0 if f >= 0 else x
+                      for f, x in zip(table["feature"], number)]
+
+
+def _nan_leaves_in_tree_0(m):
+    table = m["params"]["trees"]
+    for node in range(table["n_nodes"][0]):
+        if table["feature"][node] < 0:
+            table["threshold_or_value"][node] = math.nan
+
+
 _EARLIER = "marks a {} file in the format of earlier versions; re-run " \
            "`edbench train`"
+_TWO_COLUMNS = "'threshold' and 'value' mark a tree table in the format of " \
+               "earlier versions; re-run `edbench train`"
 
 
 @pytest.mark.parametrize("kind, change, message", [
@@ -343,9 +363,22 @@ _EARLIER = "marks a {} file in the format of earlier versions; re-run " \
      "'hyperparams': random_forest: n_trees must be >= 1, got -5"),
     ("logistic", lambda m: m.update(seed="nope"),
      "'seed' must be an integer >= 0, got 'nope'"),
+    ("boosting", _two_column_trees, _TWO_COLUMNS),
+    ("random_forest", _two_column_trees, _TWO_COLUMNS),
+    # the counts in a file agree: a forest of 8 trees, 8 boosting stages
+    ("random_forest", lambda m: m["hyperparams"].update(n_trees=5),
+     "'trees' holds 8 trees, but 'hyperparams' 'n_trees' is 5"),
+    ("boosting", lambda m: m["hyperparams"].update(n_stages=7),
+     "'trees' holds 8 trees, but 'hyperparams' 'n_stages' is 7"),
+    ("boosting", lambda m: m["params"]["train_deviance"].pop(),
+     "param 'train_deviance' has shape (8,), expected (9,)"),
+    ("random_forest", _nan_leaves_in_tree_0,
+     "'threshold_or_value' must hold finite numbers"),
 ], ids=["earlier_boosting", "earlier_forest", "earlier_one_class_boosting",
         "constant_beside_base_score", "constant_in_full_boosting",
-        "bad_hyperparams", "bad_seed"])
+        "bad_hyperparams", "bad_seed", "two_column_boosting",
+        "two_column_forest", "forest_n_trees", "boosting_n_stages",
+        "boosting_deviances", "nan_leaves"])
 def test_predict_rejects_fields_no_fit_writes(run_all, tmp_path, caplog, kind,
                                               change, message):
     payload = json.loads(
@@ -359,6 +392,19 @@ def test_predict_rejects_fields_no_fit_writes(run_all, tmp_path, caplog, kind,
     assert rc == 3
     assert f"{path}: {message}" in caplog.text
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_evaluate_rejects_nan_leaves(run_all, tmp_path, caplog):
+    # predict refuses them as above; evaluate would score NaN probabilities
+    ini, out = _stage_config(run_all, tmp_path, "test.csv", "models")
+    path = out / "models" / "critical_triage_random_forest.json"
+    payload = json.loads(path.read_text())
+    _nan_leaves_in_tree_0(payload)
+    path.write_text(json.dumps(payload))
+    assert cli.main(["evaluate", "--config", str(ini), "--task", "critical"]) == 3
+    assert (f"{path}: 'threshold_or_value' must hold finite numbers"
+            in caplog.text)
+    assert not (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("kind, name, change", [

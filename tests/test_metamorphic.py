@@ -1,7 +1,9 @@
-"""Metamorphic relations of the data layer: changes to the raw tables that
-must leave what extract-master and build-benchmark write unchanged. Each
-relation checks many inputs against the pipeline's own output on the
-unchanged input, with no stored answer."""
+"""Metamorphic relations of the data layer and the learners: changes to
+the raw tables that must leave what extract-master and build-benchmark
+write unchanged, and changes to feature columns that must leave a
+learner's predictions unchanged, bit for bit. Each relation checks many
+inputs against the program's own output on the unchanged input, with no
+stored answer (Xie et al., JSS 2011, apply the method to classifiers)."""
 
 import csv
 import hashlib
@@ -9,12 +11,17 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from edbench import cli
 from edbench.ingest import TABLE_KINDS
+from edbench.models.boosting import fit_boosting, predict_boosting
+from edbench.models.forest import fit_forest, predict_forest
+from edbench.models.linear import fit_logistic, predict_logistic
+from edbench.models.mlp import fit_mlp, predict_mlp
 from edbench.synthdata import SynthConfig, write_synthetic
 
 ARTIFACTS = ("master_dataset.csv", "train.csv", "test.csv", "split.csv",
@@ -61,3 +68,68 @@ def test_raw_row_order_does_not_change_the_benchmark(cohort, seed):
                       encoding="utf-8") as fh:
                 csv.writer(fh).writerows([header, *rows])
         assert _benchmark(data, Path(tmp)) == expected
+
+
+# -- learners ------------------------------------------------------------------
+
+# each learner as (fit, predict), small enough that a relation's examples
+# fit in a second or two
+LEARNERS = {
+    "logistic": (fit_logistic, predict_logistic),
+    "random_forest": (lambda X, y: fit_forest(X, y, n_trees=10, seed=3),
+                      predict_forest),
+    "boosting": (lambda X, y: fit_boosting(X, y, n_stages=15),
+                 predict_boosting),
+    "mlp": (lambda X, y: fit_mlp(X, y, hidden=8, epochs=3, batch_size=64,
+                                 seed=3), predict_mlp),
+}
+D = 8
+
+
+@st.composite
+def _learner_data(draw):
+    """(X, y, X_test, columns): 150-300 training rows of positive features,
+    as vitals and labs are, some of them whole numbers so that values tie,
+    with a label that leans on the first two; 50 test rows; and a few
+    distinct columns to change. Past 256 rows a continuous column's bin
+    edges are quantiles, below it midpoints."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(150, 300))
+    X = rng.lognormal(size=(n + 50, D))
+    X[:, ::3] = np.round(8 * X[:, ::3])
+    y = X[:n, 0] + X[:n, 1] + rng.normal(size=n) > np.median(X[:n, 0]
+                                                             + X[:n, 1])
+    columns = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=4,
+                            unique=True))
+    return X[:n], y, X[n:], columns
+
+
+@settings(max_examples=20, phases=[Phase.explicit, Phase.generate])
+@given(data=_learner_data(), powers=st.lists(st.integers(-6, 6), min_size=4,
+                                             max_size=4))
+def test_power_of_two_column_scales_leave_predictions_unchanged(data, powers):
+    # standardizing by a mean and SD scales exactly, and so do tree edges,
+    # which are midpoints or quantile interpolations of the values
+    X, y, X_test, columns = data
+    scale = np.ones(D)
+    for column, power in zip(columns, powers):
+        scale[column] = 2.0 ** power
+    for kind, (fit, predict) in LEARNERS.items():
+        expected = predict(fit(X, y), X_test)
+        got = predict(fit(X * scale, y), X_test * scale)
+        assert got.tobytes() == expected.tobytes(), kind
+
+
+@settings(max_examples=20, phases=[Phase.explicit, Phase.generate])
+@given(data=_learner_data())
+def test_increasing_column_maps_leave_tree_fits_unchanged(data):
+    # binning is rank-based, so a strictly increasing map of a column gives
+    # the same partition of the training rows, and the same leaves
+    X, y, _, columns = data
+    mapped = X.copy()
+    mapped[:, columns] = mapped[:, columns] ** 3 + mapped[:, columns]
+    for kind in ("random_forest", "boosting"):
+        fit, predict = LEARNERS[kind]
+        expected = predict(fit(X, y), X)
+        got = predict(fit(mapped, y), mapped)
+        assert got.tobytes() == expected.tobytes(), kind

@@ -142,7 +142,8 @@ def _node_rows(tree, X):
     for i, left in enumerate(_left_children(tree).tolist()):
         if left >= 0:
             rows = reach[i]
-            go_left = X[rows, tree["feature"][i]] <= tree["threshold"][i]
+            go_left = (X[rows, tree["feature"][i]]
+                       <= tree["threshold_or_value"][i])
             reach[left], reach[left + 1] = rows[go_left], rows[~go_left]
     return reach
 
@@ -156,7 +157,7 @@ def test_single_split_matches_exhaustive_search():
         binned = bin_features(X)
         tree = grow_tree(binned, np.arange(60), y, max_depth=1)
         assert tree["feature"][0] == feat
-        assert tree["threshold"][0] == pytest.approx(thr)
+        assert tree["threshold_or_value"][0] == pytest.approx(thr)
         assert tree["gain"][0] == pytest.approx(dec / 60.0, abs=1e-12)
 
         # a Newton tree's gain at each split is the decrease in residual
@@ -180,7 +181,7 @@ def test_tree_routes_at_threshold_inclusive_left():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = grow_tree(bin_features(X), np.arange(4), y, max_depth=1)
-    thr = tree["threshold"][0]
+    thr = tree["threshold_or_value"][0]
     preds = predict_trees([tree], np.array([[thr], [np.nextafter(thr, 10)]]))[0]
     assert preds[0] == 0.0 and preds[1] == 1.0
 
@@ -192,7 +193,7 @@ def _leaf_of(tree, X):
     while (inner := tree["feature"][node] >= 0).any():
         at = node[inner]
         node[inner] = left[at] + (X[inner, tree["feature"][at]]
-                                  > tree["threshold"][at])
+                                  > tree["threshold_or_value"][at])
     return node
 
 
@@ -200,12 +201,14 @@ def _leaf_of(tree, X):
 def _spy(module, grower):
     """Patch ``module.grower`` (``grow_trees`` or ``grow_tree``) to call
     through, and yield the list of every tree it grows, with all of
-    TREE_FIELDS, in the order grown."""
+    TREE_FIELDS, in the order grown: a copy, as the grower returned it,
+    before boosting shrinks its leaves in place."""
     real, grown = getattr(module, grower), []
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
-        grown.extend(out if isinstance(out, list) else [out])
+        grown.extend({name: column.copy() for name, column in tree.items()}
+                     for tree in (out if isinstance(out, list) else [out]))
         return out
 
     with mock.patch.object(module, grower, spy):
@@ -214,15 +217,16 @@ def _spy(module, grower):
 
 def _assert_model_trees(params, grown, learning_rate=None):
     """A fit's ``params`` hold the trees it grew, less ``n_samples`` and
-    ``gain``: each the same arrays on MODEL_FIELDS, a boosting fit's
-    ``value`` times its ``learning_rate``."""
+    ``gain``: each the same arrays on MODEL_FIELDS, a boosting fit's leaves
+    times its ``learning_rate`` and its thresholds as grown."""
     assert len(params["trees"]) == len(grown)
     for kept, tree in zip(params["trees"], grown):
         assert list(kept) == list(MODEL_FIELDS)
         for name in MODEL_FIELDS:
             expected = tree[name]
-            if name == "value" and learning_rate is not None:
-                expected = learning_rate * expected
+            if name == "threshold_or_value" and learning_rate is not None:
+                expected = np.where(tree["feature"] < 0,
+                                    learning_rate * expected, expected)
             assert kept[name].dtype == expected.dtype, name
             assert np.array_equal(kept[name], expected), name
 
@@ -300,9 +304,11 @@ def test_grown_trees_are_well_formed(variant, data, max_depth, min_leaf):
 def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
                            leaf_grad=None, leaf_hess=None):
     """Reference builder: grows the tree depth-first, one node at a time,
-    with a padded histogram over every feature. ``grow_tree`` must return
-    exactly this tree, less the stored ``right``, whenever it does not
-    subsample features (see ``_assert_equal_to_oracle``)."""
+    with a padded histogram over every feature, and keeps each node's
+    threshold and leaf value apart, in the layout of earlier versions.
+    ``grow_tree`` must return exactly this tree, less the stored ``right``
+    and with one float per node, whenever it does not subsample features
+    (see ``_assert_equal_to_oracle``)."""
     classification = leaf_grad is None
     codes = binned.codes
     d = codes.shape[1]
@@ -377,6 +383,17 @@ def _depth_first_grow_tree(binned, idx, y, *, max_depth, min_leaf=1,
 
 
 def _oracle_arrays(tree):
+    """The oracle's lists as arrays, renumbered breadth first from the root,
+    each split's ``threshold`` and each leaf's ``value`` merged into
+    ``threshold_or_value``."""
+    arrays = _level_order_oracle(tree)
+    threshold, value = arrays.pop("threshold"), arrays.pop("value")
+    arrays["threshold_or_value"] = np.where(arrays["feature"] >= 0, threshold,
+                                            value)
+    return arrays
+
+
+def _level_order_oracle(tree):
     """The oracle's lists as arrays, renumbered breadth first from the root,
     without ``left`` and ``right``, which must be the children that
     ``_left_children`` derives from ``feature``, and -1 at every leaf."""
@@ -596,9 +613,9 @@ def _walk(tree, x):
     left = _left_children(tree)
     node = 0
     while tree["feature"][node] >= 0:
-        go_right = x[tree["feature"][node]] > tree["threshold"][node]
+        go_right = x[tree["feature"][node]] > tree["threshold_or_value"][node]
         node = left[node] + int(go_right)
-    return tree["value"][node]
+    return tree["threshold_or_value"][node]
 
 
 def _sequential_forest(params, X):
@@ -643,8 +660,9 @@ def test_ensemble_prediction_equals_sequential_walk(data, depths, block,
                             leaf_grad=resid, leaf_hess=hess) for depth in depths]
         # each stage's Newton leaves shrunk by a learning rate of 0.3
         boost = {"base_score": 0.25,
-                 "trees": [{**tree, "value": 0.3 * tree["value"]}
-                           for tree in stages]}
+                 "trees": [{**tree, "threshold_or_value": np.where(
+                     tree["feature"] < 0, 0.3 * tree["threshold_or_value"],
+                     tree["threshold_or_value"])} for tree in stages]}
     with mock.patch.object(_trees, "PREDICT_BLOCK", block):
         assert np.array_equal(predict_forest(forest, X),
                               _sequential_forest(forest, X))
@@ -734,7 +752,7 @@ def test_one_class_forest_is_one_leaf_trees(tmp_path):
         probs = predict_proba(loaded, one_class)
     assert {w.category for w in caught} == {DegenerateLabels}
     assert sorted(model.params) == ["importance", "trees"]
-    one_leaf = {"feature": [-1], "threshold": [0.0], "value": [0.0]}
+    one_leaf = {"feature": [-1], "threshold_or_value": [0.0]}
     for trees in (model.params["trees"], loaded.params["trees"]):
         assert [{name: tree[name].tolist() for name in MODEL_FIELDS}
                 for tree in trees] == [one_leaf] * 4
@@ -903,10 +921,15 @@ def _matrix():
                                 manifest=["age", "gender"])
 
 
+# the node fields of the tables of earlier versions: the grown trees', and
+# then the model's, with a split's threshold and a leaf's value apart
+_EARLIER_TREE_FIELDS = ("feature", "threshold", "value", "n_samples", "gain")
+_EARLIER_MODEL_FIELDS = ("feature", "threshold", "value")
+
+
 def _table(trees, fields=MODEL_FIELDS):
     """The table a model file holds ``trees`` in, as plain lists; with
-    ``fields=TREE_FIELDS``, the table of the layout before ``n_samples`` and
-    ``gain`` left model files."""
+    other ``fields``, the table of an earlier layout."""
     table = {name: [cell for tree in trees for cell in tree[name].tolist()]
              for name in fields}
     table["n_nodes"] = [len(tree["feature"]) for tree in trees]
@@ -924,6 +947,7 @@ def test_train_save_load_round_trip(kind, tmp_path):
     save_model(model, path)
     fields = vars(model)
     if "trees" in model.params:
+        assert TABLE_FIELDS == ("feature", "threshold_or_value", "n_nodes")
         fields = {**fields, "params": {**model.params,
                                        "trees": _table(model.params["trees"])}}
     assert path.read_text() == json.dumps(
@@ -949,18 +973,15 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     # child, in level order and, before that, in depth-first order; then one
     # table of the five grown fields, and a forest without its importance.
     # Each of them wrote a boosting model's learning rate and a forest's tree
-    # and column counts in its params.
+    # and column counts in its params. All of them, and the table of the
+    # three model fields that followed, kept a split's threshold and a
+    # leaf's value in two node fields, as the depth-first oracle does.
     X, y = _toy(n=300, seed=15, noise=1.0)
     matrix = FeatureMatrix(X=X, y=y > 0, columns=[f"c{j}" for j in range(6)],
                            task="hospitalization", time_point="triage",
                            stay_ids=np.arange(len(y)))
-    with _spy(boosting, "grow_tree") as grown:
-        model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
-    with _spy(forest, "grow_trees") as grown_rf:
-        rf = train_model(matrix, "random_forest", n_trees=3, max_depth=4)
-    level_order = [{**{name: tree[name].tolist() for name in TREE_FIELDS},
-                    "left": _left_children(tree).tolist()}
-                   for tree in grown]
+    model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
+    rf = train_model(matrix, "random_forest", n_trees=3, max_depth=4)
     oracle = []
 
     def depth_first(*args, root=None, **kwargs):
@@ -969,12 +990,22 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
 
     monkeypatch.setattr(boosting, "grow_tree", depth_first)
     train_model(matrix, "boosting", n_stages=5, max_depth=4)
-    depth_first_trees = [{name: tree[name] for name in (*TREE_FIELDS, "left")}
+    grown = [_level_order_oracle(tree) for tree in oracle]
+    binned, rng = bin_features(X), np.random.default_rng(0)
+    grown_rf = [_level_order_oracle(_depth_first_grow_tree(
+        binned, rng.integers(0, len(y), len(y)), y, max_depth=4))
+        for _ in range(3)]
+    level_order = [{**{name: tree[name].tolist()
+                       for name in _EARLIER_TREE_FIELDS},
+                    "left": _left_children(tree).tolist()}
+                   for tree in grown]
+    depth_first_trees = [{name: tree[name]
+                          for name in (*_EARLIER_TREE_FIELDS, "left")}
                          for tree in oracle]
     assert depth_first_trees != level_order
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    payload = json.loads(path.read_text())
+    path, gb_path = tmp_path / "model.json", tmp_path / "gb.json"
+    save_model(model, gb_path)
+    payload = json.loads(gb_path.read_text())
     payload["params"]["learning_rate"] = 0.1
     earlier = ("marks a {} file in the format of earlier versions; re-run "
                "`edbench train`")
@@ -988,11 +1019,21 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     rf_path = tmp_path / "rf.json"
     save_model(rf, rf_path)
     rf_payload = json.loads(rf_path.read_text())
+    for saved, trees in ((gb_path, grown), (rf_path, grown_rf)):
+        # the three model fields' table: no param marks it, its fields do
+        table = json.loads(saved.read_text())
+        table["params"]["trees"] = _table(trees, _EARLIER_MODEL_FIELDS)
+        path.write_text(json.dumps(table))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: 'threshold' and 'value' mark a tree table in the "
+                "format of earlier versions; re-run `edbench train`")) as exc:
+            load_model(path)
+        assert exc.value.exit_code == 3
     del rf_payload["params"]["importance"]
     rf_payload["params"].update(n_trees=3, n_features=6)
     for payload, trees, param in ((payload, grown, "learning_rate"),
                                   (rf_payload, grown_rf, "n_trees")):
-        payload["params"]["trees"] = _table(trees, TREE_FIELDS)
+        payload["params"]["trees"] = _table(trees, _EARLIER_TREE_FIELDS)
         path.write_text(json.dumps(payload))
         message = f"param '{param}' " + earlier.format(payload["kind"])
         with pytest.raises(DataError, match=message) as exc:
@@ -1004,26 +1045,27 @@ _SPECIAL = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5, -2.75]
 
 
 @st.composite
-def _level_order_tree(draw, d):
+def _level_order_tree(draw, d, finite):
     """A random tree in level order: nodes are decided breadth first, each
-    split appending its two children, so one-leaf trees are common."""
+    split appending its two children, so one-leaf trees are common. Unless
+    ``finite``, its floats may be NaN or infinite."""
     feature = []
     while len(feature) < 1 + 2 * sum(f >= 0 for f in feature):
         split = len(feature) < 30 and draw(st.booleans())
         feature.append(draw(st.integers(0, d - 1)) if split else -1)
     size = len(feature)
-    floats = st.lists(st.sampled_from(_SPECIAL) | st.floats(allow_nan=False),
+    special = [v for v in _SPECIAL if np.isfinite(v) or not finite]
+    floats = st.lists(st.sampled_from(special)
+                      | st.floats(allow_nan=False, allow_infinity=not finite),
                       min_size=size, max_size=size)
-    tree = {"feature": np.array(feature, dtype=np.int64)}
-    for name in ("threshold", "value"):
-        tree[name] = np.array(draw(floats), dtype=np.float64)
-    return {name: tree[name] for name in MODEL_FIELDS}
+    return {"feature": np.array(feature, dtype=np.int64),
+            "threshold_or_value": np.array(draw(floats), dtype=np.float64)}
 
 
 @st.composite
 def _ensembles(draw):
-    d = draw(st.integers(1, 4))
-    trees = draw(st.lists(_level_order_tree(d), max_size=5))
+    d, finite = draw(st.integers(1, 4)), draw(st.booleans())
+    trees = draw(st.lists(_level_order_tree(d, finite), max_size=5))
     return d, trees
 
 
@@ -1031,12 +1073,19 @@ def _ensembles(draw):
 @given(ensemble=_ensembles())
 def test_trees_json_is_json_dumps_of_the_lists(ensemble):
     # written, the table is json.dumps of its lists; loaded, each array is
-    # bit for bit the one written, -0.0 and NaN included
+    # bit for bit the one written, -0.0 included, and a NaN or an infinity
+    # is refused
     d, trees = ensemble
     text = "".join(_trees.trees_json(trees))
     assert text == json.dumps(_table(trees), sort_keys=True,
                               separators=(",", ":"))
-    loaded = trees_from_json(json.loads(text), d)
+    table = json.loads(text)
+    if not np.isfinite(table["threshold_or_value"]).all():
+        with pytest.raises(ValueError, match="'threshold_or_value' must hold "
+                           "finite numbers"):
+            trees_from_json(table, d)
+        return
+    loaded = trees_from_json(table, d)
     assert len(loaded) == len(trees)
     for new, old in zip(loaded, trees):
         assert list(new) == list(MODEL_FIELDS)
@@ -1052,11 +1101,15 @@ def _swap_root_of_tree_0_with_its_last_node(column, first):
 
 
 @pytest.mark.parametrize("field, change, message", [
-    (None, lambda t: t.pop("value"), "tree fields"),
+    (None, lambda t: t.pop("threshold_or_value"), "tree fields"),
     (None, lambda t: t.update(left=t["feature"]), "tree fields"),
-    ("value", lambda c, first: c[:-1], "equal length"),
+    ("threshold_or_value", lambda c, first: c[:-1], "equal length"),
     ("feature", lambda c, first: [float(v) for v in c], "'feature'"),
-    ("threshold", lambda c, first: ["x"] * len(c), "'threshold'"),
+    pytest.param("threshold_or_value", lambda c, first: ["x"] * len(c),
+                 "'threshold_or_value' must be a list of numbers",
+                 id="threshold_or_value-not_numbers"),
+    ("threshold_or_value", lambda c, first: c[:-1] + [math.nan], "finite"),
+    ("threshold_or_value", lambda c, first: [-math.inf] + c[1:], "finite"),
     ("feature", lambda c, first: [2] + c[1:], "'feature'"),
     ("feature", lambda c, first: [-2] + c[1:], "'feature'"),
     ("n_nodes", lambda c, first: [0] + c, "'n_nodes'"),
@@ -1109,6 +1162,13 @@ def test_load_model_rejects_malformed_trees(field, change, message, tmp_path):
     ("logistic", "seed", lambda m: m.update(seed=-1)),
     ("mlp", "seed", lambda m: m.update(seed=1.0)),
     ("random_forest", "importance", lambda m: m["params"].pop("importance")),
+    # counts that must agree with the hyperparameters
+    ("random_forest", "n_trees", lambda m: m["hyperparams"].update(n_trees=5)),
+    ("boosting", "n_stages", lambda m: m["hyperparams"].update(n_stages=7)),
+    ("boosting", "train_deviance",
+     lambda m: m["params"]["train_deviance"].pop()),
+    ("boosting", "train_deviance",
+     lambda m: m["params"]["train_deviance"].append(0.5)),
     ("logistic", "task", lambda m: m.update(task="nope")),
     ("logistic", "time_point", lambda m: m.update(time_point="nope")),
 ])
@@ -1139,7 +1199,7 @@ def test_load_model_rejects_tree_model_without_trees(tmp_path):
         payload = json.loads(path.read_text())
         payload["params"]["trees"] = dict.fromkeys(TABLE_FIELDS, [])
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="no trees"):
+        with pytest.raises(DataError, match="'trees' holds 0 trees"):
             load_model(path)
 
 
