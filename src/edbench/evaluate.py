@@ -27,6 +27,7 @@ charts with CI whiskers, rendered directly without a plotting library.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -294,12 +295,11 @@ def _evaluate_row(s: np.ndarray, y: np.ndarray, blocks) -> dict:
 # cohort summary
 
 
-def _fmt_mean_sd(values: list[float]) -> str:
-    if not values:
+def _fmt_mean_sd(values: np.ndarray) -> str:
+    if not values.size:
         return ""
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+    mean = float(values.mean())
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
     return f"{mean:.1f} ({sd:.1f})"
 
 
@@ -315,46 +315,48 @@ def summarize_cohort(records: list[dict], strata: tuple[str, ...] = ()) -> list[
     where that outcome is positive). Rows follow ``cohort.column_kind``:
     ids are left out, flags and 0/1 indices give count (%), the rest mean
     (SD), n-1 denominator; gender is a male count, acuity one per level.
+    Each column is gathered once, as an object array of its cells (None
+    where a record lacks one), and each stratum is a boolean mask.
     """
     if not records:
         return []
-    subsets = {"overall": records}
-    for name in strata:
-        subsets[name] = [r for r in records if r.get(name)]
 
+    def column(name: str) -> np.ndarray:
+        return np.fromiter(map(dict.get, records, itertools.repeat(name)),
+                           dtype=object, count=len(records))
+
+    subsets = {"overall": np.ones(len(records), dtype=bool)}
+    for name in strata:
+        subsets[name] = column(name).astype(bool)
     rows: list[dict] = []
 
     def add_row(variable: str, fmt) -> None:
-        row = {"variable": variable}
-        for col, subset in subsets.items():
-            row[col] = fmt(subset)
-        rows.append(row)
+        rows.append({"variable": variable,
+                     **{col: fmt(mask) for col, mask in subsets.items()}})
 
-    add_row("n", lambda subset: str(len(subset)))
+    def add_count(variable: str, hit: np.ndarray) -> None:
+        add_row(variable, lambda mask: _fmt_count_pct(
+            int(np.count_nonzero(hit & mask)), int(np.count_nonzero(mask))))
 
+    add_row("n", lambda mask: str(np.count_nonzero(mask)))
     for name in records[0].keys():
         kind = column_kind(name)
         if kind == "id":
             continue
+        cells = column(name)
+        present = cells != None  # noqa: E711 (elementwise)
         if kind == "sex":
-            add_row("gender_male", lambda subset: _fmt_count_pct(
-                sum(1 for r in subset if r.get("gender") == "M"), len(subset)))
+            add_count("gender_male", cells == "M")
         elif name == "triage_acuity":
             for level in (1, 2, 3, 4, 5):
-                add_row(f"triage_acuity={level}", lambda subset, lv=level: _fmt_count_pct(
-                    sum(1 for r in subset if r.get("triage_acuity") == lv),
-                    len(subset)))
-        elif kind == "flag" or (kind == "index" and not _has_nonbinary(records, name)):
-            add_row(name, lambda subset, nm=name: _fmt_count_pct(
-                sum(1 for r in subset if r.get(nm)), len(subset)))
+                add_count(f"triage_acuity={level}", cells == level)
+        elif kind == "flag" or (kind == "index" and np.isin(
+                cells[present].astype(np.float64), (0, 1)).all()):
+            add_count(name, cells.astype(bool))
         else:
-            add_row(name, lambda subset, nm=name: _fmt_mean_sd(
-                [float(r[nm]) for r in subset if r.get(nm) is not None]))
+            add_row(name, lambda mask, c=cells, p=present: _fmt_mean_sd(
+                c[p & mask].astype(np.float64)))
     return rows
-
-
-def _has_nonbinary(records: list[dict], name: str) -> bool:
-    return any(r.get(name) not in (0, 1, None, True, False) for r in records)
 
 
 def write_cohort_summary(rows: list[dict], path) -> None:

@@ -17,7 +17,6 @@ from .features import (
     FeatureMatrix,
     build_feature_matrix,
     load_manifest,
-    manifest_fingerprint,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "build_feature_matrix",
     "load_manifest",
     "load_model",
-    "manifest_fingerprint",
     "predict_proba",
     "resolve_hyperparams",
     "rf_variable_importance",

@@ -300,18 +300,14 @@ def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
     return bits.view(column.dtype).tolist(), inverse
 
 
-def trees_from_json(table, n_features: int) -> list[dict]:
+def trees_from_json(table, n_features: int, max_depth: int) -> list[dict]:
     """The trees of a model file's table. Raises ValueError, saying what is
-    wrong, unless its fields are TABLE_FIELDS (``threshold`` and ``value``
-    mark the two-float layout of earlier versions), each a list of numbers,
-    of integers where they must be, the node fields of equal length, each
+    wrong, unless its fields are TABLE_FIELDS, each a list of numbers, of
+    integers where they must be, the node fields of equal length, each
     ``threshold_or_value`` finite, each ``feature`` in [-1, n_features), the
     ``n_nodes`` positive and summing to that length, each tree of s splits
-    2s + 1 nodes, and each split before its children, so that every walk
-    ends at a leaf."""
-    if isinstance(table, dict) and {"threshold", "value"} & table.keys():
-        raise ValueError("'threshold' and 'value' mark a tree table in the "
-                         "format of earlier versions; re-run `edbench train`")
+    2s + 1 nodes, each split before its children, so that every walk ends at
+    a leaf, and no tree deeper than ``max_depth``."""
     if not isinstance(table, dict) or sorted(table) != sorted(TABLE_FIELDS):
         raise ValueError(f"tree fields must be {', '.join(TABLE_FIELDS)}")
     columns = {}
@@ -344,10 +340,23 @@ def trees_from_json(table, n_features: int) -> list[dict]:
     if bad.any():
         raise ValueError(f"tree {bad.argmax()} does not have 2s + 1 nodes for "
                          "its s splits")
-    bad = split & (_left_child(split, tree) <= np.arange(size))
+    left = _left_child(split, tree)
+    bad = split & (left <= np.arange(size))
     if bad.any():
         raise ValueError(f"tree {tree[bad.argmax()]}: a split is not before "
                          "its children")
+    # the nodes at each depth, one level of every tree a step from the
+    # roots; a split at depth max_depth makes its tree too deep
+    node = np.cumsum(n_nodes) - n_nodes
+    for _ in range(max_depth):
+        node = left[node[split[node]]]
+        if not node.size:
+            break
+        node = np.concatenate((node, node + 1))
+    deep = tree[node[split[node]]]
+    if deep.size:
+        raise ValueError(f"tree {deep.min()} is deeper than 'hyperparams' "
+                         f"'max_depth', {max_depth}")
     # one part per tree, and an empty one past the last
     parts = [np.split(columns[name], np.cumsum(n_nodes))[:-1]
              for name in MODEL_FIELDS]

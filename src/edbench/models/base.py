@@ -1,26 +1,31 @@
 """Unified train/predict/save/load surface over the four model kinds.
 
-A trained model carries the feature manifest it was fitted against and a
-fingerprint of that manifest; prediction refuses inputs whose manifest
-fingerprint (or column count) disagrees, which catches the classic
+A trained model carries the feature manifest it was fitted against, its
+``columns``; prediction takes a FeatureMatrix and refuses one whose columns
+differ from the model's, in name or order, which catches the classic
 mistake of scoring disposition-time features with a triage-time model.
 
 Model files are compact JSON (sorted keys, no whitespace) and hold no
 wall-clock data, so repeated runs with the same seed produce byte-identical
-files. Tree models keep the node arrays prediction reads, a feature and
-one float per node, per tree in memory and as one table per ensemble on
-disk (``_trees``); a forest adds the importance computed at fit.
-``load_model`` checks that a file holds what ``save_model`` writes, finite
-and in the counts its hyperparameters give, so a tampered file is a
+files. Each file holds ``format``, FORMAT, the number of its layout, which
+any change to the layout bumps. ``load_model`` reads it first: a file with
+another number, or with none (every layout before the number), is one
+DataError saying to re-run ``edbench train``, whatever else it holds. Tree
+models keep the node arrays prediction reads, a feature and one float per
+node, per tree in memory and as one table per ensemble on disk
+(``_trees``); a forest adds the importance computed at fit. ``load_model``
+checks that a file holds what ``save_model`` writes, finite and in the
+counts and depth its hyperparameters give, so a tampered file is a
 DataError rather than a crash, an endless walk or NaN probabilities.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,10 @@ import numpy as np
 from ..errors import ConfigError, DataError, ManifestMismatch, WrongKind
 from . import boosting, forest, linear, mlp
 from ._trees import trees_from_json, trees_json
-from .features import TASKS, TIME_POINTS, FeatureMatrix, manifest_fingerprint
+from .features import TASKS, TIME_POINTS, FeatureMatrix
+
+# the layout of a model file; bump it with any change to that layout
+FORMAT = 1
 
 
 def _kind(fitter, predictor) -> tuple:
@@ -68,10 +76,6 @@ _PARAMS = {
     "mlp": {"W1": ("d", "h"), "b1": ("h",), "w2": ("h",), "b2": (),
             "mean": ("d",), "std": ("d",), "epoch_loss": ("epochs",)},
 }
-# params only tree model files of earlier versions hold: a forest's tree and
-# column counts, and the learning rate a boosting model's leaves lacked
-_EARLIER = {"random_forest": ("n_trees", "n_features"),
-            "boosting": ("learning_rate",)}
 # the hyperparameter a tree model's tree count must equal
 _TREE_COUNT = {"random_forest": "n_trees", "boosting": "n_stages"}
 
@@ -92,11 +96,6 @@ class TrainedModel:
     hyperparams: dict
     params: dict
     seed: int
-    fingerprint: str = field(default="")
-
-    def __post_init__(self):
-        if not self.fingerprint:
-            self.fingerprint = manifest_fingerprint(self.columns)
 
     @property
     def n_variables(self) -> int:
@@ -146,24 +145,20 @@ def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
     )
 
 
-def predict_proba(model: TrainedModel, data) -> np.ndarray:
-    """Probabilities for a FeatureMatrix or a raw (n, d) array."""
-    if isinstance(data, FeatureMatrix):
-        if data.fingerprint != model.fingerprint:
-            raise ManifestMismatch(
-                f"feature manifest mismatch: model was trained on "
-                f"{model.n_variables} columns ({model.fingerprint[:12]}), "
-                f"got {len(data.columns)} ({data.fingerprint[:12]})")
-        X = data.X
-    else:
-        X = np.asarray(data, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != model.n_variables:
-            raise ManifestMismatch(
-                f"expected {model.n_variables} feature columns, "
-                f"got shape {X.shape}")
-    if not np.isfinite(X).all():
+def predict_proba(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
+    """Probabilities for the rows of ``matrix``, whose columns must be the
+    model's, in the model's order."""
+    if list(matrix.columns) != list(model.columns):
+        j, want, got = next(
+            (j, want, got) for j, (want, got) in enumerate(
+                itertools.zip_longest(model.columns, matrix.columns))
+            if want != got)
+        raise ManifestMismatch(
+            f"feature manifest mismatch: column {j} is {got!r}, but the "
+            f"model, trained on {model.n_variables} columns, has {want!r}")
+    if not np.isfinite(matrix.X).all():
         raise ManifestMismatch("prediction inputs contain non-finite values")
-    return _KINDS[model.kind][1](model.params, X)
+    return _KINDS[model.kind][1](model.params, matrix.X)
 
 
 def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
@@ -181,11 +176,12 @@ def save_model(model: TrainedModel, path) -> None:
     """Write ``model`` as ``json.dumps`` of it with sorted keys, no
     whitespace, and a tree model's trees as the table ``_trees.trees_json``
     streams, put where ``json.dumps`` wrote an empty list: the key
-    ``"trees"`` occurs once, as any quote inside a string is escaped."""
+    ``"trees"`` occurs once, as any quote inside a string is escaped. The
+    file's ``format`` key is FORMAT."""
     trees = model.params.get("trees")
-    fields = vars(model)
+    fields = {**vars(model), "format": FORMAT}
     if trees is not None:
-        fields = {**fields, "params": {**model.params, "trees": []}}
+        fields["params"] = {**model.params, "trees": []}
     text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
         if trees is not None:
@@ -196,14 +192,20 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    """Read a file written by save_model; a file that is not one raises
-    DataError naming the key that is missing, unknown or malformed."""
+    """Read a file written by save_model. A file whose ``format`` is not
+    FORMAT raises DataError saying to re-run ``edbench train``; any other
+    file that is not one raises DataError naming the key that is missing,
+    unknown or malformed."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: not a model JSON file: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: a model file holds one JSON object")
+    number = obj.pop("format", None)
+    if type(number) is not int or number != FORMAT:
+        raise DataError(f"{path}: not a model file of format {FORMAT}, the "
+                        "one this version reads; re-run `edbench train`")
     names = [f.name for f in fields(TrainedModel)]
     for key in names:
         if key not in obj:
@@ -219,8 +221,6 @@ def load_model(path) -> TrainedModel:
     if not (isinstance(columns, list)
             and all(isinstance(c, str) for c in columns)):
         raise DataError(f"{path}: 'columns' must be a list of strings")
-    if obj["fingerprint"] != manifest_fingerprint(columns):
-        raise DataError(f"{path}: 'fingerprint' does not match 'columns'")
     for key, known in (("task", list(TASKS)), ("time_point", TIME_POINTS)):
         if obj[key] not in known:
             raise DataError(f"{path}: unknown {key!r}: {obj[key]!r}")
@@ -245,22 +245,19 @@ def load_model(path) -> TrainedModel:
 
 
 def _check_params(kind: str, params, hyper: dict, n_columns: int) -> None:
-    """Raise ValueError, naming the param, unless ``params`` hold no
-    ``_EARLIER`` key (checked first), then a tree model's valid table of as
-    many trees as ``hyper`` says (made its trees in place) and exactly what
-    ``_PARAMS`` asks for ``n_columns`` inputs, or a one-class boosting fit's
-    ``constant`` in [0, 1] alone."""
+    """Raise ValueError, naming the param, unless ``params`` hold a tree
+    model's valid table of as many trees, none deeper, as ``hyper`` says
+    (made its trees in place) and exactly what ``_PARAMS`` asks for
+    ``n_columns`` inputs, or a one-class boosting fit's ``constant`` in
+    [0, 1] alone."""
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
-    earlier = [name for name in _EARLIER.get(kind, ()) if name in params]
-    if earlier:
-        raise ValueError(f"param {earlier[0]!r} marks a {kind} file in the "
-                         "format of earlier versions; re-run `edbench train`")
     one_class = kind == "boosting" and "constant" in params
     shapes = {"constant": ()} if one_class else _PARAMS[kind]
     trees = kind in _TREE_COUNT and not one_class
     if trees:
-        params["trees"] = trees_from_json(params.get("trees"), n_columns)
+        params["trees"] = trees_from_json(params.get("trees"), n_columns,
+                                          hyper["max_depth"])
         count = _TREE_COUNT[kind]
         if len(params["trees"]) != hyper[count]:
             raise ValueError(f"'trees' holds {len(params['trees'])} trees, "

@@ -3,14 +3,13 @@
 A manifest is an ordered list of master-dataset columns, shipped as an
 editable text file per time point: the triage manifest holds everything
 known on arrival, the disposition manifest adds end-of-visit vitals, ED
-length of stay, and medication counts. A fingerprint of the manifest is
-baked into every trained model so a model can refuse a matrix whose
-columns differ from what it was trained on.
+length of stay, and medication counts. A FeatureMatrix carries its
+manifest as ``columns``, and every trained model the manifest it was fitted
+on, so a model can refuse a matrix whose columns differ from its own.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +41,6 @@ def load_manifest(which: str) -> list[str]:
     return columns
 
 
-def manifest_fingerprint(columns: list[str]) -> str:
-    """Stable identity of an ordered column list."""
-    joined = "\n".join(columns).encode("utf-8")
-    return hashlib.sha256(joined).hexdigest()
-
-
 @dataclass
 class FeatureMatrix:
     """Numeric design matrix plus one task's labels and provenance."""
@@ -58,10 +51,6 @@ class FeatureMatrix:
     task: str
     time_point: str
     stay_ids: np.ndarray
-
-    @property
-    def fingerprint(self) -> str:
-        return manifest_fingerprint(self.columns)
 
 
 # sex is stored as F/M; encoded male=1, any other value missing

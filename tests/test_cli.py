@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -305,17 +306,28 @@ def test_predict_rejects_broken_model_files(run_all, tmp_path, caplog):
     assert not (tmp_path / "preds.csv").exists()
 
 
+def _unnumbered(m):
+    # the files of the versions before the format number: no 'format', and
+    # the sha256 of the columns as 'fingerprint'
+    del m["format"]
+    m["fingerprint"] = hashlib.sha256(
+        "\n".join(m["columns"]).encode()).hexdigest()
+
+
 def _old_boosting_params(m):
     # the keys earlier versions wrote, their leaves not yet shrunk
+    _unnumbered(m)
     m["params"]["learning_rate"] = m["hyperparams"]["learning_rate"]
 
 
 def _old_forest_params(m):
+    _unnumbered(m)
     m["params"].update(n_trees=m["hyperparams"]["n_trees"],
                        n_features=len(m["columns"]))
 
 
 def _old_one_class_boosting_params(m):
+    _unnumbered(m)
     m["params"] = {"constant": 0.0, "base_score": 0.0, "learning_rate": 0.1,
                    "trees": dict.fromkeys(("feature", "n_nodes", "threshold",
                                            "value"), []),
@@ -325,12 +337,29 @@ def _old_one_class_boosting_params(m):
 def _two_column_trees(m):
     # the node layout of earlier versions: a split's threshold and a leaf's
     # value in two fields (what the other cells held does not matter here)
+    _unnumbered(m)
     table = m["params"]["trees"]
     number = table.pop("threshold_or_value")
     table["threshold"] = [x if f >= 0 else 0.0
                           for f, x in zip(table["feature"], number)]
     table["value"] = [0.0 if f >= 0 else x
                       for f, x in zip(table["feature"], number)]
+
+
+def _per_tree_objects(m):
+    # the layout before the table: a list of per-tree objects, each with its
+    # left children stored
+    _two_column_trees(m)
+    table, trees, start = m["params"]["trees"], [], 0
+    for size in table["n_nodes"]:
+        tree = {name: table[name][start:start + size]
+                for name in ("feature", "threshold", "value")}
+        splits = itertools.accumulate(f >= 0 for f in tree["feature"])
+        tree["left"] = [2 * k - 1 if f >= 0 else -1
+                        for f, k in zip(tree["feature"], splits)]
+        trees.append(tree)
+        start += size
+    m["params"]["trees"] = trees
 
 
 def _nan_leaves_in_tree_0(m):
@@ -340,19 +369,14 @@ def _nan_leaves_in_tree_0(m):
             table["threshold_or_value"][node] = math.nan
 
 
-_EARLIER = "marks a {} file in the format of earlier versions; re-run " \
-           "`edbench train`"
-_TWO_COLUMNS = "'threshold' and 'value' mark a tree table in the format of " \
-               "earlier versions; re-run `edbench train`"
+_REWRITE = "not a model file of format 1, the one this version reads; " \
+           "re-run `edbench train`"
 
 
 @pytest.mark.parametrize("kind, change, message", [
-    ("boosting", _old_boosting_params, "param 'learning_rate' "
-     + _EARLIER.format("boosting")),
-    ("random_forest", _old_forest_params, "param 'n_trees' "
-     + _EARLIER.format("random_forest")),
-    ("boosting", _old_one_class_boosting_params, "param 'learning_rate' "
-     + _EARLIER.format("boosting")),
+    ("boosting", _old_boosting_params, _REWRITE),
+    ("random_forest", _old_forest_params, _REWRITE),
+    ("boosting", _old_one_class_boosting_params, _REWRITE),
     # a one-class boosting fit's constant stands alone
     ("boosting", lambda m: m.update(params={"constant": 0.0, "base_score": 0.0}),
      "a one-class boosting model holds no param 'base_score'"),
@@ -363,8 +387,8 @@ _TWO_COLUMNS = "'threshold' and 'value' mark a tree table in the format of " \
      "'hyperparams': random_forest: n_trees must be >= 1, got -5"),
     ("logistic", lambda m: m.update(seed="nope"),
      "'seed' must be an integer >= 0, got 'nope'"),
-    ("boosting", _two_column_trees, _TWO_COLUMNS),
-    ("random_forest", _two_column_trees, _TWO_COLUMNS),
+    ("boosting", _two_column_trees, _REWRITE),
+    ("random_forest", _two_column_trees, _REWRITE),
     # the counts in a file agree: a forest of 8 trees, 8 boosting stages
     ("random_forest", lambda m: m["hyperparams"].update(n_trees=5),
      "'trees' holds 8 trees, but 'hyperparams' 'n_trees' is 5"),
@@ -374,11 +398,22 @@ _TWO_COLUMNS = "'threshold' and 'value' mark a tree table in the format of " \
      "param 'train_deviance' has shape (8,), expected (9,)"),
     ("random_forest", _nan_leaves_in_tree_0,
      "'threshold_or_value' must hold finite numbers"),
+    # the layout just before the format number, and the per-tree layout
+    ("random_forest", _unnumbered, _REWRITE),
+    ("logistic", _unnumbered, _REWRITE),
+    ("boosting", _per_tree_objects, _REWRITE),
+    # no tree is deeper than max_depth: boosting's trees are 3 levels deep
+    ("boosting", lambda m: m["hyperparams"].update(max_depth=1),
+     "tree 0 is deeper than 'hyperparams' 'max_depth', 1"),
+    ("random_forest", lambda m: m["hyperparams"].update(max_depth=1),
+     "tree 0 is deeper than 'hyperparams' 'max_depth', 1"),
 ], ids=["earlier_boosting", "earlier_forest", "earlier_one_class_boosting",
         "constant_beside_base_score", "constant_in_full_boosting",
         "bad_hyperparams", "bad_seed", "two_column_boosting",
         "two_column_forest", "forest_n_trees", "boosting_n_stages",
-        "boosting_deviances", "nan_leaves"])
+        "boosting_deviances", "nan_leaves", "unnumbered_forest",
+        "unnumbered_logistic", "per_tree_boosting", "boosting_max_depth",
+        "forest_max_depth"])
 def test_predict_rejects_fields_no_fit_writes(run_all, tmp_path, caplog, kind,
                                               change, message):
     payload = json.loads(
@@ -683,6 +718,40 @@ def test_all_writes_utf8_artifacts_under_an_ascii_locale(tmp_path):
     summary = (tmp_path / "out" / "cohort_summary.csv").read_text(
         encoding="utf-8")
     assert "chiefcom_fièvre" in summary
+
+
+# what a run imports beyond the modules loaded at start-up: the top-level
+# name of each, one a line; a module that a compiled extension makes for
+# itself (numpy's Cython runtime) has no spec, as no import made it
+_IMPORTED = """\
+import sys
+before = set(sys.modules)
+from edbench import cli
+assert cli.main(["all", "--config", "run.ini"]) == 0
+print("\\n".join(sorted({name.partition(".")[0]
+                          for name, module in list(sys.modules.items())
+                          if name not in before
+                          and getattr(module, "__spec__", None)})))
+"""
+
+
+def test_all_imports_only_the_standard_library_and_numpy(tmp_path):
+    # the README's one runtime dependency; an installed test extra would
+    # hide a stray import from any test that runs in-process
+    (tmp_path / "run.ini").write_text(
+        INI_TEMPLATE.format(inp="data", out="out").replace(
+            "n_patients = 120", "n_patients = 300"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _IMPORTED], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    imported = set(result.stdout.split())
+    assert {"edbench", "numpy"} <= imported
+    assert imported - sys.stdlib_module_names - {"edbench", "numpy"} == set()
 
 
 # -- end-to-end artifacts ----------------------------------------------------------

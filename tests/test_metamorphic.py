@@ -1,9 +1,10 @@
 """Metamorphic relations of the data layer and the learners: changes to
 the raw tables that must leave what extract-master and build-benchmark
-write unchanged, and changes to feature columns that must leave a
-learner's predictions unchanged, bit for bit. Each relation checks many
-inputs against the program's own output on the unchanged input, with no
-stored answer (Xie et al., JSS 2011, apply the method to classifiers)."""
+write unchanged, or change the master only as they predict, and changes
+to feature columns that must leave a learner's predictions unchanged, bit
+for bit. Each relation checks many inputs against the program's own
+output on the unchanged input, with no stored answer (Xie et al., JSS
+2011, apply the method to classifiers)."""
 
 import csv
 import hashlib
@@ -42,11 +43,27 @@ def _benchmark(data: Path, root: Path) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def cohort(tmp_path_factory):
-    """The raw tables of the 150-patient cohort, and the digests of what
-    the data layer writes from them."""
+    """The raw tables of the 150-patient cohort, the digests of what the
+    data layer writes from them, and the master's rows."""
     root = tmp_path_factory.mktemp("metamorphic")
     write_synthetic(SynthConfig(n_patients=150, seed=7), root / "data")
-    return root / "data", _benchmark(root / "data", root)
+    digests = _benchmark(root / "data", root)
+    return root / "data", digests, _rows(root / "out" / "master_dataset.csv")
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _rewrite(raw: Path, data: Path, change) -> None:
+    """Write each raw table of ``raw`` into ``data`` as ``change(kind,
+    rows)`` returns its rows, the header first."""
+    data.mkdir()
+    for kind in TABLE_KINDS:
+        with open(data / f"{kind}.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            csv.writer(fh).writerows(change(kind, _rows(raw / f"{kind}.csv")))
 
 
 # a seed, not st.randoms(): a shuffle of thousands of rows drawn choice by
@@ -55,19 +72,72 @@ def cohort(tmp_path_factory):
 @settings(max_examples=8, phases=[Phase.explicit, Phase.generate])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_raw_row_order_does_not_change_the_benchmark(cohort, seed):
-    raw, expected = cohort
+    raw, expected, _ = cohort
     rng = random.Random(seed)
+
+    def shuffle(kind, rows):
+        header, *rows = rows
+        rng.shuffle(rows)
+        return [header, *rows]
+
     with tempfile.TemporaryDirectory() as tmp:
-        data = Path(tmp) / "data"
-        data.mkdir()
-        for kind in TABLE_KINDS:
-            with open(raw / f"{kind}.csv", newline="", encoding="utf-8") as fh:
-                header, *rows = csv.reader(fh)
-            rng.shuffle(rows)
-            with open(data / f"{kind}.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                csv.writer(fh).writerows([header, *rows])
-        assert _benchmark(data, Path(tmp)) == expected
+        _rewrite(raw, Path(tmp) / "data", shuffle)
+        assert _benchmark(Path(tmp) / "data", Path(tmp)) == expected
+
+
+@settings(max_examples=5, phases=[Phase.explicit, Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_raw_column_order_and_unknown_columns_do_not_change_the_benchmark(
+        cohort, seed):
+    # tables are read by header name, and a column no table declares is
+    # ignored, whatever its cells hold; so is a patient without an ED stay
+    raw, expected, _ = cohort
+    rng = random.Random(seed)
+
+    def permute(kind, rows):
+        if kind == "patients":
+            subject = rows[0].index("subject_id")
+            extra = list(rows[-1])
+            extra[subject] = str(max(int(row[subject]) for row in rows[1:]) + 1)
+            rows.append(extra)
+        if rng.random() < 0.5:
+            at = rng.randrange(len(rows[0]) + 1)
+            for i, row in enumerate(rows):
+                row.insert(at, "unknown_column" if i == 0
+                           else rng.choice(["", "x", "1", "2020-01-01"]))
+        order = rng.sample(range(len(rows[0])), len(rows[0]))
+        return [[row[j] for j in order] for row in rows]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _rewrite(raw, Path(tmp) / "data", permute)
+        assert _benchmark(Path(tmp) / "data", Path(tmp)) == expected
+
+
+@settings(max_examples=5, phases=[Phase.explicit, Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dropping_subjects_drops_only_their_master_rows(cohort, seed):
+    # a stay's master row reads only its own subject's rows
+    raw, _, master = cohort
+    rng = random.Random(seed)
+    header, *patients = _rows(raw / "patients.csv")
+    subjects = sorted({row[header.index("subject_id")] for row in patients})
+    dropped = set(rng.sample(subjects, rng.randint(1, len(subjects) // 3)))
+
+    def drop(kind, rows):
+        subject = rows[0].index("subject_id")
+        return [row for row in rows if row[subject] not in dropped]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _rewrite(raw, root / "data", drop)
+        (root / "run.ini").write_text(
+            f"[pipeline]\ninput_dir = {root / 'data'}\n"
+            f"output_dir = {root / 'out'}\nseed = 7\n")
+        assert cli.main(["extract-master", "--config",
+                         str(root / "run.ini")]) == 0
+        subject = master[0].index("subject_id")
+        assert _rows(root / "out" / "master_dataset.csv") == [
+            row for row in master if row[subject] not in dropped]
 
 
 # -- learners ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -18,10 +19,12 @@ from hypothesis.extra.numpy import arrays
 
 from edbench.errors import (ConfigError, DataError, DegenerateLabels,
                             ManifestMismatch, WrongKind)
-from edbench.models import (FeatureMatrix, build_feature_matrix, load_manifest,
-                            load_model, predict_proba, resolve_hyperparams,
-                            rf_variable_importance, save_model, train_model)
+from edbench.models import (MODEL_KINDS, FeatureMatrix, build_feature_matrix,
+                            load_manifest, load_model, predict_proba,
+                            resolve_hyperparams, rf_variable_importance,
+                            save_model, train_model)
 from edbench.models import _trees, boosting, forest
+from edbench.models.base import FORMAT
 from edbench.models._trees import (MODEL_FIELDS, TABLE_FIELDS, TREE_FIELDS,
                                    bin_features, grow_tree, predict_trees,
                                    trees_from_json)
@@ -133,6 +136,16 @@ def _left_children(tree):
     (0-based) has its children at 1 + 2k and 2 + 2k."""
     split = np.asarray(tree["feature"]) >= 0
     return np.where(split, 2 * np.cumsum(split) - 1, -1)
+
+
+def _depth(tree):
+    """The number of splits on a tree's longest path from its root."""
+    left = _left_children(tree)
+
+    def below(node):
+        return 0 if left[node] < 0 else 1 + max(below(left[node]),
+                                                below(left[node] + 1))
+    return below(0)
 
 
 def _node_rows(tree, X):
@@ -945,11 +958,11 @@ def test_train_save_load_round_trip(kind, tmp_path):
     model = train_model(matrix, kind, seed=1, **overrides)
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
-    fields = vars(model)
+    fields = {**vars(model), "format": FORMAT}
     if "trees" in model.params:
         assert TABLE_FIELDS == ("feature", "threshold_or_value", "n_nodes")
-        fields = {**fields, "params": {**model.params,
-                                       "trees": _table(model.params["trees"])}}
+        fields["params"] = {**model.params,
+                            "trees": _table(model.params["trees"])}
     assert path.read_text() == json.dumps(
         fields, sort_keys=True, separators=(",", ":"),
         default=np.ndarray.tolist) + "\n"
@@ -968,6 +981,19 @@ def test_train_save_load_round_trip(kind, tmp_path):
     assert payload["kind"] == kind and payload["seed"] == 1
 
 
+_REWRITE = (f"not a model file of format {FORMAT}, the one this version "
+            "reads; re-run `edbench train`")
+
+
+def _unnumbered(payload):
+    """``payload`` as the versions before the format number wrote it: no
+    ``format``, and the sha256 of the columns as ``fingerprint``."""
+    del payload["format"]
+    payload["fingerprint"] = hashlib.sha256(
+        "\n".join(payload["columns"]).encode()).hexdigest()
+    return payload
+
+
 def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     # earlier versions wrote a list of per-tree objects with a stored left
     # child, in level order and, before that, in depth-first order; then one
@@ -975,7 +1001,9 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     # Each of them wrote a boosting model's learning rate and a forest's tree
     # and column counts in its params. All of them, and the table of the
     # three model fields that followed, kept a split's threshold and a
-    # leaf's value in two node fields, as the depth-first oracle does.
+    # leaf's value in two node fields, as the depth-first oracle does. None
+    # of them, nor the layout of one float per node before the format
+    # number, holds 'format', so each is refused by that alone.
     X, y = _toy(n=300, seed=15, noise=1.0)
     matrix = FeatureMatrix(X=X, y=y > 0, columns=[f"c{j}" for j in range(6)],
                            task="hospitalization", time_point="triage",
@@ -1003,42 +1031,94 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
                           for name in (*_EARLIER_TREE_FIELDS, "left")}
                          for tree in oracle]
     assert depth_first_trees != level_order
-    path, gb_path = tmp_path / "model.json", tmp_path / "gb.json"
+    gb_path, rf_path = tmp_path / "gb.json", tmp_path / "rf.json"
     save_model(model, gb_path)
-    payload = json.loads(gb_path.read_text())
-    payload["params"]["learning_rate"] = 0.1
-    earlier = ("marks a {} file in the format of earlier versions; re-run "
-               "`edbench train`")
-    for trees in (level_order, depth_first_trees):
-        payload["params"]["trees"] = trees
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="param 'learning_rate' "
-                           + earlier.format("boosting")) as exc:
-            load_model(path)
-        assert exc.value.exit_code == 3
-    rf_path = tmp_path / "rf.json"
     save_model(rf, rf_path)
-    rf_payload = json.loads(rf_path.read_text())
-    for saved, trees in ((gb_path, grown), (rf_path, grown_rf)):
-        # the three model fields' table: no param marks it, its fields do
-        table = json.loads(saved.read_text())
-        table["params"]["trees"] = _table(trees, _EARLIER_MODEL_FIELDS)
-        path.write_text(json.dumps(table))
-        with pytest.raises(DataError, match=re.escape(
-                f"{path}: 'threshold' and 'value' mark a tree table in the "
-                "format of earlier versions; re-run `edbench train`")) as exc:
-            load_model(path)
-        assert exc.value.exit_code == 3
-    del rf_payload["params"]["importance"]
-    rf_payload["params"].update(n_trees=3, n_features=6)
-    for payload, trees, param in ((payload, grown, "learning_rate"),
-                                  (rf_payload, grown_rf, "n_trees")):
-        payload["params"]["trees"] = _table(trees, _EARLIER_TREE_FIELDS)
+
+    def earlier(saved, trees, **params):
+        payload = _unnumbered(json.loads(saved.read_text()))
+        payload["params"].update(trees=trees, **params)
+        return payload
+
+    five_field_rf = earlier(rf_path, _table(grown_rf, _EARLIER_TREE_FIELDS),
+                            n_trees=3, n_features=6)
+    del five_field_rf["params"]["importance"]
+    files = [earlier(gb_path, level_order, learning_rate=0.1),
+             earlier(gb_path, depth_first_trees, learning_rate=0.1),
+             earlier(gb_path, _table(grown, _EARLIER_TREE_FIELDS),
+                     learning_rate=0.1),
+             five_field_rf,
+             earlier(gb_path, _table(grown, _EARLIER_MODEL_FIELDS)),
+             earlier(rf_path, _table(grown_rf, _EARLIER_MODEL_FIELDS)),
+             _unnumbered(json.loads(gb_path.read_text())),
+             _unnumbered(json.loads(rf_path.read_text()))]
+    path = tmp_path / "model.json"
+    for payload in files:
         path.write_text(json.dumps(payload))
-        message = f"param '{param}' " + earlier.format(payload["kind"])
-        with pytest.raises(DataError, match=message) as exc:
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: {_REWRITE}")) as exc:
             load_model(path)
         assert exc.value.exit_code == 3
+
+
+@pytest.mark.parametrize("number", [None, 0, 2, -1, 1.0, True, "1", [1]])
+def test_load_model_reads_the_format_number_first(number, tmp_path):
+    # any number but FORMAT, or none, is refused before any other key is
+    # read: here the columns are malformed too
+    path = tmp_path / "model.json"
+    save_model(train_model(_matrix(), "logistic"), path)
+    payload = json.loads(path.read_text())
+    assert payload["format"] == FORMAT
+    payload.update(format=number, columns=5)
+    if number is None:
+        del payload["format"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=re.escape(f"{path}: {_REWRITE}")):
+        load_model(path)
+
+
+# The nested key layout of each kind's file, by the format number that names
+# it: the top-level keys, the params keys and a tree table's fields. Changing
+# what a file holds without bumping base.FORMAT fails
+# test_model_file_layout_is_pinned_by_its_format_number.
+_TOP = ["columns", "format", "hyperparams", "kind", "params", "seed", "task",
+        "time_point"]
+_TABLE = ["feature", "n_nodes", "threshold_or_value"]
+MODEL_FILE_LAYOUTS = {
+    1: {
+        "logistic": {"keys": _TOP, "params": ["bias", "final_loss", "mean",
+                                              "n_iter", "std", "weights"]},
+        "random_forest": {"keys": _TOP, "params": ["importance", "trees"],
+                          "trees": _TABLE},
+        "boosting": {"keys": _TOP, "params": ["base_score", "train_deviance",
+                                              "trees"], "trees": _TABLE},
+        "one-class boosting": {"keys": _TOP, "params": ["constant"]},
+        "mlp": {"keys": _TOP, "params": ["W1", "b1", "b2", "epoch_loss",
+                                         "mean", "std", "w2"]},
+    },
+}
+
+
+def test_model_file_layout_is_pinned_by_its_format_number(tmp_path):
+    matrix = _matrix()
+    one_class = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
+    fits = {kind: (kind, matrix) for kind in MODEL_KINDS}
+    fits["one-class boosting"] = ("boosting", one_class)
+    layouts = {}
+    path = tmp_path / "model.json"
+    for name, (kind, data) in fits.items():
+        overrides = {"random_forest": {"n_trees": 2}}.get(kind, {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateLabels)
+            save_model(train_model(data, kind, **overrides), path)
+        payload = json.loads(path.read_text())
+        layouts[name] = {"keys": sorted(payload),
+                         "params": sorted(payload["params"])}
+        if "trees" in payload["params"]:
+            layouts[name]["trees"] = sorted(payload["params"]["trees"])
+    assert layouts == MODEL_FILE_LAYOUTS.get(FORMAT), (
+        f"model files no longer hold the layout of format {FORMAT}: bump "
+        "base.FORMAT and pin the new layout under the new number")
 
 
 _SPECIAL = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5, -2.75]
@@ -1083,9 +1163,16 @@ def test_trees_json_is_json_dumps_of_the_lists(ensemble):
     if not np.isfinite(table["threshold_or_value"]).all():
         with pytest.raises(ValueError, match="'threshold_or_value' must hold "
                            "finite numbers"):
-            trees_from_json(table, d)
+            trees_from_json(table, d, 64)
         return
-    loaded = trees_from_json(table, d)
+    # the deepest tree's depth passes as max_depth, one less does not
+    depths = [_depth(tree) for tree in trees]
+    if max(depths, default=0) > 0:
+        with pytest.raises(ValueError, match=re.escape(
+                f"tree {depths.index(max(depths))} is deeper than "
+                f"'hyperparams' 'max_depth', {max(depths) - 1}")):
+            trees_from_json(table, d, max(depths) - 1)
+    loaded = trees_from_json(table, d, max(depths, default=0))
     assert len(loaded) == len(trees)
     for new, old in zip(loaded, trees):
         assert list(new) == list(MODEL_FIELDS)
@@ -1141,6 +1228,7 @@ def test_load_model_rejects_malformed_trees(field, change, message, tmp_path):
     ("logistic", "columns", lambda m: m.update(columns=5)),
     ("logistic", "columns", lambda m: m.update(columns=["age", 1])),
     ("logistic", "kind", lambda m: m.update(kind=["logistic"])),
+    # the sha256 of the columns that files before the format number held
     ("logistic", "fingerprint", lambda m: m.update(fingerprint="0" * 64)),
     ("boosting", "base_score", lambda m: m["params"].update(base_score="x")),
     # params a fit does not return
@@ -1261,16 +1349,21 @@ def test_default_hyperparams_come_from_the_fitters():
 def test_predict_proba_guards_manifest():
     matrix = _matrix()
     model = train_model(matrix, "logistic")
-    with pytest.raises(ManifestMismatch):
-        predict_proba(model, np.zeros((4, 3)))
-    bad = np.zeros((4, 2))
-    bad[0, 0] = np.inf
-    with pytest.raises(ManifestMismatch):
+    # the same width in another order is another manifest, and so is a
+    # shorter one; each message names the first column that differs
+    for manifest, message in (
+            (["gender", "age"], "column 0 is 'gender', but the model, "
+             "trained on 2 columns, has 'age'"),
+            (["age"], "column 1 is None, but the model, trained on 2 "
+             "columns, has 'gender'")):
+        other = build_feature_matrix(_fake_records(), "hospitalization",
+                                     manifest=manifest)
+        with pytest.raises(ManifestMismatch, match=re.escape(message)):
+            predict_proba(model, other)
+    bad = dataclasses.replace(matrix, X=matrix.X.copy())
+    bad.X[0, 0] = np.inf
+    with pytest.raises(ManifestMismatch, match="non-finite"):
         predict_proba(model, bad)
-    other = build_feature_matrix(_fake_records(), "hospitalization",
-                                 manifest=["gender"])
-    with pytest.raises(ManifestMismatch):
-        predict_proba(model, other)
 
 
 def test_rf_importance_wrapper_and_wrong_kind(tmp_path):
