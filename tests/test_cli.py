@@ -1022,6 +1022,44 @@ def test_model_outputs_are_pinned(run_all):
     assert digests == MODEL_OUTPUT_DIGESTS
 
 
+# sha256 of each model file the run_all cohort's `all` writes. A change to the
+# model layer that keeps the file format keeps these; changing one is a
+# declared byte change of the model files.
+MODEL_FILE_DIGESTS = {
+    "critical_triage_boosting":
+        "55bc8a102f910dd782647015ab51f56e8e68518bc113c3ac2fda14b2085f8fb3",
+    "critical_triage_logistic":
+        "b9869b75e4e11419518397b1794b6c95d2b6a8e8b1c687f26daec6d3d7a14747",
+    "critical_triage_mlp":
+        "19091c377ae82297cbb4feec7a05a283d617454a1ce85664e0a57ceaae1c6f59",
+    "critical_triage_random_forest":
+        "7bf93f7559a77b8a5e96126f9fe7c2925eab9d8afd6884f56ae2a42a4cee2f61",
+    "hospitalization_triage_boosting":
+        "544dfe152606f6ca540a5fd8f274e34cc04250b6df430c24e23b4ac49e7464dd",
+    "hospitalization_triage_logistic":
+        "b2155228ceb5f2f628dc84ef3752d35a271338c7a023ad55d157d1ab36a7d2a7",
+    "hospitalization_triage_mlp":
+        "e3b4579c8da1e9b288b9043490995cde11e6e4f46fefe1419ea9c31f5b4913fe",
+    "hospitalization_triage_random_forest":
+        "993db0d2821b5382ee6fa553dda523904b0d7aa640a6a7ae6f16e568606cd2ff",
+    "reattendance_disposition_boosting":
+        "81e403c1a919a82f81ba008594c47c9aac72d85146c798856795f5b8bc721ffa",
+    "reattendance_disposition_logistic":
+        "70c602ce5bd30e6c2db952fca0a348ed717acd8a363163fdc0a6474e1b324ddf",
+    "reattendance_disposition_mlp":
+        "15e2a3cc4d35278b2fa8201ecdfde8849f2724a784b204de03e9bf328b52ec55",
+    "reattendance_disposition_random_forest":
+        "0117692426ac7f5847741a30c0e6bb3da4b318cd080ced0050ad38c1ddd24849",
+}
+
+
+def test_model_files_are_pinned(run_all):
+    models = run_all / "out" / "models"
+    digests = {name: hashlib.sha256((models / f"{name}.json").read_bytes())
+               .hexdigest() for name in MODEL_FILE_DIGESTS}
+    assert digests == MODEL_FILE_DIGESTS
+
+
 # -- in-memory handoff ---------------------------------------------------------------
 
 
