@@ -412,6 +412,9 @@ def stage_train(cfg: PipelineConfig, tasks=TASK_ORDER, kinds=MODEL_KINDS,
 def _evaluate(cfg: PipelineConfig, test_records: list[dict], tasks=TASK_ORDER,
               time_point: str | None = None) -> tuple[dict, list[Path]]:
     runtimes = _read_runtimes(cfg)
+    # acuity inverted into a risk score works for every outcome
+    esi = np.array([esi_risk(rec["triage_acuity"]) for rec in test_records],
+                   dtype=np.float64)
 
     results: list[ModelResult] = []
     for task in tasks:
@@ -427,9 +430,6 @@ def _evaluate(cfg: PipelineConfig, test_records: list[dict], tasks=TASK_ORDER,
                 task=display, model=DISPLAY_NAMES[kind], scores=scores,
                 labels=labels, runtime_seconds=runtimes.get(path.stem, 0.0),
                 n_variables=model.n_variables))
-        # acuity inverted into a risk score works for every outcome
-        esi = np.array([esi_risk(rec["triage_acuity"]) for rec in test_records],
-                       dtype=np.float64)
         results.append(ModelResult(task=display, model="ESI", scores=esi,
                                    labels=labels, runtime_seconds=0.0,
                                    n_variables=1))
@@ -466,13 +466,11 @@ def stage_predict(cfg: PipelineConfig, model_file: str, input_csv: str,
     matrix = build_feature_matrix(records, model.task,
                                   time_point=model.time_point,
                                   manifest=model.columns)
-    empty = np.argwhere(~np.isfinite(matrix.X))
-    if len(empty):
-        row, col = empty[0]
-        raise DataError(f"{input_csv}: column {matrix.columns[col]!r} of stay "
-                        f"{matrix.stay_ids[row]} is empty; predict scores imputed "
-                        f"rows, such as those of train.csv and test.csv")
-    probs = predict_proba(model, matrix)
+    try:
+        probs = predict_proba(model, matrix)
+    except DataError as exc:
+        raise DataError(f"{input_csv}: {exc}; predict scores imputed rows, "
+                        "such as those of train.csv and test.csv") from None
     out = Path(output_csv)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:

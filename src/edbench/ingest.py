@@ -28,7 +28,7 @@ Error semantics, applied uniformly:
 Temperatures are stored in Celsius; the input unit is configurable and
 defaults to Fahrenheit, converted as (v - 32) * 5/9; a cell whose conversion
 overflows is unparseable. Pain is kept only when it parses as an integer in
-[0, 10].
+[0, 10]; an acuity outside 1..5 becomes missing and is counted.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
         ("subject_id", "key"), ("stay_id", "key"),
         ("temperature", "temperature"), ("heartrate", "number"),
         ("resprate", "number"), ("o2sat", "number"), ("sbp", "number"),
-        ("dbp", "number"), ("pain", "pain"), ("acuity", "small_int"),
+        ("dbp", "number"), ("pain", "pain"), ("acuity", "acuity"),
         ("chiefcomplaint", "text")),
     "vitalsign": (
         ("subject_id", "key"), ("stay_id", "key"), ("charttime", "child_time"),
@@ -179,6 +179,13 @@ class _TableReader:
     def icd_version(self, raw: str, col: str) -> int:
         version = self.small_int(raw, col)
         return 0 if version is None else version
+
+    def acuity(self, raw: str, col: str) -> int | None:
+        value = self.small_int(raw, col)
+        if value is not None and not 1 <= value <= 5:
+            self._coerce("out-of-range", col, raw.strip())
+            return None
+        return value
 
     def pain(self, raw: str, col: str) -> int | None:
         # Pain chartings are free text; keep only clean integers on the 0-10 scale.

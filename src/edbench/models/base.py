@@ -1,22 +1,27 @@
-"""Unified train/predict/save/load surface over the four model kinds.
+"""Unified train/predict/save/load surface over the four model kinds, and
+the learners' one edge: only this module checks their input, and reads and
+writes their params.
 
 A trained model carries the feature manifest it was fitted against, its
 ``columns``; prediction takes a FeatureMatrix and refuses one whose columns
 differ from the model's, in name or order, which catches the classic
 mistake of scoring disposition-time features with a triage-time model.
+``train_model`` and ``predict_proba`` refuse a NaN or infinite cell, a
+DataError naming its column and stay.
 
-Model files are compact JSON (sorted keys, no whitespace) and hold no
-wall-clock data, so repeated runs with the same seed produce byte-identical
-files. Each file holds ``format``, FORMAT, the number of its layout, which
-any change to the layout bumps. ``load_model`` reads it first: a file with
-another number, or with none (every layout before the number), is one
-DataError saying to re-run ``edbench train``, whatever else it holds. Tree
-models keep the node arrays prediction reads, a feature and one float per
-node, per tree in memory and as one table per ensemble on disk
-(``_trees``); a forest adds the importance computed at fit. ``load_model``
-checks that a file holds what ``save_model`` writes, finite and in the
-counts and depth its hyperparameters give, so a tampered file is a
-DataError rather than a crash, an endless walk or NaN probabilities.
+In memory a param with a shape in ``_PARAMS`` is a float64 array, any other
+a Python number. Model files are compact JSON (sorted keys, no whitespace)
+and hold no wall-clock data, so repeated runs with the same seed produce
+byte-identical files. Each file holds ``format``, FORMAT, the number of its
+layout, which any change to the layout bumps. ``load_model`` reads it
+first: a file with another number, or with none (every layout before the
+number), is one DataError saying to re-run ``edbench train``, whatever else
+it holds. Tree models keep the node arrays prediction reads, a feature and
+one float per node, per tree in memory and as one table per ensemble on
+disk (``_trees``); a forest adds the importance computed at fit.
+``load_model`` checks that a file holds what ``save_model`` writes, finite
+and in the counts and depth its hyperparameters give, so a tampered file is
+a DataError rather than a crash, an endless walk or NaN probabilities.
 """
 
 from __future__ import annotations
@@ -126,9 +131,19 @@ def resolve_hyperparams(kind: str, overrides: dict) -> dict:
     return hyper
 
 
+def _check_finite(matrix: FeatureMatrix) -> None:
+    """Raise DataError naming the first NaN or infinite cell of ``matrix``."""
+    finite = np.isfinite(matrix.X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(f"column {matrix.columns[col]!r} of stay "
+                        f"{matrix.stay_ids[row]} is empty or not finite")
+
+
 def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
                 **overrides) -> TrainedModel:
     hyper = resolve_hyperparams(kind, overrides)
+    _check_finite(matrix)
     fitter, _, _, takes_seed = _KINDS[kind]
     kwargs = dict(hyper)
     if takes_seed:
@@ -147,7 +162,7 @@ def train_model(matrix: FeatureMatrix, kind: str, *, seed: int = 0,
 
 def predict_proba(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
     """Probabilities for the rows of ``matrix``, whose columns must be the
-    model's, in the model's order."""
+    model's, in the model's order, and whose cells must be finite."""
     if list(matrix.columns) != list(model.columns):
         j, want, got = next(
             (j, want, got) for j, (want, got) in enumerate(
@@ -156,8 +171,7 @@ def predict_proba(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
         raise ManifestMismatch(
             f"feature manifest mismatch: column {j} is {got!r}, but the "
             f"model, trained on {model.n_variables} columns, has {want!r}")
-    if not np.isfinite(matrix.X).all():
-        raise ManifestMismatch("prediction inputs contain non-finite values")
+    _check_finite(matrix)
     return _KINDS[model.kind][1](model.params, matrix.X)
 
 
@@ -168,21 +182,22 @@ def rf_variable_importance(model: TrainedModel) -> list[tuple[str, float]]:
             f"variable importance is defined for random_forest models, "
             f"not {model.kind!r}")
     imp = model.params["importance"]
-    order = sorted(range(len(imp)), key=lambda j: (-imp[j], j))
+    order = np.argsort(-imp, kind="stable")
     return [(model.columns[j], float(imp[j])) for j in order]
 
 
 def save_model(model: TrainedModel, path) -> None:
     """Write ``model`` as ``json.dumps`` of it with sorted keys, no
-    whitespace, and a tree model's trees as the table ``_trees.trees_json``
-    streams, put where ``json.dumps`` wrote an empty list: the key
-    ``"trees"`` occurs once, as any quote inside a string is escaped. The
-    file's ``format`` key is FORMAT."""
+    whitespace and its arrays as lists, and a tree model's trees as the
+    table ``_trees.trees_json`` streams, put where ``json.dumps`` wrote an
+    empty list: the key ``"trees"`` occurs once, as any quote inside a
+    string is escaped. The file's ``format`` key is FORMAT."""
     trees = model.params.get("trees")
     fields = {**vars(model), "format": FORMAT}
     if trees is not None:
         fields["params"] = {**model.params, "trees": []}
-    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"),
+                      default=np.ndarray.tolist)
     with open(path, "w", encoding="utf-8") as fh:
         if trees is not None:
             head, _, text = text.partition('"trees":[]')
@@ -247,9 +262,9 @@ def load_model(path) -> TrainedModel:
 def _check_params(kind: str, params, hyper: dict, n_columns: int) -> None:
     """Raise ValueError, naming the param, unless ``params`` hold a tree
     model's valid table of as many trees, none deeper, as ``hyper`` says
-    (made its trees in place) and exactly what ``_PARAMS`` asks for
-    ``n_columns`` inputs, or a one-class boosting fit's ``constant`` in
-    [0, 1] alone."""
+    and exactly what ``_PARAMS`` asks for ``n_columns`` inputs, or a
+    one-class boosting fit's ``constant`` in [0, 1] alone. Makes its trees
+    and arrays in place, as ``train_model`` gives them."""
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
     one_class = kind == "boosting" and "constant" in params
@@ -278,6 +293,8 @@ def _check_params(kind: str, params, hyper: dict, n_columns: int) -> None:
         if value.shape != expected:
             raise ValueError(f"param {name!r} has shape {value.shape}, "
                              f"expected {expected}")
+        if shape:
+            params[name] = value.astype(np.float64, copy=False)
     if one_class and not 0 <= params["constant"] <= 1:
         raise ValueError("param 'constant' must be a number in [0, 1]")
     unknown = params.keys() - {*shapes, *(["trees"] if trees else [])}

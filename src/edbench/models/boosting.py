@@ -5,12 +5,13 @@ log-odds and each stage fits a shallow regression tree to the current
 residuals ``y - p``, with leaf values set by a single Newton step (sum of
 residuals over sum of ``p (1 - p)``) scaled by the learning rate, and
 stored so scaled in the leaves' ``threshold_or_value``, as in XGBoost.
-Training records the deviance after every stage; on the training set it
-must never increase, which the test suite checks. Every stage's tree grows
-on all rows, so the fit builds their level-0 histogram layout once and
-hands it to each stage. Prediction walks every stage's tree at once with
-``predict_trees`` and adds the leaves in stage order, as training did. A
-fit on one class stores only that class's rate, ``constant``.
+Training records the deviance after every stage, a float64 array; on the
+training set it must never increase, which the test suite checks. Every
+stage's tree grows on all rows, so the fit builds their level-0 histogram
+layout once and hands it to each stage. Prediction walks every stage's tree
+at once with ``predict_trees`` and adds the leaves in stage order, as
+training did. A fit on one class stores only that class's rate,
+``constant``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from ..errors import DataError, DegenerateLabels, NonFiniteLoss
+from ..errors import DegenerateLabels, NonFiniteLoss
 from ._trees import MODEL_FIELDS, bin_features, grow_tree, predict_trees
 from .linear import sigmoid, _softplus
 
@@ -35,8 +36,7 @@ def _deviance(F: np.ndarray, y: np.ndarray) -> float:
 def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
                  max_depth: int = 3, learning_rate: float = 0.1,
                  min_leaf: int = 1) -> dict:
-    if not np.isfinite(X).all():
-        raise DataError("boosting: non-finite feature values")
+    """Train on finite X (``train_model`` checks it); return the params."""
     y = y.astype(np.float64)
     n = X.shape[0]
     pos = float(y.sum())
@@ -67,11 +67,8 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         deviance.append(dev)
     logger.info("boosting: %d stages, deviance %.6f -> %.6f",
                 n_stages, deviance[0], deviance[-1])
-    return {
-        "base_score": base,
-        "trees": trees,
-        "train_deviance": deviance,
-    }
+    return {"base_score": base, "trees": trees,
+            "train_deviance": np.array(deviance)}
 
 
 def predict_boosting(params: dict, X: np.ndarray) -> np.ndarray:

@@ -67,8 +67,8 @@ def build_feature_matrix(
 
     Each manifest column is converted on its own: missing cells become
     NaN and flags 0/1, and a ``sex`` column (``cohort.column_kind``) is
-    encoded M=1, F=0. After the pipeline's imputation nothing is missing,
-    and the trainers reject non-finite input outright.
+    encoded M=1, F=0. After the pipeline's imputation nothing is missing;
+    ``train_model`` and ``predict_proba`` refuse a missing cell, naming it.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {sorted(TASKS)}")

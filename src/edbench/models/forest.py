@@ -14,8 +14,9 @@ is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
 whole ensemble. ``params`` holds ``trees``, each tree's ``feature`` and
 ``threshold_or_value`` arrays, and ``importance``, computed at fit from the
-grown trees' row counts and gains (``_trees``). On one-class labels no root
-opens: each tree is one leaf worth that class, 0.0 or 1.0; importances 0.0.
+grown trees' row counts and gains (``_trees``), a float64 array. On
+one-class labels no root opens: each tree is one leaf worth that class, 0.0
+or 1.0; importances 0.0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from ..errors import DataError, DegenerateLabels
+from ..errors import DegenerateLabels
 from ._trees import MODEL_FIELDS, bin_features, grow_trees, predict_trees
 
 logger = logging.getLogger(__name__)
@@ -39,8 +40,7 @@ PASS_CELLS = 2 ** 17
 
 def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
                max_depth: int = 32, min_leaf: int = 1, seed: int = 0) -> dict:
-    if not np.isfinite(X).all():
-        raise DataError("random forest: non-finite feature values")
+    """Train on finite X (``train_model`` checks it); return the params."""
     y = y.astype(np.float64)
     n, d = X.shape
     if y.min() == y.max():
@@ -60,7 +60,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
     logger.info("forest: %d trees on %d rows x %d features", n_trees, n, d)
     return {"trees": [{name: tree[name] for name in MODEL_FIELDS}
                       for tree in trees],
-            "importance": forest_importance(trees, d).tolist()}
+            "importance": forest_importance(trees, d)}
 
 
 def predict_forest(params: dict, X: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ Optimization is full-batch gradient descent with a backtracking
 (step-halving) line search from a zero start, capped at ``MAX_ITER``
 iterations or an infinity-norm gradient tolerance ``TOL``. The line
 search only ever accepts descent steps, so the final loss cannot exceed
-the zero-parameter loss (a convexity witness checked by tests).
+the zero-parameter loss (a convexity witness checked by tests). Params
+are numbers and float64 arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 
 import numpy as np
 
-from ..errors import DataError, NonFiniteLoss
+from ..errors import NonFiniteLoss
 
 logger = logging.getLogger(__name__)
 
@@ -74,9 +75,8 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0) -> dict:
-    """Train and return kind-specific parameters (standardized scale)."""
-    if not np.isfinite(X).all():
-        raise DataError("logistic regression: non-finite feature values")
+    """Train on finite X (``train_model`` checks it); return kind-specific
+    parameters (standardized scale)."""
     n, d = X.shape
     y = y.astype(np.float64)
     mean, std = standardize_fit(X)
@@ -113,19 +113,10 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, *, C: float = 1.0) -> dict:
     if not np.isfinite(loss):
         raise NonFiniteLoss("logistic regression: non-finite final loss")
     logger.info("logistic: %d iterations, loss %.6f", n_iter, loss)
-    return {
-        "weights": w.tolist(),
-        "bias": b,
-        "mean": mean.tolist(),
-        "std": std.tolist(),
-        "final_loss": loss,
-        "n_iter": n_iter,
-    }
+    return {"weights": w, "bias": b, "mean": mean, "std": std,
+            "final_loss": loss, "n_iter": n_iter}
 
 
 def predict_logistic(params: dict, X: np.ndarray) -> np.ndarray:
-    mean = np.asarray(params["mean"])
-    std = np.asarray(params["std"])
-    w = np.asarray(params["weights"])
-    b = params["bias"]
-    return sigmoid(matvec((X - mean) / std, w) + b)
+    Xs = (X - params["mean"]) / params["std"]
+    return sigmoid(matvec(Xs, params["weights"]) + params["bias"])

@@ -5,7 +5,8 @@ Architecture is fixed: standardized inputs, one ReLU layer of
 stable form of binary cross-entropy, ``softplus(z) - y z``. Training
 runs Adam over shuffled mini-batches (the short remainder batch is kept,
 not dropped) for a fixed number of epochs. All randomness flows from the
-model seed, so repeated fits are bit-identical.
+model seed, so repeated fits are bit-identical. Params are numbers and
+float64 arrays.
 
 ``mlp_loss_and_grads`` exposes the exact loss/gradient computation on
 caller-supplied parameters so tests can verify the analytic gradients
@@ -18,7 +19,7 @@ import logging
 
 import numpy as np
 
-from ..errors import DataError, NonFiniteLoss
+from ..errors import NonFiniteLoss
 from .linear import matvec, sigmoid, _softplus, standardize_fit
 
 logger = logging.getLogger(__name__)
@@ -64,8 +65,7 @@ class _Adam:
 def fit_mlp(X: np.ndarray, y: np.ndarray, *, hidden: int = 64,
             epochs: int = 20, batch_size: int = 200,
             learning_rate: float = 0.001, seed: int = 0) -> dict:
-    if not np.isfinite(X).all():
-        raise DataError("mlp: non-finite feature values")
+    """Train on finite X (``train_model`` checks it); return the params."""
     y = y.astype(np.float64)
     n, d = X.shape
     mean, std = standardize_fit(X)
@@ -104,23 +104,11 @@ def fit_mlp(X: np.ndarray, y: np.ndarray, *, hidden: int = 64,
         epoch_loss.append(running / n)
     logger.info("mlp: %d epochs, loss %.6f -> %.6f",
                 epochs, epoch_loss[0], epoch_loss[-1])
-    return {
-        "W1": W1.tolist(),
-        "b1": b1.tolist(),
-        "w2": w2.tolist(),
-        "b2": b2,
-        "mean": mean.tolist(),
-        "std": std.tolist(),
-        "epoch_loss": epoch_loss,
-    }
+    return {"W1": W1, "b1": b1, "w2": w2, "b2": b2, "mean": mean, "std": std,
+            "epoch_loss": np.array(epoch_loss)}
 
 
 def predict_mlp(params: dict, X: np.ndarray) -> np.ndarray:
-    mean = np.asarray(params["mean"])
-    std = np.asarray(params["std"])
-    W1 = np.asarray(params["W1"])
-    b1 = np.asarray(params["b1"])
-    w2 = np.asarray(params["w2"])
-    b2 = float(params["b2"])
-    A1 = np.maximum((X - mean) / std @ W1 + b1, 0.0)
-    return sigmoid(matvec(A1, w2) + b2)
+    Xs = (X - params["mean"]) / params["std"]
+    A1 = np.maximum(Xs @ params["W1"] + params["b1"], 0.0)
+    return sigmoid(matvec(A1, params["w2"]) + params["b2"])

@@ -11,6 +11,8 @@ budgeted to finish in under five minutes.
 
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +375,62 @@ def test_c11_runs_are_byte_deterministic(tmp_path):
     # report.csv identical with the wall-clock column masked
     assert _masked_report(out_a / "report.csv") == _masked_report(
         out_b / "report.csv")
+
+
+# the sha256 of each saved model's predictions on its run's test.csv, one
+# "<model file stem> <digest>" a line
+_PREDICTION_DIGESTS = """\
+import hashlib, pathlib, sys
+from edbench.cohort import read_master_csv
+from edbench.models import build_feature_matrix, load_model, predict_proba
+out = pathlib.Path(sys.argv[1])
+records, _ = read_master_csv(str(out / "test.csv"))
+for path in sorted((out / "models").glob("*_*_*.json")):
+    model = load_model(path)
+    matrix = build_feature_matrix(records, model.task,
+                                  time_point=model.time_point,
+                                  manifest=model.columns)
+    probs = predict_proba(model, matrix).tobytes()
+    print(path.stem, hashlib.sha256(probs).hexdigest())
+"""
+
+
+def test_c11_two_processes_write_the_same_bytes(tmp_path):
+    # test_c11 runs its two pipelines in one process; here each run, and
+    # each run's predictions, is its own process, with its own hash seed
+    # and BLAS thread count, on one synthetic cohort with default models
+    (tmp_path / "synth.ini").write_text(
+        f"[pipeline]\nseed = 7\ninput_dir = {tmp_path / 'data'}\n"
+        f"output_dir = {tmp_path / 'synth'}\n\n[synth]\nn_patients = 300\n")
+    assert cli.main(["synth", "--config", str(tmp_path / "synth.ini")]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    envs = {"a": dict(env, PYTHONHASHSEED="1", OPENBLAS_NUM_THREADS="1"),
+            "b": dict(env, PYTHONHASHSEED="2")}
+    digests = {}
+    for run, run_env in envs.items():
+        (tmp_path / f"{run}.ini").write_text(
+            f"[pipeline]\nseed = 7\ninput_dir = {tmp_path / 'data'}\n"
+            f"output_dir = {tmp_path / run}\n")
+        for argv in (["-m", "edbench.cli", "all", "--config",
+                      str(tmp_path / f"{run}.ini")],
+                     ["-c", _PREDICTION_DIGESTS, str(tmp_path / run)]):
+            result = subprocess.run([sys.executable, *argv], cwd=tmp_path,
+                                    env=run_env, capture_output=True,
+                                    text=True, timeout=600)
+            assert result.returncode == 0, result.stderr[-2000:]
+        digests[run] = result.stdout.splitlines()
+    a, b = tmp_path / "a", tmp_path / "b"
+    models = sorted(p.relative_to(a) for p in a.glob("models/*_*_*.json"))
+    assert len(models) == len(digests["a"]) == 12
+    for name in [*models, "master_dataset.csv", "train.csv", "test.csv",
+                 "split.csv", "imputer.json", "cohort_summary.csv"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert digests["a"] == digests["b"]
+    assert _masked_report(a / "report.csv") == _masked_report(b / "report.csv")
 
 
 def test_c12_cleaning_and_imputation_invariants(big_pipeline):

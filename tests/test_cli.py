@@ -862,6 +862,55 @@ def test_predict_rejects_an_empty_feature_cell(run_all, tmp_path, caplog):
     assert not (tmp_path / "preds.csv").exists()
 
 
+@pytest.mark.parametrize("command, split, inputs", [
+    ("train", "train.csv", ()), ("evaluate", "test.csv", ("models",))],
+    ids=["train", "evaluate"])
+def test_an_empty_feature_cell_names_its_column_and_stay(
+        run_all, tmp_path, caplog, command, split, inputs):
+    # train and evaluate refuse it as predict does, before any fit or score
+    ini, out = _stage_config(run_all, tmp_path, split, *inputs)
+    rows = (out / split).read_text().splitlines(keepends=True)
+    header, cells = rows[0].split(","), rows[1].split(",")
+    cells[header.index("triage_heartrate")] = ""
+    rows[1] = ",".join(cells)
+    (out / split).write_text("".join(rows))
+    stay = cells[header.index("stay_id")]
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert cli.main([command, "--config", str(ini)]) == 3
+    assert (f"DataError: column 'triage_heartrate' of stay {stay} is empty "
+            "or not finite") in caplog.text
+    assert "ManifestMismatch" not in caplog.text
+    assert sorted(p for p in out.rglob("*") if p.is_file()) == files
+
+
+def test_an_acuity_outside_1_to_5_excludes_its_visit(run_all, tmp_path):
+    # a test-split visit's acuity of 7 is read as missing, and the visit is
+    # excluded, where it reached evaluate and stopped it at the ESI score
+    data = tmp_path / "data"
+    shutil.copytree(run_all / "data", data)
+    stay = read_master_csv(str(run_all / "out" / "test.csv"))[0][0]["stay_id"]
+    rows = (data / "triage.csv").read_text().splitlines(keepends=True)
+    header = rows[0].rstrip("\n").split(",")
+    at = next(i for i, row in enumerate(rows)
+              if row.split(",")[header.index("stay_id")] == str(stay))
+    cells = rows[at].split(",")
+    cells[header.index("acuity")] = "7"
+    rows[at] = ",".join(cells)
+    (data / "triage.csv").write_text("".join(rows))
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI_TEMPLATE.format(inp=data, out=tmp_path / "out")
+                   .replace("[synth]\nn_patients = 120\nmean_visits = 2.0\n",
+                            ""))
+    assert cli.main(["all", "--config", str(ini)]) == 0
+    excluded = [json.loads((root / "out" / "run_manifest.json").read_text())
+                ["stages"]["build_benchmark"]["excluded"]["missing_acuity"]
+                for root in (run_all, tmp_path)]
+    assert excluded[1] == excluded[0] + 1
+    test_ids = {rec["stay_id"] for rec in
+                read_master_csv(str(tmp_path / "out" / "test.csv"))[0]}
+    assert stay not in test_ids
+
+
 def test_build_benchmark_rejects_malformed_number_cell(run_all, tmp_path,
                                                       caplog):
     out = tmp_path / "out"

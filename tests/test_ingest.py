@@ -238,7 +238,8 @@ CELL_CASES = {
         ("", (None, 0)), ("hot", (None, 1)), ("212", (100.0, 0)),
         ("1e308", (None, 1)), ("-1e308", (None, 1))]),
     "small int": ("triage", "acuity", [
-        ("", (None, 0)), ("3.0", (3, 0)), ("3.5", (None, 1)), ("x", (None, 1))]),
+        ("", (None, 0)), ("3.0", (3, 0)), ("3.5", (None, 1)), ("x", (None, 1)),
+        ("0", (None, 1)), ("6", (None, 1)), ("7", (None, 1))]),
     "icd version": ("diagnoses_icd", "icd_version", [
         ("", (0, 0)), ("x", (0, 1)), ("10", (10, 0))]),
     "pain": ("triage", "pain", [
@@ -295,7 +296,7 @@ CELL_VALUES = {
     "text": st.text().map(str.strip),
     "number": st.none() | _FLOATS,
     "temperature": st.none() | _FLOATS,
-    "small_int": st.none() | _SMALL_INTS,
+    "acuity": st.none() | st.integers(1, 5),
     "icd_version": _SMALL_INTS,
     "pain": st.none() | st.integers(0, 10),
     "gender": st.sampled_from([None, "F", "M"]),

@@ -23,7 +23,7 @@ from edbench.models import (MODEL_KINDS, FeatureMatrix, build_feature_matrix,
                             load_manifest, load_model, predict_proba,
                             resolve_hyperparams, rf_variable_importance,
                             save_model, train_model)
-from edbench.models import _trees, boosting, forest
+from edbench.models import _trees, base, boosting, forest
 from edbench.models.base import FORMAT
 from edbench.models._trees import (MODEL_FIELDS, TABLE_FIELDS, TREE_FIELDS,
                                    bin_features, grow_tree, predict_trees,
@@ -491,7 +491,9 @@ def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
                                         for old in oracle_trees],
                             learning_rate=0.1)
         params.pop("trees")
-        assert reference.pop("trees") and params == reference
+        assert reference.pop("trees") and params.keys() == reference.keys()
+        for name in params:
+            assert np.array_equal(params[name], reference[name]), name
         assert len(grown) == len(oracle_trees) == 15
         for new, old in zip(grown, oracle_trees):
             _assert_equal_to_oracle(new, old)
@@ -769,7 +771,7 @@ def test_one_class_forest_is_one_leaf_trees(tmp_path):
     for trees in (model.params["trees"], loaded.params["trees"]):
         assert [{name: tree[name].tolist() for name in MODEL_FIELDS}
                 for tree in trees] == [one_leaf] * 4
-    assert loaded.params["importance"] == [0.0, 0.0]
+    assert loaded.params["importance"].tolist() == [0.0, 0.0]
     assert np.all(probs == 0.0)
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -782,7 +784,7 @@ def test_forest_importance_ranks_signal_feature():
     with _spy(forest, "grow_trees") as grown:
         params = fit_forest(X, y, n_trees=20, seed=3)
     imp = forest_importance(grown, 5)
-    assert params["importance"] == imp.tolist()
+    assert params["importance"].tobytes() == imp.tobytes()
     assert imp.sum() == pytest.approx(1.0)
     assert np.all(imp >= 0.0)
     assert int(np.argmax(imp)) == 2
@@ -817,10 +819,12 @@ def test_logistic_feature_scaling_invariance():
 
 
 def test_logistic_rejects_non_finite():
-    X, y = _toy(n=50)
-    X[0, 0] = np.nan
-    with pytest.raises(DataError):
-        fit_logistic(X, y)
+    # train_model checks every fitter's input, naming the first bad cell
+    matrix = _matrix()
+    matrix.X[3, 1] = np.nan
+    with pytest.raises(DataError, match=re.escape(
+            "column 'gender' of stay 103 is empty or not finite")):
+        train_model(matrix, "logistic")
 
 
 # -- mlp ----------------------------------------------------------------------------
@@ -1121,6 +1125,31 @@ def test_model_file_layout_is_pinned_by_its_format_number(tmp_path):
         "base.FORMAT and pin the new layout under the new number")
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_params_are_arrays_fitted_and_loaded(kind, tmp_path):
+    # every param with a shape is a float64 array with the same bytes after
+    # train_model and after load_model; every other, trees aside, is a number
+    overrides = {"random_forest": {"n_trees": 2}, "boosting": {"n_stages": 3},
+                 "mlp": {"epochs": 2, "hidden": 3}}.get(kind, {})
+    model = train_model(_matrix(), kind, seed=5, **overrides)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert model.params.keys() == loaded.params.keys()
+    for name, shape in base._PARAMS[kind].items():
+        fitted, read = model.params[name], loaded.params[name]
+        if shape:
+            for value in (fitted, read):
+                assert type(value) is np.ndarray, name
+                assert value.dtype == np.float64, name
+                assert value.ndim == len(shape), name
+            assert fitted.shape == read.shape, name
+            assert fitted.tobytes() == read.tobytes(), name
+        else:
+            assert type(fitted) in (int, float), name
+            assert type(read) is type(fitted) and read == fitted, name
+
+
 _SPECIAL = [0.0, -0.0, 0.1, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.5, -2.75]
 
 
@@ -1362,7 +1391,8 @@ def test_predict_proba_guards_manifest():
             predict_proba(model, other)
     bad = dataclasses.replace(matrix, X=matrix.X.copy())
     bad.X[0, 0] = np.inf
-    with pytest.raises(ManifestMismatch, match="non-finite"):
+    with pytest.raises(DataError, match=re.escape(
+            "column 'age' of stay 100 is empty or not finite")):
         predict_proba(model, bad)
 
 
@@ -1375,19 +1405,18 @@ def test_rf_importance_wrapper_and_wrong_kind(tmp_path):
     assert sum(v for _, v in pairs) == pytest.approx(1.0)
     # stored at fit from the grown trees, and loaded bit for bit
     imp = forest_importance(grown, len(matrix.columns))
-    assert np.array(rf.params["importance"]).tobytes() == imp.tobytes()
+    assert rf.params["importance"].tobytes() == imp.tobytes()
     path = tmp_path / "rf.json"
     save_model(rf, path)
     loaded = load_model(path)
-    assert (np.array(loaded.params["importance"]).tobytes()
-            == imp.tobytes())
+    assert loaded.params["importance"].tobytes() == imp.tobytes()
     assert rf_variable_importance(loaded) == pairs
     # a one-class forest stores d zeros, and loads
     one_class = dataclasses.replace(matrix, y=np.zeros_like(matrix.y))
     with pytest.warns(DegenerateLabels):
         save_model(train_model(one_class, "random_forest"), path)
     loaded = load_model(path)
-    assert loaded.params["importance"] == [0.0] * len(matrix.columns)
+    assert loaded.params["importance"].tolist() == [0.0] * len(matrix.columns)
     assert [v for _, v in rf_variable_importance(loaded)] == [0.0, 0.0]
     lr = train_model(matrix, "logistic")
     with pytest.raises(WrongKind):
