@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from ._util import format_cell, read_ini
-from .errors import ConfigError, DataError, EdBenchError
+from .errors import BadAcuity, ConfigError, DataError, EdBenchError
 from .ingest import TABLE_KINDS, TEMPERATURE_UNITS, link_tables, read_raw_tables
 from .cohort import (OUTCOME_COLUMNS, build_master, load_complaint_matcher,
                      master_columns, read_master_csv, write_master_csv)
@@ -413,8 +413,12 @@ def _evaluate(cfg: PipelineConfig, test_records: list[dict], tasks=TASK_ORDER,
               time_point: str | None = None) -> tuple[dict, list[Path]]:
     runtimes = _read_runtimes(cfg)
     # acuity inverted into a risk score works for every outcome
-    esi = np.array([esi_risk(rec["triage_acuity"]) for rec in test_records],
-                   dtype=np.float64)
+    esi = np.empty(len(test_records))
+    for i, rec in enumerate(test_records):
+        try:
+            esi[i] = esi_risk(rec["triage_acuity"])
+        except BadAcuity as exc:
+            raise BadAcuity(f"stay {rec['stay_id']}: {exc}") from None
 
     results: list[ModelResult] = []
     for task in tasks:
@@ -454,7 +458,10 @@ def _evaluate(cfg: PipelineConfig, test_records: list[dict], tasks=TASK_ORDER,
 def stage_evaluate(cfg: PipelineConfig, tasks=TASK_ORDER,
                    time_point: str | None = None) -> tuple[dict, list[Path]]:
     test, _ = _read_output(cfg, TEST_NAME, "run build-benchmark first")
-    return _evaluate(cfg, test, tasks, time_point)
+    try:
+        return _evaluate(cfg, test, tasks, time_point)
+    except BadAcuity as exc:
+        raise BadAcuity(f"{Path(cfg.output_dir) / TEST_NAME}: {exc}") from None
 
 
 def stage_predict(cfg: PipelineConfig, model_file: str, input_csv: str,

@@ -30,34 +30,51 @@ where one tree at a time would pay it per tree. A random forest draws its
 feature subsets once per level from each tree's own generator:
 ``rng.random((m, d))`` for that tree's m open nodes in level order, each
 node taking the first ``features_per_node`` (the forest's
-``ceil(sqrt(d))``) columns of its row's argsort, sorted. ``fit_forest``
-puts as many trees in a pass as fit ``forest.PASS_CELLS`` root cells
-(bootstrap rows x ``features_per_node``). The per-level gathers, keys and
-weights hold one cell per active row and candidate feature, and rows only
-leave as nodes close, so the root level's cells bound a pass's working
-set; a training set that fills the budget alone grows one tree per pass.
+``ceil(sqrt(d))``) columns of its row's argsort, sorted.
+
+A forest tree grows on its bootstrap's distinct rows, each carrying the
+count of times it was drawn (``grow_trees(counts=)``), as scikit-learn
+weights a bootstrap by ``sample_counts`` (Pedregosa et al., 2011): the
+histograms weight each cell by its row's count and the label sums take
+``y * count``, so every count and label sum is the integer it is over the
+repeated rows. ``fit_forest`` puts as many trees in a pass as fit
+``forest.PASS_CELLS`` root cells (bootstrap draws x ``features_per_node``).
+The per-level gathers, keys and weights hold one cell per distinct active
+row and candidate feature, about 63 % of the draws, and rows only leave as
+nodes close, so the root level's cells bound a pass's working set; a
+training set that fills the budget alone grows one tree per pass.
 
 Boosting grows every stage's tree over every feature on the same rows, so
 its histogram layout is kept per fit: ``BinnedFeatures`` holds each
-feature's bin start and the buffers every level and stage reuses, and
-``fit_boosting`` builds the level-0 ``_Histogram``, which only the residual
-weights change from stage to stage, once for every stage's ``grow_tree``.
+feature's bin start, every cell's level-0 key (``cell_keys``) and the
+buffers every level and stage reuses. ``fit_boosting`` builds the level-0
+``_Histogram`` on ``cell_keys`` (``root_histogram``), which only the
+residual weights change from stage to stage, once for every stage's
+``grow_tree``; a deeper level gathers its rows' ``cell_keys`` and adds its
+node's block. Growth also records the leaf each row ends at (``leaf``):
+a row goes right where its bin code exceeds the split's last left bin,
+which holds exactly where its value exceeds that bin's edge, the stored
+threshold, so ``fit_boosting`` adds each row's leaf value to its score
+without walking the tree again.
 
 Without feature subsampling the result is bit-identical, up to the order
 of its nodes, to growing the same tree depth-first, one node at a time
 (the reference builder in the tests), because every float is produced by
 the same operations in the same order: per-bin sums accumulate rows in
-``idx`` order; counts and 0/1 label sums are integers, exact in any order,
-so they take one flat running sum rebased at each segment start, while
-Newton residual sums run per segment in bin order; ties go to the first
-maximum over (feature in sorted order, bin); the parent's score squares
-its first feature's total as ``t * t``, and a gain is the best score's
-margin over it, divided by n and doubled for 0/1 labels; classification
-leaves are integer sum / count, and Newton leaves sum their gradient and
-hessian over the node's rows in ``idx`` order. For the same reasons a tree
-grown in a pass equals the tree grown alone: no float of one tree meets a
-value of another, except in the running sums of 0/1 labels, which are
-exact.
+``idx`` order; counts and 0/1 label sums are integers, exact in any order
+and at any row count, so they take one flat running sum rebased at each
+segment start, while Newton residual sums run per segment in bin order,
+each segment in a row of the block of its width class, the least power of
+two not below its count of occupied bins (a level's 2-bin segments do not
+pad to the width of its 256-bin ones); ties go to the first maximum over
+(feature in sorted order, bin); the parent's score squares its first
+feature's total as ``t * t``, and a gain is the best score's margin over
+it, divided by n and doubled for 0/1 labels; classification leaves are
+integer sum / count, and Newton leaves sum their gradient and hessian over
+the node's rows in ``idx`` order. For the same reasons a tree grown in a
+pass equals the tree grown alone, and a tree grown on row counts equals
+the tree grown on the repeated rows: no float of one tree meets a value of
+another, except in the running sums of 0/1 labels, which are exact.
 
 A grown tree is a plain dict of equal-length 1-D numpy arrays keyed by
 TREE_FIELDS, in the manner of scikit-learn's parallel-array ``Tree``
@@ -94,7 +111,7 @@ MAX_BINS = 256
 @dataclass
 class BinnedFeatures:
     """One fit's bin codes, and the split-search state all its trees share:
-    bin starts and reused buffers."""
+    bin starts, level-0 cell keys and reused buffers."""
 
     codes: np.ndarray        # (n, d) uint16 bin codes
     thresholds: list[np.ndarray]  # per feature, edge values; code<=k iff x<=edges[k]
@@ -116,43 +133,63 @@ class BinnedFeatures:
             buf = self.buffers[name] = np.zeros(size, dtype)
         return buf[:size]
 
-    def weights(self, y_rows: np.ndarray, k: int) -> np.ndarray:
-        """``np.repeat(y_rows, k)``, each row's label once per cell, in the
-        weights buffer."""
-        w = self.buffer("weights", y_rows.size * k)
-        w.reshape(y_rows.size, k)[...] = y_rows[:, None]
+    @functools.cached_property
+    def cell_keys(self) -> np.ndarray:
+        """(n, d) int64: each cell's bin code plus its feature's bin start,
+        its key in a one-node histogram over every feature."""
+        return self.codes + self.bin_start
+
+    def weights(self, values: np.ndarray, k: int,
+                name: str = "weights") -> np.ndarray:
+        """``np.repeat(values, k)``, each active row's value once per cell,
+        in the buffer ``name``."""
+        w = self.buffer(name, values.size * k)
+        w.reshape(values.size, k)[...] = values[:, None]
         return w
 
-    def subset_histogram(self, rows, node, feats) -> _Histogram:
+    def _cell_counts(self, drawn, k):
+        """Each cell's row count, if the active rows carry counts."""
+        return None if drawn is None else self.weights(drawn, k, "counts")
+
+    def subset_histogram(self, rows, node, feats, drawn=None) -> _Histogram:
         """The histogram of a level whose open nodes take the candidate
         features ``feats`` (m, k), each segment as long as its feature has
-        bins."""
+        bins; ``drawn``, if given, is each active row's count."""
         m, k = feats.shape
         size = self.n_bins[feats].ravel()
         start = np.cumsum(size) - size
         keys = self.buffer("keys", rows.size * k, np.int64)
         grid = keys.reshape(rows.size, k)
-        # flat gathers by np.take, which beat fancy indexing on a 2-D array
+        # flat gathers by np.take, which beat fancy indexing on a 2-D array;
+        # into ``out`` with mode="clip" (every index is in range), as the
+        # default mode first gathers into a temporary as large as ``out``
         np.multiply(rows[:, None], self.codes.shape[1], out=grid)
         grid += np.take(feats, node, axis=0)
         sub = np.take(self.codes.ravel(), grid)
-        np.take(start.reshape(m, k), node, axis=0, out=grid)
+        np.take(start.reshape(m, k), node, axis=0, out=grid, mode="clip")
         grid += sub
-        return _Histogram(keys, start, int(size.sum()))
+        return _Histogram(keys, start, int(size.sum()),
+                          self._cell_counts(drawn, k))
 
-    def full_histogram(self, rows, node, m) -> _Histogram:
+    def full_histogram(self, rows, node, m, drawn=None) -> _Histogram:
         """The histogram of a level whose m open nodes take every feature,
-        each node one block of cells laid out as ``bin_start`` says. A
-        one-node level owns its keys, so that it outlives the levels after
-        it, which reuse the keys buffer."""
+        each node one block of cells laid out as ``bin_start`` says: the
+        rows' ``cell_keys`` plus their node's block."""
         d = self.codes.shape[1]
         start = (np.arange(m)[:, None] * self.block + self.bin_start).ravel()
-        keys = (np.empty(rows.size * d, dtype=np.int64) if m == 1
-                else self.buffer("keys", rows.size * d, np.int64))
+        keys = self.buffer("keys", rows.size * d, np.int64)
         grid = keys.reshape(rows.size, d)
-        np.add(self.codes[rows], self.bin_start, out=grid)
+        np.take(self.cell_keys, rows, axis=0, out=grid, mode="clip")
         grid += (node * self.block)[:, None]
-        return _Histogram(keys, start, m * self.block)
+        return _Histogram(keys, start, m * self.block,
+                          self._cell_counts(drawn, d))
+
+    def root_histogram(self) -> _Histogram:
+        """The level-0 histogram of a tree over every row, in order: one node
+        taking every feature, keyed by ``cell_keys`` itself, so that it
+        outlives the levels after it, which reuse the keys buffer."""
+        return _Histogram(self.cell_keys.reshape(-1), self.bin_start,
+                          self.block)
 
     def best_splits(self, hist, weights, feats, count, min_leaf, *, exact):
         """Best split of each open node of a level, from one histogram pass.
@@ -175,15 +212,18 @@ class BinnedFeatures:
             s_l -= (s_l - w)[head][seg]
         else:
             # float sums: each segment cumulates on its own, in bin order,
-            # in a padded (segments, width) block; the cumsum of a cell
+            # in a row of its width class's block; the cumsum of a cell
             # reads only the cells before it, so what a reused block holds
             # past a segment's end is never read
-            shape = (m * k, hist.width)
-            pad = self.buffer("pad", m * k * hist.width)
-            pad[hist.padded] = w
+            place, size, blocks = hist.width_classes
+            pad = self.buffer("pad", size)
+            pad[place] = w
             total = self.buffer("cumsum", pad.size)
-            np.cumsum(pad.reshape(shape), axis=1, out=total.reshape(shape))
-            s_l = total[hist.padded]
+            for first, shape in blocks:
+                end = first + shape[0] * shape[1]
+                np.cumsum(pad[first:end].reshape(shape), axis=1,
+                          out=total[first:end].reshape(shape))
+            s_l = total[place]
         owner = seg // k
         n_r = count[owner] - n_l
         s_r = s_l[tail][seg] - s_l
@@ -375,13 +415,14 @@ def grow_tree(
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
     root: _Histogram | None = None,
+    leaf: np.ndarray | None = None,
 ) -> dict:
     """Grow one tree on the rows in ``idx``: ``grow_trees`` for a pass of
     one tree, drawing its features from ``rng``."""
     return grow_trees(binned, [idx], y, max_depth=max_depth,
                       min_leaf=min_leaf, features_per_node=features_per_node,
                       rngs=[rng], leaf_grad=leaf_grad, leaf_hess=leaf_hess,
-                      root=root)[0]
+                      root=root, leaf=leaf)[0]
 
 
 def grow_trees(
@@ -396,6 +437,8 @@ def grow_trees(
     leaf_grad: np.ndarray | None = None,
     leaf_hess: np.ndarray | None = None,
     root: _Histogram | None = None,
+    counts: list[np.ndarray] | None = None,
+    leaf: np.ndarray | None = None,
 ) -> list[dict]:
     """Grow one tree per entry of ``idxs``, on the rows it lists, together:
     one depth level at a time, each level one histogram pass and one
@@ -408,9 +451,13 @@ def grow_trees(
     pure nodes stay leaves and whose gains are Gini decreases.
     ``features_per_node`` activates random feature subsampling, tree t
     drawing from ``rngs[t]`` once per level as the module docstring
-    describes. ``root``, if given, is a one-tree pass's level-0 histogram,
-    as ``full_histogram`` builds it. Each tree comes out as ``grow_tree``
-    alone would grow it, its nodes in level order.
+    describes. ``counts``, for a 0/1 classifier, gives each row of
+    ``idxs[t]`` a count: tree t grows as on ``np.repeat(idxs[t],
+    counts[t])``. ``root``, if given, is the level-0 histogram of a one-tree
+    pass over every row in order, ``root_histogram``. ``leaf``, if given, an
+    array over the rows of ``y``, receives, in a one-tree pass on distinct
+    rows, the node each of them ends at. Each tree comes out as
+    ``grow_tree`` alone would grow it, its nodes in level order.
     """
     classification = leaf_grad is None
     codes = binned.codes
@@ -426,22 +473,30 @@ def grow_trees(
         hess = np.bincount(node, leaf_hess[rows], minlength=count.size)
         return grad / np.maximum(hess, 1e-12)
 
+    def labels(rows, drawn):
+        return y[rows] if drawn is None else y[rows] * drawn
+
     # the current level: its active rows (tree by tree, each in idx order),
-    # the level node each row sits in, and per node its tree, row count and
-    # label sum; nodes are in tree order, so each tree's rows stay together
-    sizes = [len(idx) for idx in idxs]
+    # each row's count if counts are given, the level node each row sits
+    # in, and per node its tree, row count and label sum; nodes are in tree
+    # order, so each tree's rows stay together
     rows = np.concatenate(idxs).astype(np.intp, copy=False)
-    node = np.repeat(np.arange(len(idxs)), sizes)
+    node = np.repeat(np.arange(len(idxs)), [len(idx) for idx in idxs])
     tree = np.arange(len(idxs))
-    count = np.array(sizes)
-    label = np.bincount(node, y[rows], minlength=count.size)
+    drawn = None if counts is None else np.concatenate(counts)
+    count = np.bincount(node, drawn, minlength=len(idxs)).astype(np.int64)
+    label = np.bincount(node, labels(rows, drawn), minlength=count.size)
     value = leaf_values(rows, node, count, label)
+    first = 0                               # the level's first node
     levels = []
     for depth in itertools.count():
         m = count.size
         level = {"feature": np.full(m, -1), "threshold_or_value": value,
                  "n_samples": count, "gain": np.zeros(m), "tree": tree}
         levels.append(level)
+        if leaf is not None:
+            leaf[rows] = first + node       # a row's last level is its leaf
+            first += m
         is_open = count >= 2 * min_leaf
         if classification:
             is_open &= (label > 0) & (label < count)
@@ -450,20 +505,21 @@ def grow_trees(
         ids = np.flatnonzero(is_open)
         keep = is_open[node]
         rows, node = rows[keep], (np.cumsum(is_open) - 1)[node[keep]]
+        drawn = None if drawn is None else drawn[keep]
         if subsample:
             opened = np.bincount(tree[ids], minlength=len(idxs)).tolist()
             draw = np.concatenate([rngs[t].random((c, d))
                                    for t, c in enumerate(opened) if c])
             feats = np.sort(np.argsort(draw, axis=1)[:, :features_per_node],
                             axis=1)
-            hist = binned.subset_histogram(rows, node, feats)
+            hist = binned.subset_histogram(rows, node, feats, drawn)
         else:
             feats = np.broadcast_to(np.arange(d), (ids.size, d))
             hist = (root if depth == 0 and root is not None
-                    else binned.full_histogram(rows, node, ids.size))
+                    else binned.full_histogram(rows, node, ids.size, drawn))
         split, feat, cut, n_l, s_l, gain = binned.best_splits(
-            hist, binned.weights(y[rows], feats.shape[1]), feats, count[ids],
-            min_leaf, exact=classification)
+            hist, binned.weights(labels(rows, drawn), feats.shape[1]), feats,
+            count[ids], min_leaf, exact=classification)
         if not split.any():
             break
         ids, feat, cut, n_l, s_l, gain = (
@@ -471,7 +527,9 @@ def grow_trees(
 
         # route the rows of split nodes; rows of nodes that stay leaves drop out
         r = np.where(split, np.cumsum(split) - 1, -1)[node]
-        rows, r = rows[r >= 0], r[r >= 0]
+        go = r >= 0
+        rows, r = rows[go], r[go]
+        drawn = None if drawn is None else drawn[go]
         node = 2 * r + (codes[rows, feat[r]] > cut[r])
 
         level["feature"][ids] = feat
@@ -495,9 +553,11 @@ class _Histogram:
     last occupied cell, and the running row count within the segment:
     everything split search needs that does not depend on the labels."""
 
-    def __init__(self, keys: np.ndarray, start: np.ndarray, n_cells: int):
+    def __init__(self, keys: np.ndarray, start: np.ndarray, n_cells: int,
+                 counts: np.ndarray | None = None):
         self.keys, self.start, self.n_cells = keys, start, n_cells
-        cnt = np.bincount(keys, minlength=n_cells)
+        # each cell counts its row's draws, if ``counts`` gives them
+        cnt = np.bincount(keys, counts, minlength=n_cells)
         # scores only at occupied bins: an empty bin repeats the score of the
         # bin before it, so the first maximum is always an occupied bin
         self.occ = np.flatnonzero(cnt)
@@ -505,16 +565,28 @@ class _Histogram:
         self.seg = np.repeat(np.arange(start.size), per_seg)
         self.tail = np.cumsum(per_seg) - 1          # last and first cell
         self.head = self.tail - per_seg + 1
-        c = cnt[self.occ]
+        c = cnt[self.occ].astype(np.int64, copy=False)
         self.n_l = np.cumsum(c)
         self.n_l -= (self.n_l - c)[self.head][self.seg]
-        self.width = int(per_seg.max())             # most cells of a segment
 
     @functools.cached_property
-    def padded(self) -> np.ndarray:
-        """Each occupied cell's place in a (segments, width) block."""
-        return (self.seg * self.width + np.arange(self.occ.size)
-                - self.head[self.seg])
+    def width_classes(self) -> tuple[np.ndarray, int, list]:
+        """Where each segment's occupied cells cumulate: a row of the block
+        of its width class, the least power of two not below its count of
+        occupied cells, so that no block is twice as wide as what its rows
+        hold. Returns each occupied cell's place, the blocks' total size,
+        and each block's first place and (rows, width) shape."""
+        per_seg = self.tail - self.head + 1
+        width = 1 << np.frexp(per_seg - 1)[1].astype(np.int64)
+        order = np.argsort(width, kind="stable")
+        first = np.empty_like(width)
+        first[order] = np.cumsum(width[order]) - width[order]
+        place = first[self.seg] + np.arange(self.occ.size) - self.head[self.seg]
+        widths, at, rows = np.unique(width[order], return_index=True,
+                                     return_counts=True)
+        blocks = [(int(first[order[i]]), (int(r), int(w)))
+                  for w, i, r in zip(widths, at, rows)]
+        return place, int(width.sum()), blocks
 
 
 def _level_order(levels: list[dict]) -> list[dict]:

@@ -8,9 +8,10 @@ stored so scaled in the leaves' ``threshold_or_value``, as in XGBoost.
 Training records the deviance after every stage, a float64 array; on the
 training set it must never increase, which the test suite checks. Every
 stage's tree grows on all rows, so the fit builds their level-0 histogram
-layout once and hands it to each stage. Prediction walks every stage's tree
-at once with ``predict_trees`` and adds the leaves in stage order, as
-training did. A fit on one class stores only that class's rate,
+layout once and hands it to each stage. Growth gives the leaf each row
+ends at, so training adds a stage's leaves to the scores without calling
+``predict_trees``. Prediction walks every stage's tree at once with
+``predict_trees`` and adds the leaves in stage order, as training did. A fit on one class stores only that class's rate,
 ``constant``.
 """
 
@@ -49,7 +50,8 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
     base = float(np.log(pos / (n - pos)))
     F = np.full(n, base)
     idx = np.arange(n, dtype=np.intp)
-    root = binned.full_histogram(idx, np.zeros(n, dtype=np.intp), 1)
+    root = binned.root_histogram()
+    leaf = np.empty(n, dtype=np.intp)       # each row's node in the stage
     trees = []
     deviance = [_deviance(F, y)]
     for stage in range(n_stages):
@@ -57,10 +59,12 @@ def fit_boosting(X: np.ndarray, y: np.ndarray, *, n_stages: int = 100,
         resid = y - p
         hess = p * (1.0 - p)
         tree = grow_tree(binned, idx, resid, max_depth=max_depth, root=root,
-                         min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess)
-        tree["threshold_or_value"][tree["feature"] < 0] *= learning_rate
+                         min_leaf=min_leaf, leaf_grad=resid, leaf_hess=hess,
+                         leaf=leaf)
+        value = tree["threshold_or_value"]
+        value[tree["feature"] < 0] *= learning_rate
         trees.append({name: tree[name] for name in MODEL_FIELDS})
-        F = F + predict_trees(trees[-1:], X)[0]
+        F = F + value[leaf]
         dev = _deviance(F, y)
         if not np.isfinite(dev):
             raise NonFiniteLoss(f"boosting: non-finite deviance at stage {stage}")

@@ -6,9 +6,12 @@ features at every node. Per-tree randomness comes from independent
 child seeds spawned from the model seed, so results are reproducible
 and independent of evaluation order. Each tree's generator first draws
 the bootstrap rows, then, in ``grow_trees``, one block of feature draws
-per depth level for that tree's open nodes. Trees grow together in passes
-of as many trees as fit PASS_CELLS root cells (bootstrap rows x
-features per node; see ``_trees``), in seed order; since each tree draws
+per depth level for that tree's open nodes. A tree grows on its
+bootstrap's distinct rows and the count of each, which gives the tree
+that the repeated rows give (see ``_trees``). Trees grow together in
+passes of as many trees as fit PASS_CELLS root cells, in seed order: a
+root cell is one bootstrap draw of one of the features per node, so a
+pass's distinct rows fill about 63 % of the budget. Since each tree draws
 only from its own generator, a tree comes out the same whatever pass it
 is grown in. The forest predicts the mean of per-tree leaf class
 fractions, summed in tree order from one ``predict_trees`` walk over the
@@ -32,7 +35,7 @@ from ._trees import MODEL_FIELDS, bin_features, grow_trees, predict_trees
 
 logger = logging.getLogger(__name__)
 
-# root cells (bootstrap rows x features_per_node) of the trees grown in one
+# root cells (bootstrap draws x features_per_node) of the trees grown in one
 # pass; at 2 ** 17, a pass holds 12 trees of 1,200 rows and 72 features, and
 # from 7,282 rows at that width, one tree
 PASS_CELLS = 2 ** 17
@@ -53,10 +56,14 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 100,
     for first in range(0, n_trees, per_pass):
         rngs = [np.random.default_rng(child)
                 for child in children[first:first + per_pass]]
-        boots = [rng.integers(0, n, size=n) for rng in rngs]
-        trees += grow_trees(binned, boots, y, max_depth=max_depth,
+        # each bootstrap as its distinct rows, in order, and their counts
+        drawn = [np.bincount(rng.integers(0, n, size=n), minlength=n)
+                 for rng in rngs]
+        rows = [np.flatnonzero(times) for times in drawn]
+        trees += grow_trees(binned, rows, y, max_depth=max_depth,
                             min_leaf=min_leaf,
-                            features_per_node=features_per_node, rngs=rngs)
+                            features_per_node=features_per_node, rngs=rngs,
+                            counts=[times[r] for times, r in zip(drawn, rows)])
     logger.info("forest: %d trees on %d rows x %d features", n_trees, n, d)
     return {"trees": [{name: tree[name] for name in MODEL_FIELDS}
                       for tree in trees],

@@ -911,6 +911,23 @@ def test_an_acuity_outside_1_to_5_excludes_its_visit(run_all, tmp_path):
     assert stay not in test_ids
 
 
+def test_evaluate_names_the_file_and_stay_of_an_acuity_outside_1_to_5(
+        run_all, tmp_path, caplog):
+    # build-benchmark never writes one; a test.csv edited by hand can hold it
+    ini, out = _stage_config(run_all, tmp_path, "test.csv", "models")
+    rows = (out / "test.csv").read_text().splitlines(keepends=True)
+    header, cells = rows[0].split(","), rows[1].split(",")
+    cells[header.index("triage_acuity")] = "7"
+    rows[1] = ",".join(cells)
+    (out / "test.csv").write_text("".join(rows))
+    stay = cells[header.index("stay_id")]
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert cli.main(["evaluate", "--config", str(ini)]) == 3
+    assert (f"BadAcuity: {out / 'test.csv'}: stay {stay}: acuity must be an "
+            "integer in 1..5, got 7") in caplog.text
+    assert sorted(p for p in out.rglob("*") if p.is_file()) == files
+
+
 def test_build_benchmark_rejects_malformed_number_cell(run_all, tmp_path,
                                                       caplog):
     out = tmp_path / "out"

@@ -26,8 +26,8 @@ from edbench.models import (MODEL_KINDS, FeatureMatrix, build_feature_matrix,
 from edbench.models import _trees, base, boosting, forest
 from edbench.models.base import FORMAT
 from edbench.models._trees import (MODEL_FIELDS, TABLE_FIELDS, TREE_FIELDS,
-                                   bin_features, grow_tree, predict_trees,
-                                   trees_from_json)
+                                   bin_features, grow_tree, grow_trees,
+                                   predict_trees, trees_from_json)
 from edbench.models.boosting import fit_boosting, predict_boosting
 from edbench.models.forest import fit_forest, forest_importance, predict_forest
 from edbench.models.linear import (fit_logistic, logistic_objective,
@@ -274,9 +274,9 @@ def _grown_trees(variant, X, y, max_depth, min_leaf):
 
 
 @st.composite
-def _tree_data(draw):
+def _tree_data(draw, max_d=4):
     n = draw(st.integers(2, 40))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_d))
     # few distinct values, so ties and constant columns are common
     X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(
         [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])))
@@ -472,19 +472,29 @@ def test_deep_trees_on_continuous_data_equal_depth_first_oracle():
         assert len(new["feature"]) > 100
 
 
+def _depth_first_stages(X, oracle_trees):
+    """A stand-in for ``boosting.grow_tree`` that grows each stage with the
+    depth-first oracle, appends the oracle's tree to ``oracle_trees`` and
+    returns it as ``grow_tree`` would, with each row's leaf, which
+    ``fit_boosting`` reads in place of ``predict_trees``, found by walking
+    the row of X down that tree."""
+    def grow(binned, idx, y, *, root=None, leaf=None, **kwargs):
+        oracle_trees.append(_depth_first_grow_tree(binned, idx, y, **kwargs))
+        tree = _oracle_arrays(oracle_trees[-1])
+        leaf[idx] = _leaf_of(tree, X[idx])
+        return tree
+    return grow
+
+
 def test_boosting_with_depth_first_oracle_gives_equal_params(monkeypatch):
     X, y = _toy(n=500, seed=15, noise=1.0)
     for max_depth in (3, 6):
         with _spy(boosting, "grow_tree") as grown:
             params = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
         oracle_trees = []
-
-        def oracle(*args, root=None, **kwargs):
-            oracle_trees.append(_depth_first_grow_tree(*args, **kwargs))
-            return _oracle_arrays(oracle_trees[-1])
-
         with monkeypatch.context() as patch:
-            patch.setattr(boosting, "grow_tree", oracle)
+            patch.setattr(boosting, "grow_tree",
+                          _depth_first_stages(X, oracle_trees))
             reference = fit_boosting(X, y, n_stages=15, max_depth=max_depth)
         _assert_model_trees(params, grown, learning_rate=0.1)
         _assert_model_trees(reference, [_oracle_arrays(old)
@@ -585,6 +595,40 @@ def test_forest_passes_mix_one_leaf_trees_and_depths(per_pass):
         depths = {_tree_depth(tree) for tree in trees}
         assert 0 in depths and len(depths) >= 3, depths
         assert min_leaf == 3 or 3 in depths, depths
+
+
+@settings(max_examples=60)
+@given(data=_tree_data(max_d=6), max_depth=st.integers(1, 8),
+       min_leaf=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       n_trees=st.integers(1, 4))
+def test_trees_on_row_counts_equal_trees_on_the_repeated_rows(
+        data, max_depth, min_leaf, seed, n_trees):
+    # a forest passes each bootstrap as its distinct rows and their counts;
+    # from d = 3 on the trees draw feature subsets, below it they take every
+    # feature (full_histogram)
+    X, y = data
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    counts = [rng.integers(0, 4, size=n) for _ in range(n_trees)]
+    for times in counts:
+        times[rng.integers(n)] += 1             # no tree without rows
+    rows = [np.flatnonzero(times) for times in counts]
+    # the repeated rows in any order: each count is a multiset's
+    repeated = [rng.permutation(np.repeat(r, times[r]))
+                for r, times in zip(rows, counts)]
+    binned = bin_features(X)
+
+    def grow(idxs, **kwargs):
+        rngs = [np.random.default_rng(child)
+                for child in np.random.SeedSequence(seed).spawn(n_trees)]
+        return grow_trees(binned, idxs, y, max_depth=max_depth,
+                          min_leaf=min_leaf, rngs=rngs,
+                          features_per_node=math.ceil(math.sqrt(d)), **kwargs)
+
+    on_counts = grow(rows, counts=[times[r] for r, times in zip(rows, counts)])
+    _assert_same_trees(on_counts, grow(repeated))
+    assert [tree["n_samples"][0] for tree in on_counts] == [
+        times.sum() for times in counts]
 
 
 @pytest.mark.parametrize("newton", [False, True], ids=["tree", "newton_tree"])
@@ -694,6 +738,60 @@ def test_boosting_deviance_trace_non_increasing():
         trace = params["train_deviance"]
         assert len(trace) == 41
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def _edge_data(seed, n):
+    """n >= 257 rows whose columns put training values on bin edges: a
+    column of n distinct values, whose quantile edges fall on values (the
+    median, at least, for an odd n), one of
+    two adjacent floats, whose midpoint rounds to the lower one, and one of
+    a few values; labels from the columns and noise."""
+    rng = np.random.default_rng(seed)
+    adjacent = np.array([1.0, np.nextafter(1.0, 2.0)])
+    X = np.column_stack((rng.permutation(n).astype(np.float64),
+                         rng.choice(adjacent, size=n),
+                         rng.choice([-1.0, 0.0, 2.5], size=n)))
+    y = ((X[:, 0] / n + (X[:, 1] > 1.0) + X[:, 2] / 4
+          + rng.normal(0, 0.5, size=n)) > 1.0).astype(np.float64)
+    return X, y
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       n=st.integers(128, 350).map(lambda k: 2 * k + 1),
+       max_depth=st.integers(1, 6), min_leaf=st.integers(1, 3))
+def test_boosting_leaves_from_growth_are_the_leaves_of_predict_trees(
+        seed, n, max_depth, min_leaf):
+    X, y = _edge_data(seed, n)
+    binned = bin_features(X)
+    assert len(binned.thresholds[0]) == 255         # quantile edges
+    for j in range(2):                              # values on edges
+        assert np.isin(X[:, j], binned.thresholds[j]).any()
+    real, leaves = boosting.grow_tree, []
+
+    def grow(*args, leaf, **kwargs):
+        tree = real(*args, leaf=leaf, **kwargs)
+        leaves.append(leaf.copy())
+        return tree
+
+    with mock.patch.object(boosting, "grow_tree", grow):
+        params = fit_boosting(X, y, n_stages=4, max_depth=max_depth,
+                              min_leaf=min_leaf)
+    walked = predict_trees(params["trees"], X)
+    assert len(leaves) == len(walked) == 4
+    for tree, leaf, values in zip(params["trees"], leaves, walked):
+        assert np.array_equal(leaf, _leaf_of(tree, X))
+        assert np.array_equal(tree["threshold_or_value"][leaf], values)
+
+
+def test_fit_boosting_does_not_walk_its_trees():
+    X, y = _edge_data(3, 301)
+    with mock.patch.object(boosting, "predict_trees",
+                           wraps=boosting.predict_trees) as walk:
+        params = fit_boosting(X, y, n_stages=5)
+        assert walk.call_count == 0
+        predict_boosting(params, X)
+        assert walk.call_count == 1
 
 
 def test_boosting_base_score_is_log_odds():
@@ -1015,12 +1113,7 @@ def test_model_files_of_the_per_tree_format_exit_3(monkeypatch, tmp_path):
     model = train_model(matrix, "boosting", n_stages=5, max_depth=4)
     rf = train_model(matrix, "random_forest", n_trees=3, max_depth=4)
     oracle = []
-
-    def depth_first(*args, root=None, **kwargs):
-        oracle.append(_depth_first_grow_tree(*args, **kwargs))
-        return _oracle_arrays(oracle[-1])
-
-    monkeypatch.setattr(boosting, "grow_tree", depth_first)
+    monkeypatch.setattr(boosting, "grow_tree", _depth_first_stages(X, oracle))
     train_model(matrix, "boosting", n_stages=5, max_depth=4)
     grown = [_level_order_oracle(tree) for tree in oracle]
     binned, rng = bin_features(X), np.random.default_rng(0)
